@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments <id> [--flash-mb N] [--ops-mult F] [--shards N] [--rate R]
-//!                  [--inflight K] [--qd N] [--conns N] [--port P]
+//!                  [--inflight K] [--conns N] [--port P]
 //!                  [--duration-secs S] [--connect HOST:PORT]
 //!                  [--backend modeled|file|real] [--smoke] [--restart]
 //!
@@ -12,7 +12,7 @@
 //!      fig17 fig18 fig19a fig19b table5 table6 motivation breakdown
 //!      read_cost sensitivity wave_sweep read_amplification appendix_a
 //!      ablation sharded openloop netload serve device_validation
-//!      qd_sweep faultload all
+//!      faultload all
 //! ```
 //!
 //! `--smoke` shrinks the device and op counts so an experiment
@@ -28,16 +28,9 @@
 //! file-backed shard fleet to steady state, checkpoint it, and compare
 //! a warm checkpoint reopen (asserted: zero foreground flash writes,
 //! ≥95 % of the steady-state hit ratio) against a cold zone-scan reopen
-//! with the checkpoints deleted. `--qd N` additionally replays every
-//! backend through the asynchronous submit/poll read path at queue
-//! depth `N` — the async runs join the same parity assertion — and runs
-//! a scattered-read overlap microbench on the real backend.
-//!
-//! `qd_sweep` ages a file-backed real-I/O pool and sweeps the
-//! submit/poll queue depth (sequential, then 1/2/4/8/16), printing
-//! measured read-latency CDFs and sustained req/s per depth; behaviour
-//! parity across depths is asserted, and full (non-`--smoke`) runs also
-//! assert that some depth ≥ 4 sustains 1.5× the sequential rate.
+//! with the checkpoints deleted. The plain run ends with a
+//! scattered-read microbench on the real backend (70 µs emulated NAND
+//! reads) asserting that submit/poll at depth 4 beats depth 1.
 //!
 //! `faultload` replays the merged trace open loop through a sharded
 //! Nemo fleet whose devices execute scripted, seeded fault schedules
@@ -64,7 +57,7 @@
 //! `--duration-secs` (0 = until killed), then drains and reports.
 
 use nemo_bench::{
-    breakdown, device_validation, faultload, main_metrics, motivation, netload, overhead, qd_sweep,
+    breakdown, device_validation, faultload, main_metrics, motivation, netload, overhead,
     sensitivity, sharded, RunScale,
 };
 use nemo_service::DeviceBackend;
@@ -73,12 +66,12 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <id> [--flash-mb N] [--ops-mult F] [--shards N] [--rate R] [--inflight K]\n\
-         \x20                [--qd N] [--conns N] [--port P] [--duration-secs S]\n\
+         \x20                [--conns N] [--port P] [--duration-secs S]\n\
          \x20                [--connect HOST:PORT] [--backend modeled|file|real] [--smoke] [--restart]\n\
          ids: fig4 fig5 fig6 fig8 fig12a fig12b fig13 fig14 fig15 fig16 fig17 fig18\n\
          \x20     fig19a fig19b table5 table6 motivation breakdown read_cost sensitivity\n\
          \x20     wave_sweep read_amplification appendix_a ablation sharded openloop\n\
-         \x20     netload serve device_validation qd_sweep faultload all"
+         \x20     netload serve device_validation faultload all"
     );
     std::process::exit(2);
 }
@@ -98,7 +91,6 @@ fn main() {
     let mut inflight = 32usize;
     let mut smoke = false;
     let mut restart = false;
-    let mut qd = 0u32;
     let mut conns = 4usize;
     let mut port = 11211u16;
     let mut duration_secs = 30u64;
@@ -143,13 +135,6 @@ fn main() {
                     .get(i)
                     .and_then(|v| v.parse().ok())
                     .filter(|&s| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--qd" => {
-                i += 1;
-                qd = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
             }
             "--conns" => {
@@ -251,10 +236,9 @@ fn main() {
             if restart {
                 device_validation::restart_validation(scale)
             } else {
-                device_validation::device_validation(scale, qd)
+                device_validation::device_validation(scale)
             }
         }
-        "qd_sweep" => qd_sweep::qd_sweep(scale, smoke),
         "faultload" => faultload::faultload(scale, shards, smoke),
         "all" => {
             motivation::all(scale);

@@ -39,25 +39,20 @@ use nemo_service::{checkpoint_fleet, DeviceBackend, ShardedCache, ShardedCacheBu
 use nemo_sim::{Replay, ReplayConfig};
 use nemo_trace::TraceGenerator;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// One backend's replay outcome.
 struct BackendRun {
-    label: String,
+    label: &'static str,
     measured: bool,
     stats: nemo_engine::EngineStats,
     latency: LatencyHistogram,
     device: nemo_flash::DeviceStats,
 }
 
-fn replay_on(backend: &DeviceBackend, scale: &RunScale, ops: u64, qd: u32) -> BackendRun {
-    let mut cfg = scale.nemo_config();
-    cfg.io_queue_depth = qd;
-    let tag = if qd == 0 {
-        "devval".to_string()
-    } else {
-        format!("devval-qd{qd}")
-    };
-    let mut dev_factory = backend.device_factory(&tag);
+fn replay_on(backend: &DeviceBackend, scale: &RunScale, ops: u64) -> BackendRun {
+    let cfg = scale.nemo_config();
+    let mut dev_factory = backend.device_factory("devval");
     let dev: AnyFlash = dev_factory(0, cfg.geometry, cfg.latency);
     let mut engine = Nemo::with_device(cfg, dev);
     let replay_cfg = ReplayConfig {
@@ -70,11 +65,7 @@ fn replay_on(backend: &DeviceBackend, scale: &RunScale, ops: u64, qd: u32) -> Ba
     let r = Replay::new(replay_cfg).run(&mut engine, &mut trace);
     engine.drain(r.sim_end);
     BackendRun {
-        label: if qd == 0 {
-            backend.label().to_string()
-        } else {
-            format!("{} qd{qd}", backend.label())
-        },
+        label: backend.label(),
         measured: backend.is_measured(),
         stats: engine.stats(),
         latency: r.latency,
@@ -92,43 +83,27 @@ pub fn device_dir() -> PathBuf {
 
 /// Replays the merged trace on the modeled (in-memory), modeled
 /// (file-backed) and real-I/O backends and reports behavioural parity,
-/// side-by-side read-latency CDFs and WA. With `qd > 0` every backend
-/// is replayed a second time through the asynchronous submit/poll path
-/// at that queue depth — the async runs join the same parity assertion
-/// (sync and async may differ in time, never in behaviour) — and a
-/// scattered-read microbench on the real backend checks that overlap
+/// side-by-side read-latency CDFs and WA, then runs a scattered-read
+/// microbench on the real backend that checks overlapped submission
 /// actually narrows the modeled-vs-measured p99 gap.
 ///
 /// # Panics
 ///
-/// Panics if the backends (or the sync and async paths) diverge
-/// behaviourally, if device files cannot be created, or — with
-/// `qd >= 2` — if the overlapped microbench p99 is not below the
-/// sequential one.
-pub fn device_validation(scale: RunScale, qd: u32) {
+/// Panics if the backends diverge behaviourally, if device files cannot
+/// be created, or if the microbench's depth-4 p99 is not below its
+/// depth-1 p99.
+pub fn device_validation(scale: RunScale) {
     println!("\n### Device validation — modeled vs real I/O, same trace");
     println!("latency model reference: 70us page read, 14us page append, 2ms zone reset");
     let dir = device_dir();
     println!("device images: {}", dir.display());
-    if qd > 0 {
-        println!(
-            "async path: submit/poll at queue depth {qd} ({})",
-            nemo_flash::RealFlash::<nemo_flash::WallClock>::submission_backend()
-        );
-    }
     let ops = scale.ops_for_fills(1.5);
     let backends = [
         DeviceBackend::Modeled,
         DeviceBackend::modeled_file(dir.clone()),
         DeviceBackend::real(dir.clone()),
     ];
-    let mut runs: Vec<BackendRun> = backends
-        .iter()
-        .map(|b| replay_on(b, &scale, ops, 0))
-        .collect();
-    if qd > 0 {
-        runs.extend(backends.iter().map(|b| replay_on(b, &scale, ops, qd)));
-    }
+    let runs: Vec<BackendRun> = backends.iter().map(|b| replay_on(b, &scale, ops)).collect();
 
     // --- behavioural parity (the acceptance contract) ------------------
     let base = &runs[0];
@@ -242,44 +217,41 @@ pub fn device_validation(scale: RunScale, qd: u32) {
          would not. Point NEMO_DEV_DIR at a real SSD mount to measure hardware."
     );
 
-    if qd > 0 {
-        overlap_microbench(&dir, qd);
-    }
+    overlap_microbench(&dir);
 }
 
-/// Scattered-batch microbench on `RealFlash` twins: the same 32-page
-/// batches read back-to-back through the sequential chained path and
-/// through submit/poll at depth `qd`, next to the modeled (parallel-max)
-/// completion for the identical batches on `SimFlash`.
+/// Scattered-batch microbench on `RealFlash`: the same 32-page batches
+/// submitted at depth 1 and at depth [`OVERLAP_DEPTH`] on one device,
+/// next to the modeled completion for the identical batches on
+/// `SimFlash`.
 ///
 /// The device model overlaps a scattered batch across dies — its
-/// completion is a *max* over the pages. The sequential measured path
-/// chains syscalls — a *sum*. Overlapped submission is what moves the
+/// completion is a *max* over the pages. A depth-1 submission chains
+/// its reads — a *sum*. Overlapped submission is what moves the
 /// measured batch completion back toward the model's shape, and this
-/// bench asserts that it does: at depth ≥ 2 the async p99 must come in
-/// below the sequential p99.
-fn overlap_microbench(dir: &std::path::Path, qd: u32) {
+/// bench asserts that it does. Every read carries the model's 70 µs of
+/// emulated NAND time, slept off-CPU: on a page-cache image a bare
+/// `pread` is a microsecond of memcpy with nothing to overlap, and the
+/// sleep is what lets depth pay even on a single core.
+fn overlap_microbench(dir: &std::path::Path) {
     use nemo_flash::{
         Geometry, LatencyModel, PageAddr, ReadBatch, RealFlash, RealFlashOptions, SimFlash, ZoneId,
     };
     const BATCH: usize = 32;
-    const ROUNDS: usize = 200;
+    const ROUNDS: usize = 100;
+    const OVERLAP_DEPTH: usize = 4;
     let geom = Geometry::new(4096, 64, 8, 8);
     let psz = geom.page_size() as usize;
-    let sync_path = dir.join("overlap-sync.img");
-    let async_path = dir.join("overlap-async.img");
-    let mut sync_dev =
-        RealFlash::create(geom, &sync_path, RealFlashOptions::default()).expect("sync device");
-    let mut async_dev =
-        RealFlash::create(geom, &async_path, RealFlashOptions::default()).expect("async device");
+    let path = dir.join("overlap.img");
+    let opts = RealFlashOptions {
+        emulated_read_latency: Some(Duration::from_nanos(LatencyModel::default().page_read.0)),
+        ..RealFlashOptions::default()
+    };
+    let mut real = RealFlash::create(geom, &path, opts).expect("real device");
     let mut model = SimFlash::with_latency(geom, LatencyModel::default());
     for z in 0..geom.zone_count() {
         let data = vec![z as u8; geom.pages_per_zone() as usize * psz];
-        for dev in [
-            &mut sync_dev as &mut dyn ZonedFlash,
-            &mut async_dev,
-            &mut model,
-        ] {
+        for dev in [&mut real as &mut dyn ZonedFlash, &mut model] {
             dev.append(ZoneId(z), &data, Nanos::ZERO).expect("fill");
         }
     }
@@ -294,62 +266,55 @@ fn overlap_microbench(dir: &std::path::Path, qd: u32) {
     let mut out = vec![0u8; BATCH * psz];
     let mut batch = ReadBatch::new();
     let mut completions = Vec::new();
-    let (mut modeled, mut sync_lat, mut async_lat) = (
+    // Submits one batch at `now`; returns when its last page completed.
+    let mut submit = |dev: &mut dyn ZonedFlash, addrs: &[PageAddr], now: Nanos, depth: usize| {
+        dev.submit_read_batch(&mut batch, addrs, &mut out, now, depth)
+            .expect("submit");
+        completions.clear();
+        while !dev
+            .poll_completions(&mut batch, &mut completions)
+            .expect("poll")
+        {}
+        completions.iter().fold(now, |t, c| t.max(c.done))
+    };
+    let (mut modeled, mut chained, mut overlapped) = (
         LatencyHistogram::new(),
         LatencyHistogram::new(),
         LatencyHistogram::new(),
     );
+    // The model's dies stay busy until a batch completes, so each
+    // modeled batch is issued when the previous one finished.
+    let mut model_now = Nanos::ZERO;
     for _ in 0..ROUNDS {
         let addrs: Vec<PageAddr> = (0..BATCH)
             .map(|_| PageAddr::new(next(geom.zone_count()), next(geom.pages_per_zone())))
             .collect();
-        let done = model
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .expect("modeled batch");
-        modeled.record(done.0);
-        let done = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .expect("sequential batch");
-        sync_lat.record(done.0);
-        async_dev
-            .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, qd as usize)
-            .expect("async submit");
-        completions.clear();
-        while !async_dev
-            .poll_completions(&mut batch, &mut completions)
-            .expect("poll")
-        {}
-        let done = completions
-            .iter()
-            .map(|c| c.done)
-            .max()
-            .unwrap_or(Nanos::ZERO);
-        async_lat.record(done.0);
+        let done = submit(&mut model, &addrs, model_now, BATCH);
+        modeled.record((done - model_now).0);
+        model_now = done;
+        chained.record(submit(&mut real, &addrs, Nanos::ZERO, 1).0);
+        overlapped.record(submit(&mut real, &addrs, Nanos::ZERO, OVERLAP_DEPTH).0);
     }
-    let (m99, s99, a99) = (
+    let (m99, c99, o99) = (
         modeled.p99() as f64 / 1000.0,
-        sync_lat.p99() as f64 / 1000.0,
-        async_lat.p99() as f64 / 1000.0,
+        chained.p99() as f64 / 1000.0,
+        overlapped.p99() as f64 / 1000.0,
     );
     println!(
-        "\n   overlap microbench ({BATCH}-page scattered batches, {ROUNDS} rounds): \
-         modeled p99 {m99:.1}us (parallel max) | sequential measured p99 {s99:.1}us \
-         (chained sum) | async qd{qd} measured p99 {a99:.1}us"
+        "\n   overlap microbench ({BATCH}-page scattered batches, {ROUNDS} rounds, 70us emulated \
+         read): modeled p99 {m99:.1}us (parallel max) | measured qd1 p99 {c99:.1}us \
+         (chained sum) | measured qd{OVERLAP_DEPTH} p99 {o99:.1}us"
     );
     println!(
         "   overlap factor {0:.2}x — overlapped submission pulls the measured batch \
          completion toward the model's parallel shape",
-        s99 / a99.max(1e-9)
+        c99 / o99.max(1e-9)
     );
-    std::fs::remove_file(&sync_path).ok();
-    std::fs::remove_file(&async_path).ok();
-    if qd >= 2 {
-        assert!(
-            a99 < s99,
-            "overlapped batch p99 ({a99:.1}us) must beat the sequential chain ({s99:.1}us) \
-             at queue depth {qd}"
-        );
-    }
+    std::fs::remove_file(&path).ok();
+    assert!(
+        o99 < c99,
+        "depth-{OVERLAP_DEPTH} batch p99 ({o99:.1}us) must beat the depth-1 chain ({c99:.1}us)"
+    );
 }
 
 /// One gets-only probe window's outcome.
@@ -516,15 +481,14 @@ mod tests {
 
     #[test]
     fn smoke_runs_and_parity_holds() {
-        // The experiment asserts parity internally — including the
-        // async submit/poll replays and the overlap microbench at queue
-        // depth 4; a tiny scale keeps this a unit test.
+        // The experiment asserts parity and the overlap microbench
+        // internally; a tiny scale keeps this a unit test.
         let scale = RunScale {
             flash_mb: 8,
             ops_mult: 0.05,
             dies: 8,
         };
-        device_validation(scale, 4);
+        device_validation(scale);
     }
 
     #[test]

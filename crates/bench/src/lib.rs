@@ -49,7 +49,6 @@ pub mod main_metrics;
 pub mod motivation;
 pub mod netload;
 pub mod overhead;
-pub mod qd_sweep;
 pub mod sensitivity;
 pub mod sharded;
 

@@ -9,6 +9,13 @@ use nemo_flash::{Geometry, LatencyModel, ZonedFlash};
 /// two in-memory SGs, count-based flushing threshold 4096, 0.1 % PBFG
 /// false-positive rate, 50 % cached PBFGs, hotness tracked over the last
 /// 30 % of the cache, cooling every 10 % of cache written.
+///
+/// Eighteen fields: geometry and latency model, six sizing values, the
+/// three Fig. 17 technique toggles, the eviction mode, the hotness
+/// window and cooling period, and four read-staging knobs. How flash is
+/// *read* is not configurable: every set-page read is one submitted
+/// batch whose queue depth is its own length, and a background eviction
+/// slice reads one victim page.
 #[derive(Debug, Clone)]
 pub struct NemoConfig {
     /// Device geometry. One SG occupies exactly one zone.
@@ -53,11 +60,6 @@ pub struct NemoConfig {
     /// candidates found by the scan are staged and re-admitted into the
     /// next flushed SG.
     pub background_eviction: bool,
-    /// Page reads per background slice of a deferred eviction scan
-    /// (bounds how much flash traffic one slice may add ahead of a
-    /// foreground request). Only meaningful with
-    /// [`Self::background_eviction`].
-    pub scan_reads_per_slice: u32,
     /// Candidates read per *wave* on the get path. The PBFG candidate
     /// list is sorted newest-first and read `read_wave_width` sets at a
     /// time, stopping at the first wave that contains the key; older
@@ -87,16 +89,6 @@ pub struct NemoConfig {
     /// bloom_fpr`), so a coarse ~6 bits/key filter keeps the miss-ratio
     /// perturbation in the noise while staying compact.
     pub supersede_fpr: f64,
-    /// Device queue depth for candidate reads on the get path. `0`
-    /// (the default) keeps the synchronous `read_scattered_into` call;
-    /// any positive value switches the wave read to the completion-based
-    /// `submit_read_batch`/`poll_completions` path with at most this
-    /// many pages in flight. On the modeled backend a depth of at least
-    /// the wave width reproduces the synchronous schedule bit for bit;
-    /// on `RealFlash` depths above 1 genuinely overlap the `pread`s.
-    /// Hit/miss outcomes and device op counts are identical either way —
-    /// the knob changes timing only.
-    pub io_queue_depth: u32,
 }
 
 impl NemoConfig {
@@ -117,12 +109,10 @@ impl NemoConfig {
             enable_p_flushing: true,
             enable_writeback: true,
             background_eviction: false,
-            scan_reads_per_slice: 1,
             read_wave_width: 1,
             max_candidates: 4,
             enable_stale_filter: true,
             supersede_fpr: 0.05,
-            io_queue_depth: 0,
         }
     }
 
@@ -260,10 +250,6 @@ impl NemoConfig {
             "hotness_window in [0,1]"
         );
         assert!(self.cooling_period > 0.0, "cooling_period must be positive");
-        assert!(
-            self.scan_reads_per_slice >= 1,
-            "scan_reads_per_slice must be positive"
-        );
         assert!(
             self.read_wave_width >= 1,
             "read_wave_width must be positive"

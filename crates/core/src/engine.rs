@@ -3,7 +3,7 @@
 use crate::checkpoint;
 use crate::config::NemoConfig;
 use crate::hotness::HotnessTracker;
-use crate::index::{backoff, retry_transient, PbfgIndex, DEVICE_RETRY_LIMIT};
+use crate::index::{backoff, retry_transient, PbfgIndex};
 use crate::memsg::MemSg;
 use nemo_bloom::BloomFilter;
 use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
@@ -13,6 +13,11 @@ use nemo_flash::{
 };
 use nemo_metrics::CountHistogram;
 use std::collections::VecDeque;
+
+/// Victim page reads per [`Nemo::background_slice`] of a deferred
+/// eviction scan: bounds how much flash traffic one slice may add ahead
+/// of a foreground request.
+const SCAN_READS_PER_SLICE: usize = 1;
 
 /// Metadata of one on-flash SG.
 #[derive(Debug, Clone, Copy)]
@@ -199,11 +204,12 @@ pub struct Nemo<D: ZonedFlash = SimFlash> {
     report: NemoReport,
     bytes_since_cooling: u64,
     cooling_threshold: u64,
-    /// Reused buffer for candidate-wave set reads (get path).
+    /// Reused page buffer for [`Self::read_set_pages`] (candidate waves
+    /// and eviction scans) and recovery's whole-zone reads.
     wave_buf: Vec<u8>,
-    /// Reused buffer for write-back scan page reads.
-    scan_buf: Vec<u8>,
-    /// Reused async-read batch for the get path (io_queue_depth > 0).
+    /// Reused address list for [`Self::read_set_pages`] callers.
+    wave_addrs: Vec<PageAddr>,
+    /// Reused submission state for [`Self::read_set_pages`].
     io_batch: ReadBatch,
     /// Reused completion vector for [`Self::io_batch`].
     io_completions: Vec<ReadCompletion>,
@@ -275,7 +281,7 @@ impl<D: ZonedFlash> Nemo<D> {
             bytes_since_cooling: 0,
             cooling_threshold: cooling_threshold.max(1),
             wave_buf: Vec::new(),
-            scan_buf: Vec::new(),
+            wave_addrs: Vec::new(),
             io_batch: ReadBatch::new(),
             io_completions: Vec::new(),
             cfg,
@@ -517,26 +523,15 @@ impl<D: ZonedFlash> Nemo<D> {
     }
 
     /// Advances a deferred eviction scan by one bounded slice at `now`:
-    /// at most [`NemoConfig::scan_reads_per_slice`] victim page reads,
-    /// skipping cold sets for free. Completes the eviction (zone reset,
-    /// index/tracker cleanup) when the last set has been examined.
+    /// at most one victim page read, skipping cold sets for free.
+    /// Completes the eviction (zone reset, index/tracker cleanup) when
+    /// the last set has been examined.
     pub fn background_slice(&mut self, now: Nanos) {
         let Some(mut scan) = self.scan.take() else {
             return;
         };
         self.report.scan_slices += 1;
-        let budget = self.cfg.scan_reads_per_slice.max(1);
-        let mut reads = 0u32;
-        while scan.next_set < self.cfg.sets_per_sg() && reads < budget {
-            let set = scan.next_set;
-            scan.next_set += 1;
-            if !self.cfg.enable_writeback {
-                continue;
-            }
-            if self.scan_victim_set(scan.victim, set, now, &mut scan.staged) {
-                reads += 1;
-            }
-        }
+        self.scan_victim(&mut scan, SCAN_READS_PER_SLICE, now);
         if scan.next_set >= self.cfg.sets_per_sg() {
             self.finish_scan(scan, now);
         } else {
@@ -602,48 +597,56 @@ impl<D: ZonedFlash> Nemo<D> {
         self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
     }
 
-    /// Reads one candidate wave into [`Self::wave_buf`] through the
-    /// configured path (submit/poll when `io_queue_depth > 0`, scattered
-    /// otherwise), retrying transient errors with virtual-time backoff.
-    /// Returns the wave's completion time.
-    fn read_wave(&mut self, addrs: &[PageAddr], now: Nanos) -> Result<Nanos, FlashError> {
-        let mut attempt = 0;
-        loop {
-            let issue = backoff(now, attempt);
-            let res = if self.cfg.io_queue_depth > 0 {
-                self.dev
-                    .submit_read_batch(
-                        &mut self.io_batch,
-                        addrs,
-                        &mut self.wave_buf,
-                        issue,
-                        self.cfg.io_queue_depth as usize,
-                    )
-                    .and_then(|()| {
-                        self.io_completions.clear();
-                        while !self
-                            .dev
-                            .poll_completions(&mut self.io_batch, &mut self.io_completions)?
-                        {
-                        }
-                        Ok(self
-                            .io_completions
-                            .iter()
-                            .fold(issue, |acc, c| acc.max(c.done)))
-                    })
-            } else {
-                self.dev
-                    .read_scattered_into(addrs, &mut self.wave_buf, issue)
-            };
-            match res {
-                Ok(done) => return Ok(done),
-                Err(e) if e.is_transient() && attempt < DEVICE_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.device_retries += 1;
-                }
-                Err(e) => return Err(e),
-            }
+    /// The engine's one data-page read: reads the set pages at `addrs`
+    /// and hands each to `page` in submission order — `Ok(bytes)` for a
+    /// page that was read, `Err` for one that could not be. The pages
+    /// go to the device as one batch at depth = batch length (the device
+    /// clamps that to what it can overlap); transient errors retry the
+    /// batch with virtual-time backoff. A batch that still fails does
+    /// not say *which* zone is bad, so its pages are then re-read one at
+    /// a time — chained, each with its own retries — to isolate the
+    /// failing zone(s) while the surviving pages are still delivered.
+    /// Returns the completion time and whether the batch failed.
+    fn read_set_pages(
+        &mut self,
+        addrs: &[PageAddr],
+        now: Nanos,
+        mut page: impl FnMut(&mut Self, usize, Result<&[u8], FlashError>),
+    ) -> (Nanos, bool) {
+        if addrs.is_empty() {
+            return (now, false);
         }
+        let psz = self.cfg.geometry.page_size() as usize;
+        let mut buf = std::mem::take(&mut self.wave_buf);
+        buf.resize(addrs.len() * psz, 0);
+        let batch = &mut self.io_batch;
+        let completions = &mut self.io_completions;
+        let dev = &mut self.dev;
+        let submitted = retry_transient(&mut self.stats.device_retries, |attempt| {
+            let issue = backoff(now, attempt);
+            dev.submit_read_batch(batch, addrs, &mut buf, issue, addrs.len())?;
+            completions.clear();
+            while !dev.poll_completions(batch, completions)? {}
+            Ok(completions.iter().fold(issue, |acc, c| acc.max(c.done)))
+        });
+        let mut done = *submitted.as_ref().unwrap_or(&now);
+        for (i, (&addr, chunk)) in addrs.iter().zip(buf.chunks_exact_mut(psz)).enumerate() {
+            let read = if submitted.is_ok() {
+                Ok(())
+            } else {
+                let dev = &mut self.dev;
+                retry_transient(&mut self.stats.device_retries, |attempt| {
+                    dev.read_pages_into(addr, 1, chunk, backoff(done, attempt))
+                })
+                .map(|t| done = done.max(t))
+            };
+            if read.is_ok() {
+                self.stats.flash_bytes_read += psz as u64;
+            }
+            page(self, i, read.map(|()| &*chunk));
+        }
+        self.wave_buf = buf;
+        (done, submitted.is_err())
     }
 
     /// Re-admits the staged write-back candidates of a completed deferred
@@ -658,117 +661,44 @@ impl<D: ZonedFlash> Nemo<D> {
         writebacks
     }
 
-    /// Scans one set of an eviction victim, collecting its hot objects
-    /// into `out` if the set passes the hotness-mask and PBFG-recency
-    /// gates. Returns whether a victim page was read — the unit both the
-    /// inline burst and the paced background slices budget by.
-    fn scan_victim_set(
-        &mut self,
-        victim: FlashSg,
-        set: u32,
-        now: Nanos,
-        out: &mut Vec<(u32, u64, u32)>,
-    ) -> bool {
-        if self.tracker.set_mask(victim.seq, set) == 0 {
-            return false;
-        }
-        // Recency gate: the set's PBFG must still be cached.
-        if !self.index.is_recently_active(victim.seq, set) {
-            return false;
-        }
-        let addr = PageAddr::new(victim.zone, set);
-        let psz = self.cfg.geometry.page_size() as usize;
-        self.scan_buf.resize(psz, 0);
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        let buf = &mut self.scan_buf;
-        if retry_transient(retries, |attempt| {
-            dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-        })
-        .is_err()
-        {
-            // The victim page is unreadable even after retries: its
-            // write-back candidates are lost, but the SG is on its way
-            // out anyway — skip the set instead of failing the eviction.
-            return false;
-        }
-        self.stats.flash_bytes_read += psz as u64;
-        for (k, s) in codec::parse_entries(&self.scan_buf) {
-            if self.tracker.is_hot(victim.seq, set, k) {
-                out.push((set, k, s));
-            }
-        }
-        true
-    }
-
-    /// The inline eviction burst through the submit/poll path: gates
-    /// every set first (the gates touch no flash), then reads all
-    /// passing victim pages as one submitted batch at the configured
-    /// queue depth. Pages parse in set order, so staging order — and
-    /// therefore behaviour and op counts — is identical to the
-    /// one-page-at-a-time loop in [`Self::scan_victim_set`]; only
-    /// wall-clock time on measuring devices changes.
-    fn scan_victim_sets_batched(
-        &mut self,
-        victim: FlashSg,
-        now: Nanos,
-        out: &mut Vec<(u32, u64, u32)>,
-    ) {
-        let sets: Vec<u32> = (0..self.cfg.sets_per_sg())
-            .filter(|&set| {
-                self.tracker.set_mask(victim.seq, set) != 0
-                    && self.index.is_recently_active(victim.seq, set)
-            })
-            .collect();
-        if sets.is_empty() {
+    /// Advances an eviction scan by at most `budget` victim page reads:
+    /// walks the sets from `scan.next_set`, skipping (for free) those
+    /// that fail the hotness-mask or PBFG-recency gate — the gates touch
+    /// no flash — then reads the passing pages as one batch and stages
+    /// their hot objects in set order. The paced background slices and
+    /// the inline burst differ only in `budget`.
+    fn scan_victim(&mut self, scan: &mut EvictScan, budget: usize, now: Nanos) {
+        let sets = self.cfg.sets_per_sg();
+        if !self.cfg.enable_writeback {
+            scan.next_set = sets;
             return;
         }
-        let psz = self.cfg.geometry.page_size() as usize;
-        let addrs: Vec<PageAddr> = sets
-            .iter()
-            .map(|&set| PageAddr::new(victim.zone, set))
-            .collect();
-        self.scan_buf.resize(addrs.len() * psz, 0);
-        let mut attempt = 0;
-        loop {
-            let issue = backoff(now, attempt);
-            let res = self
-                .dev
-                .submit_read_batch(
-                    &mut self.io_batch,
-                    &addrs,
-                    &mut self.scan_buf,
-                    issue,
-                    self.cfg.io_queue_depth as usize,
-                )
-                .and_then(|()| {
-                    self.io_completions.clear();
-                    while !self
-                        .dev
-                        .poll_completions(&mut self.io_batch, &mut self.io_completions)?
-                    {
-                    }
-                    Ok(())
-                });
-            match res {
-                Ok(()) => break,
-                Err(e) if e.is_transient() && attempt < DEVICE_RETRY_LIMIT => {
-                    attempt += 1;
-                    self.stats.device_retries += 1;
-                }
-                // Permanently unreadable victim pages: the write-back
-                // candidates are lost, but the SG is being evicted anyway.
-                Err(_) => return,
+        let victim = scan.victim;
+        let mut addrs = std::mem::take(&mut self.wave_addrs);
+        addrs.clear();
+        while scan.next_set < sets && addrs.len() < budget {
+            let set = scan.next_set;
+            scan.next_set += 1;
+            // Recency gate: the set's PBFG must still be cached.
+            if self.tracker.set_mask(victim.seq, set) != 0
+                && self.index.is_recently_active(victim.seq, set)
+            {
+                addrs.push(PageAddr::new(victim.zone, set));
             }
         }
-        self.stats.flash_bytes_read += self.scan_buf.len() as u64;
-        for (&set, page) in sets.iter().zip(self.scan_buf.chunks_exact(psz)) {
+        self.read_set_pages(&addrs, now, |this, i, page| {
+            // A victim page unreadable even after retries loses its
+            // write-back candidates, but the SG is on its way out
+            // anyway — skip the set instead of failing the eviction.
+            let Ok(page) = page else { return };
+            let set = addrs[i].page;
             for (k, s) in codec::parse_entries(page) {
-                if self.tracker.is_hot(victim.seq, set, k) {
-                    out.push((set, k, s));
+                if this.tracker.is_hot(victim.seq, set, k) {
+                    scan.staged.push((set, k, s));
                 }
             }
-        }
+        });
+        self.wave_addrs = addrs;
     }
 
     /// Re-admits write-back candidates into `target` (the sealed front SG
@@ -793,17 +723,13 @@ impl<D: ZonedFlash> Nemo<D> {
     /// sealed front SG. Returns the number of written-back objects.
     fn evict_oldest(&mut self, target: &mut MemSg, now: Nanos) -> u64 {
         let victim = self.pool.pop_front().expect("pool is full");
-        let mut staged = Vec::new();
-        if self.cfg.enable_writeback {
-            if self.cfg.io_queue_depth > 0 {
-                self.scan_victim_sets_batched(victim, now, &mut staged);
-            } else {
-                for set in 0..self.cfg.sets_per_sg() {
-                    self.scan_victim_set(victim, set, now, &mut staged);
-                }
-            }
-        }
-        let writebacks = self.readmit_writebacks(staged, target);
+        let mut scan = EvictScan {
+            victim,
+            next_set: 0,
+            staged: Vec::new(),
+        };
+        self.scan_victim(&mut scan, usize::MAX, now);
+        let writebacks = self.readmit_writebacks(scan.staged, target);
         self.tracker.untrack(victim.seq);
         self.index.on_evict(victim.seq);
         self.reclaim_or_quarantine(victim.zone, now);
@@ -1163,7 +1089,7 @@ impl<D: ZonedFlash> Nemo<D> {
             bytes_since_cooling: st.bytes_since_cooling,
             cooling_threshold: cooling_threshold.max(1),
             wave_buf: Vec::new(),
-            scan_buf: Vec::new(),
+            wave_addrs: Vec::new(),
             io_batch: ReadBatch::new(),
             io_completions: Vec::new(),
             cfg,
@@ -1244,7 +1170,7 @@ impl<D: ZonedFlash> Nemo<D> {
         let wp = self.dev.write_pointer(ZoneId(zone));
         debug_assert!(wp > 0, "only non-empty zones are scanned");
         let psz = self.cfg.geometry.page_size() as usize;
-        let mut buf = std::mem::take(&mut self.scan_buf);
+        let mut buf = std::mem::take(&mut self.wave_buf);
         buf.resize(wp as usize * psz, 0);
         {
             let dev = &mut self.dev;
@@ -1259,7 +1185,7 @@ impl<D: ZonedFlash> Nemo<D> {
             })
             .is_err()
             {
-                self.scan_buf = buf;
+                self.wave_buf = buf;
                 self.stats.quarantined_zones += 1;
                 self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
                 return;
@@ -1282,7 +1208,7 @@ impl<D: ZonedFlash> Nemo<D> {
                 objects += 1;
             }
         }
-        self.scan_buf = buf;
+        self.wave_buf = buf;
         if objects == 0 {
             self.reclaim_or_quarantine(zone, Nanos::ZERO);
             return;
@@ -1407,92 +1333,51 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
         //    newer one missed, so a hit on the live (newest) version
         //    never pays for the stale copies behind it.
         let wave = self.cfg.read_wave_width.max(1) as usize;
-        let psz = self.cfg.geometry.page_size() as usize;
-        let mut addrs: Vec<PageAddr> = Vec::with_capacity(wave.min(q.candidates.len()));
+        let mut addrs = std::mem::take(&mut self.wave_addrs);
         let mut done = q.done_at;
         let mut reads = 0u32;
         let mut hit = false;
         let mut faulted = false;
-        let mut start = 0usize;
-        while start < q.candidates.len() && !hit {
-            let end = (start + wave).min(q.candidates.len());
-            let wave_cands = &q.candidates[start..end];
+        for wave_cands in q.candidates.chunks(wave) {
+            if hit {
+                break;
+            }
             addrs.clear();
             addrs.extend(wave_cands.iter().map(|c| PageAddr::new(c.zone, set)));
-            // Read the wave into the engine's reused buffer: the get path
-            // issues no per-wave allocation. The wave's pages are scanned
-            // below in submission order on either device path, so
+            // The wave's pages are scanned in submission order, so
             // completion order can never perturb hit accounting; only
             // the wave's completion time feeds the outcome.
-            self.wave_buf.resize(addrs.len() * psz, 0);
-            match self.read_wave(&addrs, done) {
-                Ok(t) => {
-                    done = t;
-                    reads += addrs.len() as u32;
-                    self.stats.flash_bytes_read += self.wave_buf.len() as u64;
-                    for (cand, page) in wave_cands.iter().zip(self.wave_buf.chunks_exact(psz)) {
-                        if codec::find_payload(page, key).is_some() {
-                            if hit {
-                                // An older copy of a key already found in
-                                // this wave: a stale version left behind
-                                // by an update.
-                                self.report.stale_version_reads += 1;
-                            } else {
-                                hit = true;
-                                self.stats.hits += 1;
-                                self.tracker.mark(cand.seq, set, key);
-                            }
-                        } else {
+            let (t, failed) = self.read_set_pages(&addrs, done, |this, i, page| {
+                let cand = wave_cands[i];
+                match page {
+                    Ok(page) => {
+                        reads += 1;
+                        if codec::find_payload(page, key).is_none() {
                             // The candidate's filter matched but the page
                             // does not hold the key: a PBFG false positive.
-                            self.report.bloom_fp_reads += 1;
+                            this.report.bloom_fp_reads += 1;
+                        } else if hit {
+                            // An older copy of a key already found in
+                            // this wave: a stale version left behind by
+                            // an update.
+                            this.report.stale_version_reads += 1;
+                        } else {
+                            hit = true;
+                            this.stats.hits += 1;
+                            this.tracker.mark(cand.seq, set, key);
                         }
                     }
+                    // Only a permanent failure condemns the zone; an
+                    // exhausted transient burst costs this get its
+                    // candidate but keeps the capacity.
+                    Err(e) if !e.is_transient() => this.quarantine_zone(cand.zone),
+                    Err(_) => {}
                 }
-                Err(_) => {
-                    // The batched wave failed permanently, but a batch
-                    // error does not say *which* zone is bad. Re-read the
-                    // wave's candidates one page at a time to isolate and
-                    // quarantine the dead zone(s); surviving pages are
-                    // still scanned, so a readable copy is still found.
-                    faulted = true;
-                    for cand in wave_cands {
-                        let addr = PageAddr::new(cand.zone, set);
-                        self.wave_buf.resize(psz, 0);
-                        let dev = &mut self.dev;
-                        let retries = &mut self.stats.device_retries;
-                        let buf = &mut self.wave_buf;
-                        let read = retry_transient(retries, |attempt| {
-                            dev.read_pages_into(addr, 1, buf, backoff(done, attempt))
-                        });
-                        match read {
-                            Ok(t) => {
-                                done = done.max(t);
-                                reads += 1;
-                                self.stats.flash_bytes_read += psz as u64;
-                                if codec::find_payload(&self.wave_buf[..psz], key).is_some() {
-                                    if hit {
-                                        self.report.stale_version_reads += 1;
-                                    } else {
-                                        hit = true;
-                                        self.stats.hits += 1;
-                                        self.tracker.mark(cand.seq, set, key);
-                                    }
-                                } else {
-                                    self.report.bloom_fp_reads += 1;
-                                }
-                            }
-                            // Only a permanent failure condemns the zone;
-                            // an exhausted transient burst costs this get
-                            // its candidate but keeps the capacity.
-                            Err(e) if !e.is_transient() => self.quarantine_zone(cand.zone),
-                            Err(_) => {}
-                        }
-                    }
-                }
-            }
-            start = end;
+            });
+            done = t;
+            faulted |= failed;
         }
+        self.wave_addrs = addrs;
         self.stats.candidate_reads += reads as u64;
         if faulted && !hit {
             // The object may have lived on a zone the fault path just
@@ -1600,7 +1485,7 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemo_flash::Geometry;
+    use nemo_flash::{FaultPlan, FaultyFlash, Geometry};
     use nemo_trace::{SyntheticInsertTrace, TraceConfig, TraceGenerator};
 
     fn small_cfg() -> NemoConfig {
@@ -1626,52 +1511,89 @@ mod tests {
     }
 
     #[test]
-    fn async_get_path_is_bit_identical_on_the_modeled_device() {
-        // io_queue_depth changes timing only, and on SimFlash with a
-        // depth covering the whole wave it does not even change that:
-        // hit/miss outcomes, per-op completion times, engine stats and
-        // device op counts must match the synchronous path exactly.
-        let sync_cfg = small_cfg();
-        let mut burst_cfg = small_cfg();
-        burst_cfg.disable_read_staging();
-        for (mut a_cfg, label) in [(sync_cfg.clone(), "wave=1"), (burst_cfg.clone(), "burst")] {
-            a_cfg.io_queue_depth = u32::MAX; // covers any wave width
-            let s_cfg = if label == "wave=1" {
-                sync_cfg.clone()
-            } else {
-                burst_cfg.clone()
-            };
-            let mut s = Nemo::new(s_cfg);
-            let mut a = Nemo::new(a_cfg);
-            let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
-            for _ in 0..40_000 {
-                let r = gen.next_request();
-                let so = s.get(r.key, Nanos::ZERO);
-                let ao = a.get(r.key, Nanos::ZERO);
-                assert_eq!(so, ao, "[{label}] per-op outcome diverged");
-                if !so.hit {
-                    s.put(r.key, r.size, Nanos::ZERO);
-                    a.put(r.key, r.size, Nanos::ZERO);
-                }
-            }
-            let (mut ss, mut aa) = (s.stats(), a.stats());
-            let (sd, ad) = (ss.device, aa.device);
-            // The async-only device counters differ by design; engine
-            // accounting and device op counts must not.
-            ss.device = Default::default();
-            aa.device = Default::default();
-            assert_eq!(ss, aa, "[{label}] engine stats diverged");
+    fn every_data_page_read_goes_through_submit_poll() {
+        // The device counts submitted pages on its own; the engine
+        // counts candidate reads and read bytes. They must reconcile
+        // with PBFG fetches as the only blocking page reads.
+        for background in [false, true] {
+            let mut cfg = small_cfg();
+            cfg.background_eviction = background;
+            let psz = cfg.geometry.page_size() as u64;
+            let mut n = Nemo::new(cfg);
+            churn_with_slices(&mut n, 150_000, 0.0004, 2);
+            let (s, index) = (n.stats(), n.report().index);
+            let scan_reads = s.flash_bytes_read / psz - index.cache_misses - s.candidate_reads;
+            assert!(scan_reads > 0, "eviction scans must have read pages");
+            assert_eq!(s.device.async_reads, s.candidate_reads + scan_reads);
             assert_eq!(
-                (sd.pages_read, sd.read_ops, sd.pages_written, sd.busy_time),
-                (ad.pages_read, ad.read_ops, ad.pages_written, ad.busy_time),
-                "[{label}] device accounting diverged"
+                s.device.pages_read,
+                s.device.async_reads + index.cache_misses
             );
-            assert!(
-                ad.async_reads > 0,
-                "[{label}] async path must actually have been exercised"
-            );
-            assert_eq!(sd.async_reads, 0);
         }
+    }
+
+    #[test]
+    fn eviction_survives_a_burst_that_outlasts_the_batch_retries() {
+        // Demand-fill with a recurring hot set (so evictions have
+        // write-backs to find) over a fault-injecting device. Returns
+        // where a miss's put began in the device-op stream and how many
+        // pages it submitted.
+        fn step(
+            n: &mut Nemo<FaultyFlash<SimFlash>>,
+            gen: &mut TraceGenerator,
+            i: usize,
+        ) -> Option<(u64, u64)> {
+            let r = gen.next_request();
+            let (key, size) = if i % 5 == 0 {
+                ((i as u64 / 5 % 100).wrapping_mul(0x1234_5679), 200)
+            } else {
+                (r.key, r.size)
+            };
+            if n.get(key, Nanos::ZERO).hit {
+                return None;
+            }
+            let (ops, submitted) = (n.device().ops_observed(), n.device().stats().async_reads);
+            n.put(key, size, Nanos::ZERO);
+            Some((ops, n.device().stats().async_reads - submitted))
+        }
+        let engine = |plan| {
+            let cfg = small_cfg();
+            let dev = SimFlash::with_latency(cfg.geometry, cfg.latency);
+            Nemo::with_device(cfg, FaultyFlash::new(dev, plan))
+        };
+        // Control: find an inline eviction that reads a multi-page batch
+        // and writes something back. The scan's reads are the first
+        // device ops of the put that triggers it.
+        let mut control = engine(FaultPlan::new(1));
+        let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
+        let mut writebacks = 0;
+        let (steps, first_op, pages) = (0..400_000)
+            .find_map(|i| {
+                let (first_op, pages) = step(&mut control, &mut gen, i).filter(|p| p.1 >= 2)?;
+                let before = std::mem::replace(&mut writebacks, control.report().writeback_objects);
+                (writebacks > before).then_some((i + 1, first_op, pages))
+            })
+            .expect("an inline eviction with write-backs");
+
+        // Same run, but every read of the batch's four attempts fails:
+        // the retries are exhausted and the scan falls back to reading
+        // the victim's pages one at a time, which all succeed.
+        let mut faulty =
+            engine(FaultPlan::new(1).transient_read_burst(first_op, first_op + 4 * pages));
+        let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
+        for i in 0..steps {
+            step(&mut faulty, &mut gen, i);
+        }
+        let (c, f) = (control.stats(), faulty.stats());
+        assert_eq!(f.device_retries - c.device_retries, 3);
+        assert_eq!(f.device.read_errors, 4 * pages);
+        assert_eq!(
+            faulty.report().writeback_objects,
+            control.report().writeback_objects,
+            "every cleanly re-read page must still stage its hot objects"
+        );
+        assert_eq!(f.flash_bytes_read, c.flash_bytes_read);
+        assert_eq!(f.quarantined_zones, 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use nemo_bloom::{contains_in_slice, BloomFilter, ProbeSet};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
-pub(crate) use nemo_engine::retry::{backoff, retry_transient, DEVICE_RETRY_LIMIT};
+pub(crate) use nemo_engine::retry::{backoff, retry_transient};
 
 /// A candidate location returned by a PBFG query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -99,32 +99,6 @@ impl ZonedFlash for AnyFlash {
         delegate!(self, dev => dev.read_pages_into(addr, pages, out, now))
     }
 
-    fn read_pages(
-        &mut self,
-        addr: PageAddr,
-        pages: u32,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), FlashError> {
-        delegate!(self, dev => dev.read_pages(addr, pages, now))
-    }
-
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        delegate!(self, dev => dev.read_scattered(addrs, now))
-    }
-
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        delegate!(self, dev => dev.read_scattered_into(addrs, out, now))
-    }
-
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,

@@ -24,8 +24,8 @@ use crate::zoned::{ReadBatch, ReadCompletion, ZoneState, ZonedFlash};
 /// Operation category a [`FaultRule`] matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Page reads (sync and async; each page of a scattered batch is one
-    /// matching operation).
+    /// Page reads (each `read_pages_into` call and each page of a
+    /// submitted batch is one matching operation).
     Read,
     /// Appends and zone finishes.
     Write,
@@ -212,9 +212,9 @@ impl FaultPlan {
 }
 
 /// A [`ZonedFlash`] wrapper that injects the faults a [`FaultPlan`]
-/// scripts, surfacing them exactly as a flaky device would: sync
+/// scripts, surfacing them exactly as a flaky device would: blocking
 /// operations return [`FlashError::Io`] with the appropriate
-/// transient/permanent class, async batches fail at
+/// transient/permanent class, submitted batches fail at
 /// [`ZonedFlash::poll_completions`] time, latency spikes stretch
 /// completion times, and torn records corrupt persisted metadata behind
 /// the device's back.
@@ -263,8 +263,8 @@ impl<D: ZonedFlash> FaultyFlash<D> {
     }
 
     /// Device operations observed so far — the index space rule windows
-    /// are expressed in. Each append, finish, reset, sync read call, and
-    /// each *page* of a scattered/async batch counts as one operation.
+    /// are expressed in. Each append, finish, reset, `read_pages_into`
+    /// call, and each *page* of a submitted batch counts as one operation.
     pub fn ops_observed(&self) -> u64 {
         self.ops
     }

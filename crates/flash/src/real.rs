@@ -80,11 +80,11 @@ pub struct RealFlashOptions {
     /// the measured window (`None`, the default, measures pure syscall
     /// cost). On a page-cache-backed image the medium is free, so there
     /// is no device time for queue-depth overlap to win back; this
-    /// injects the per-page read time a real die would take — the
-    /// synchronous chain pays it serially, the submit/poll pool overlaps
-    /// it across workers, exactly like die parallelism on hardware (the
-    /// same trick as `null_blk` completion-latency injection). Reads
-    /// only; appends, resets and barriers stay purely measured.
+    /// injects the per-page read time a real die would take — a
+    /// depth-1 submission pays it serially, a deeper one overlaps it
+    /// across pool workers, exactly like die parallelism on hardware
+    /// (the same trick as `null_blk` completion-latency injection).
+    /// Reads only; appends, resets and barriers stay purely measured.
     pub emulated_read_latency: Option<Duration>,
 }
 
@@ -105,8 +105,7 @@ impl Default for RealFlashOptions {
 /// the submitting thread) even on a single-core host, exactly like DMA
 /// against real NAND — a busy-wait would serialize on the core and
 /// fake the opposite conclusion. Linux timer slack adds some oversleep
-/// per page; both the sequential and overlapped paths pay it, so
-/// comparisons stay fair.
+/// per page; every queue depth pays it, so comparisons stay fair.
 fn emulate_nand_read(latency: Option<Duration>) {
     if let Some(d) = latency {
         std::thread::sleep(d);
@@ -327,8 +326,9 @@ pub struct RealFlash<C: Clock = WallClock> {
     /// Zones whose superblock record was torn at reopen; see
     /// [`ZonedFlash::suspect_zones`].
     suspect: Vec<ZoneId>,
-    /// Read workers behind `submit_read_batch`; spawned on first use so
-    /// purely synchronous devices never start a thread.
+    /// Read workers behind `submit_read_batch`; spawned on the first
+    /// batch of more than one chunk, so one-page readers never start a
+    /// thread.
     pool: Option<ReadPool>,
 }
 
@@ -458,19 +458,6 @@ impl<C: Clock> RealFlash<C> {
         self.opts.emulated_read_latency = latency;
     }
 
-    /// Name of the asynchronous submission backend compiled into this
-    /// build. The `io-uring` cargo feature reserves the kernel-ring
-    /// implementation slot; until that lands, builds with the feature on
-    /// still run the bounded thread-pool gather, and this reports so —
-    /// experiments print it next to their queue-depth results.
-    pub fn submission_backend() -> &'static str {
-        if cfg!(feature = "io-uring") {
-            "thread-pool (io-uring feature enabled; kernel ring not wired in this build)"
-        } else {
-            "thread-pool"
-        }
-    }
-
     fn check_zone(&self, zone: ZoneId) -> Result<(), FlashError> {
         if zone.0 >= self.geom.zone_count() {
             return Err(FlashError::BadZone(zone));
@@ -577,35 +564,16 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
         Ok(now + elapsed)
     }
 
-    /// Chained, not parallel: syscalls on this backend cannot overlap,
-    /// so each page is issued at the previous page's completion and the
-    /// sequential costs accumulate in the returned time (the trait
-    /// default's parallel max would hide all but the slowest read).
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        let mut done = now;
-        for &addr in addrs {
-            let (data, t) = self.read_pages(addr, 1, done)?;
-            out.push(data);
-            done = t;
-        }
-        Ok((out, done))
-    }
-
-    /// Genuinely overlapped, unlike the chained synchronous path: the
-    /// batch is cut into `min(queue_depth, len)` contiguous chunks, one
-    /// serviced inline by the caller (so depth 1 degenerates to the
-    /// synchronous loop with zero dispatch overhead) and the rest by a
-    /// lazily spawned bounded thread pool issuing concurrent `pread`s.
+    /// Genuinely overlapped: the batch is cut into
+    /// `min(queue_depth, len, 16)` contiguous chunks, one serviced
+    /// inline by the caller (so a one-chunk batch is a plain `pread`
+    /// loop with zero dispatch overhead) and the rest by a lazily
+    /// spawned bounded thread pool issuing concurrent `pread`s.
     /// Per-page completion times are wall-measured with
     /// [`std::time::Instant`] inside each chunk (a page's `done` is
     /// `now` + its chunk's cumulative elapsed), independent of the
-    /// device's pluggable [`Clock`], which keeps covering the
-    /// synchronous path.
+    /// device's pluggable [`Clock`], which covers
+    /// [`Self::read_pages_into`].
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,
@@ -622,16 +590,18 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
             });
         }
         // Validate everything before dispatching: on the first bad
-        // address, replay the valid prefix through the synchronous path
-        // so outcomes and op counts match `read_scattered_into` exactly,
-        // then surface the error.
+        // address, read the valid prefix page by page so outcomes and
+        // op counts match the modeled submission exactly, then surface
+        // the error.
         for (k, &addr) in addrs.iter().enumerate() {
             let wp = self
                 .zones
                 .get(addr.zone as usize)
                 .map_or(0, |z| z.write_ptr);
             if let Err(e) = validate_read(&self.geom, addr, 1, wp, psz) {
-                self.read_scattered_into(&addrs[..k], &mut out[..k * psz], now)?;
+                for (chunk, &valid) in out.chunks_exact_mut(psz).zip(&addrs[..k]) {
+                    self.read_pages_into(valid, 1, chunk, now)?;
+                }
                 return Err(e);
             }
         }
@@ -740,27 +710,6 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
         batch.seal();
         batch.note_async(&mut self.stats, now, chunks);
         Ok(())
-    }
-
-    /// Chained like [`Self::read_scattered`]; see there.
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        let psz = self.geom.page_size() as usize;
-        if out.len() != addrs.len() * psz {
-            return Err(FlashError::UnalignedLength {
-                len: out.len(),
-                page_size: self.geom.page_size(),
-            });
-        }
-        let mut done = now;
-        for (chunk, &addr) in out.chunks_exact_mut(psz).zip(addrs) {
-            done = self.read_pages_into(addr, 1, chunk, done)?;
-        }
-        Ok(done)
     }
 
     fn finish_zone(&mut self, zone: ZoneId) -> Result<(), FlashError> {
@@ -932,19 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn scattered_into_matches_individual_reads() {
-        let mut dev = small("scattered.img");
-        dev.append(ZoneId(0), &vec![9u8; 512 * 3], Nanos::ZERO)
-            .unwrap();
-        let addrs = [PageAddr::new(0, 2), PageAddr::new(0, 0)];
-        let mut flat = vec![0u8; 512 * 2];
-        dev.read_scattered_into(&addrs, &mut flat, Nanos::ZERO)
-            .unwrap();
-        let (a, _) = dev.read_pages(addrs[0], 1, Nanos::ZERO).unwrap();
-        assert_eq!(&flat[..512], &a[..]);
-    }
-
-    #[test]
     fn async_batch_matches_sync_contents_and_counts() {
         let geom = Geometry::new(512, 8, 2, 4);
         let mut sync_dev =
@@ -960,9 +896,11 @@ mod tests {
             .map(|&p| PageAddr::new(0, p))
             .collect();
         let mut sync_out = vec![0u8; addrs.len() * 512];
-        sync_dev
-            .read_scattered_into(&addrs, &mut sync_out, Nanos::ZERO)
-            .unwrap();
+        for (chunk, &addr) in sync_out.chunks_exact_mut(512).zip(&addrs) {
+            sync_dev
+                .read_pages_into(addr, 1, chunk, Nanos::ZERO)
+                .unwrap();
+        }
 
         let now = Nanos::from_micros(5);
         let mut batch = ReadBatch::new();
@@ -986,7 +924,7 @@ mod tests {
         );
         assert_eq!(a.async_reads, 6);
         assert_eq!(a.inflight_hwm, 4);
-        assert_eq!(s.async_reads, 0, "sync path leaves async counters alone");
+        assert_eq!(s.async_reads, 0, "blocking reads are not submissions");
     }
 
     #[test]
@@ -1019,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn async_error_prefix_matches_sync_path() {
+    fn async_error_prefix_matches_per_page_reads() {
         let mut sync_dev = small("async_err_sync.img");
         let mut async_dev = small("async_err_async.img");
         for dev in [&mut sync_dev, &mut async_dev] {
@@ -1027,8 +965,11 @@ mod tests {
         }
         let addrs = [PageAddr::new(0, 0), PageAddr::new(0, 2)];
         let mut out = vec![0u8; 512 * 2];
+        sync_dev
+            .read_pages_into(addrs[0], 1, &mut out[..512], Nanos::ZERO)
+            .unwrap();
         let se = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
+            .read_pages_into(addrs[1], 1, &mut out[512..], Nanos::ZERO)
             .unwrap_err();
         let mut batch = ReadBatch::new();
         let ae = async_dev
@@ -1040,7 +981,7 @@ mod tests {
         assert_eq!(
             (s.pages_read, s.read_ops),
             (a.pages_read, a.read_ops),
-            "the valid prefix is read and counted on both paths"
+            "the valid prefix is read and counted either way"
         );
     }
 

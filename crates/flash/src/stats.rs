@@ -29,15 +29,15 @@ pub struct DeviceStats {
     pub superblock_syncs: u64,
     /// Total device-busy time accumulated over all dies.
     pub busy_time: Nanos,
-    /// Pages read through the asynchronous submit/poll path
+    /// Pages read through submit/poll
     /// ([`crate::ZonedFlash::submit_read_batch`]); a subset of
     /// `pages_read`.
     pub async_reads: u64,
-    /// Summed submit-to-completion latency over all async page reads
+    /// Summed submit-to-completion latency over all submitted page reads
     /// (divide by `async_reads` for the mean). Modeled devices record the
     /// modeled interval, measuring devices the measured one.
     pub submit_lat_total: Nanos,
-    /// High-water mark of concurrently in-flight async page reads. Not a
+    /// High-water mark of concurrently in-flight submitted page reads. Not a
     /// counter: [`Self::merge`] takes the maximum across devices (a fleet
     /// is as deep as its deepest shard) and [`Self::delta`] keeps the
     /// later value (the mark is monotone within a run).

@@ -53,6 +53,10 @@ pub struct ReadBatch {
     delivered: usize,
     /// Pages in the submitted batch.
     total: usize,
+    /// Completion times of the reads in flight while the modeled
+    /// schedule is being laid out (the queue-depth limiter's min-heap);
+    /// lives here so resubmitting allocates nothing.
+    outstanding: BinaryHeap<Reverse<Nanos>>,
 }
 
 impl ReadBatch {
@@ -76,6 +80,7 @@ impl ReadBatch {
         self.ready.clear();
         self.delivered = 0;
         self.total = total;
+        self.outstanding.clear();
     }
 
     /// Records one page's completion during submission.
@@ -190,10 +195,10 @@ pub trait ZonedFlash {
         now: Nanos,
     ) -> Result<(PageAddr, Nanos), FlashError>;
     /// Reads `pages` consecutive pages starting at `addr` into `out`,
-    /// which must be exactly `pages * page_size` bytes. The
-    /// allocation-free primitive behind [`Self::read_pages`]; hot paths
-    /// (Nemo's candidate waves, the write-back scan) call this with a
-    /// reused buffer instead of allocating per read.
+    /// which must be exactly `pages * page_size` bytes — the one
+    /// blocking read: log-segment and recovery scans call it with
+    /// multi-page extents, and [`Self::submit_read_batch`] is defined
+    /// page by page in terms of it.
     ///
     /// # Errors
     ///
@@ -206,8 +211,8 @@ pub trait ZonedFlash {
         out: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, FlashError>;
-    /// Reads `pages` consecutive pages starting at `addr` into a fresh
-    /// buffer.
+    /// [`Self::read_pages_into`] into a fresh buffer — an allocating
+    /// convenience for tests and cold paths; no device overrides it.
     ///
     /// # Errors
     ///
@@ -223,65 +228,9 @@ pub trait ZonedFlash {
         let done = self.read_pages_into(addr, pages, &mut out, now)?;
         Ok((out, done))
     }
-    /// Reads a scattered set of single pages "in parallel": the default
-    /// issues each page at `now` and returns the maximum completion over
-    /// all pages, modelling the parallel candidate-SG reads Nemo issues
-    /// after a PBFG query (on the simulator, die contention still
-    /// serializes same-die pages). Measuring devices whose syscalls
-    /// cannot overlap — [`crate::RealFlash`] — override this to *chain*
-    /// issue times instead, so the sequential syscall costs accumulate
-    /// in the completion rather than being hidden by a max.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid address.
-    fn read_scattered(
-        &mut self,
-        addrs: &[PageAddr],
-        now: Nanos,
-    ) -> Result<(Vec<Vec<u8>>, Nanos), FlashError> {
-        let mut out = Vec::with_capacity(addrs.len());
-        let mut done = now;
-        for &addr in addrs {
-            let (data, t) = self.read_pages(addr, 1, now)?;
-            out.push(data);
-            done = done.max(t);
-        }
-        Ok((out, done))
-    }
-    /// Allocation-free [`Self::read_scattered`]: page `i` lands at
-    /// `out[i * page_size..]`. `out` must be exactly
-    /// `addrs.len() * page_size` bytes. Same timing semantics as
-    /// [`Self::read_scattered`] (parallel-max default; measuring devices
-    /// chain).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first invalid address or if `out` has the wrong
-    /// length.
-    fn read_scattered_into(
-        &mut self,
-        addrs: &[PageAddr],
-        out: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FlashError> {
-        let psz = self.geometry().page_size() as usize;
-        if out.len() != addrs.len() * psz {
-            return Err(FlashError::UnalignedLength {
-                len: out.len(),
-                page_size: self.geometry().page_size(),
-            });
-        }
-        let mut done = now;
-        for (chunk, &addr) in out.chunks_exact_mut(psz).zip(addrs) {
-            let t = self.read_pages_into(addr, 1, chunk, now)?;
-            done = done.max(t);
-        }
-        Ok(done)
-    }
     /// Submits a scattered single-page read batch for completion-based
-    /// harvesting — the asynchronous counterpart of
-    /// [`Self::read_scattered_into`]. Page `i` of `addrs` lands at
+    /// harvesting — the one scattered read, behind Nemo's candidate
+    /// waves and eviction scans. Page `i` of `addrs` lands at
     /// `out[i * page_size..]`; `out` must be exactly
     /// `addrs.len() * page_size` bytes. At most `queue_depth` pages are
     /// in flight at once (`0` is treated as `1`): the default
@@ -290,9 +239,9 @@ pub trait ZonedFlash {
     /// otherwise at the earliest outstanding completion — and
     /// [`crate::RealFlash`] overrides it to genuinely overlap `pread`s
     /// on a bounded thread pool. With `queue_depth >= addrs.len()` the
-    /// modeled schedule is identical to [`Self::read_scattered_into`]'s
-    /// parallel issue, so sync and async paths agree bit-for-bit on the
-    /// simulators.
+    /// modeled schedule issues every page at `now`, so the batch
+    /// completes at the maximum over its pages (same-die pages still
+    /// serialize); at depth 1 it chains them.
     ///
     /// Both in-repo implementations complete all I/O before returning
     /// (the modeled schedule is known at submit time; the thread pool
@@ -305,10 +254,10 @@ pub trait ZonedFlash {
     /// # Errors
     ///
     /// Fails if `out` has the wrong length or any address is invalid,
-    /// with the same semantics as the synchronous path: pages preceding
-    /// the first invalid address may already have been read (and
-    /// counted in [`DeviceStats`]); the batch is left unusable and must
-    /// be re-submitted.
+    /// with the semantics of a per-page [`Self::read_pages_into`] loop:
+    /// pages preceding the first invalid address may already have been
+    /// read (and counted in [`DeviceStats`]); the batch is left unusable
+    /// and must be re-submitted.
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,
@@ -370,8 +319,8 @@ pub trait ZonedFlash {
 /// `i` issues at `now` while fewer than `queue_depth` reads are
 /// outstanding, otherwise at the earliest outstanding completion (an
 /// open submission queue that refills as slots free up). Going through
-/// `read_pages_into` per page keeps [`DeviceStats`] op counts and error
-/// semantics identical to the synchronous scattered path.
+/// `read_pages_into` per page gives every backend the op counts and
+/// error semantics of a per-page loop.
 pub(crate) fn modeled_submit<D: ZonedFlash + ?Sized>(
     dev: &mut D,
     batch: &mut ReadBatch,
@@ -389,16 +338,15 @@ pub(crate) fn modeled_submit<D: ZonedFlash + ?Sized>(
     }
     batch.reset(addrs.len());
     let qd = queue_depth.max(1);
-    let mut outstanding: BinaryHeap<Reverse<Nanos>> = BinaryHeap::with_capacity(qd.min(64));
     for (i, (chunk, &addr)) in out.chunks_exact_mut(psz).zip(addrs).enumerate() {
-        let issue = if outstanding.len() < qd {
+        let issue = if batch.outstanding.len() < qd {
             now
         } else {
-            let Reverse(freed) = outstanding.pop().expect("queue depth is at least 1");
+            let Reverse(freed) = batch.outstanding.pop().expect("queue depth is at least 1");
             now.max(freed)
         };
         let done = dev.read_pages_into(addr, 1, chunk, issue)?;
-        outstanding.push(Reverse(done));
+        batch.outstanding.push(Reverse(done));
         batch.record(i as u32, done);
     }
     batch.seal();
@@ -854,6 +802,21 @@ mod tests {
         SimFlash::with_latency(Geometry::new(512, 4, 3, 2), LatencyModel::default())
     }
 
+    /// The reference the submit/poll tests compare against: every page
+    /// read on its own at `now`, completion = the maximum.
+    fn read_each(
+        dev: &mut SimFlash,
+        addrs: &[PageAddr],
+        out: &mut [u8],
+        now: Nanos,
+    ) -> Result<Nanos, FlashError> {
+        let mut done = now;
+        for (chunk, &addr) in out.chunks_exact_mut(512).zip(addrs) {
+            done = done.max(dev.read_pages_into(addr, 1, chunk, now)?);
+        }
+        Ok(done)
+    }
+
     #[test]
     fn append_read_roundtrip() {
         let mut dev = small();
@@ -984,38 +947,9 @@ mod tests {
     }
 
     #[test]
-    fn scattered_reads_parallelize_across_dies() {
-        let geom = Geometry::new(512, 4, 2, 4);
-        let mut dev = SimFlash::with_latency(geom, LatencyModel::default());
-        dev.append(ZoneId(0), &vec![1u8; 512 * 4], Nanos::ZERO)
-            .unwrap();
-        let addrs = [
-            PageAddr::new(0, 0),
-            PageAddr::new(0, 1),
-            PageAddr::new(0, 2),
-        ];
-        let (bufs, done) = dev.read_scattered(&addrs, Nanos::from_millis(1)).unwrap();
-        assert_eq!(bufs.len(), 3);
-        // All three pages live on distinct dies -> one read latency total.
-        assert_eq!(
-            done,
-            Nanos::from_millis(1) + Nanos::from_micros(70),
-            "scattered reads should overlap"
-        );
-        // The into-buffer variant reads the same bytes (it queues behind
-        // the first round on the same dies, so only contents must match).
-        let mut flat = vec![0u8; 512 * 3];
-        dev.read_scattered_into(&addrs, &mut flat, Nanos::from_millis(1))
-            .unwrap();
-        for (i, buf) in bufs.iter().enumerate() {
-            assert_eq!(&flat[i * 512..(i + 1) * 512], &buf[..]);
-        }
-    }
-
-    #[test]
-    fn async_batch_at_full_depth_matches_parallel_scattered() {
-        // qd >= batch len: every page issues at `now`, exactly like the
-        // synchronous parallel-max path — same contents, same modeled
+    fn batch_at_full_depth_matches_per_page_reads() {
+        // qd >= batch len: every page issues at `now`, exactly like
+        // reading each page on its own — same contents, same modeled
         // times, same op counts.
         let geom = Geometry::new(512, 4, 2, 4);
         let mut sync_dev = SimFlash::with_latency(geom, LatencyModel::default());
@@ -1031,9 +965,9 @@ mod tests {
         ];
         let now = Nanos::from_millis(1);
         let mut sync_out = vec![0u8; 512 * 3];
-        let sync_done = sync_dev
-            .read_scattered_into(&addrs, &mut sync_out, now)
-            .unwrap();
+        let sync_done = read_each(&mut sync_dev, &addrs, &mut sync_out, now).unwrap();
+        // All three pages live on distinct dies -> one read latency total.
+        assert_eq!(sync_done, now + Nanos::from_micros(70));
 
         let mut batch = ReadBatch::new();
         let mut async_out = vec![0u8; 512 * 3];
@@ -1045,7 +979,7 @@ mod tests {
         assert_eq!(comps.len(), 3);
         assert_eq!(async_out, sync_out);
         let max_done = comps.iter().map(|c| c.done).max().unwrap();
-        assert_eq!(max_done, sync_done, "full depth reproduces parallel max");
+        assert_eq!(max_done, sync_done, "full depth overlaps across dies");
         let (s, a) = (sync_dev.stats(), async_dev.stats());
         assert_eq!((s.pages_read, s.read_ops), (a.pages_read, a.read_ops));
         assert_eq!(a.async_reads, 3);
@@ -1109,9 +1043,9 @@ mod tests {
     }
 
     #[test]
-    fn async_submit_error_semantics_match_sync_path() {
-        // Index 1 is beyond the write pointer: both paths read (and
-        // count) page 0, then fail with the same error kind.
+    fn submit_error_semantics_match_per_page_reads() {
+        // Index 1 is beyond the write pointer: both read (and count)
+        // page 0, then fail with the same error kind.
         let mut sync_dev = small();
         let mut async_dev = small();
         for dev in [&mut sync_dev, &mut async_dev] {
@@ -1119,9 +1053,7 @@ mod tests {
         }
         let addrs = [PageAddr::new(0, 0), PageAddr::new(0, 3)];
         let mut out = vec![0u8; 512 * 2];
-        let sync_err = sync_dev
-            .read_scattered_into(&addrs, &mut out, Nanos::ZERO)
-            .unwrap_err();
+        let sync_err = read_each(&mut sync_dev, &addrs, &mut out, Nanos::ZERO).unwrap_err();
         let mut batch = ReadBatch::new();
         let async_err = async_dev
             .submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, 4)

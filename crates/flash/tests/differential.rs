@@ -173,69 +173,59 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The submit/poll contract: on every backend, the asynchronous read
-    /// path must be op-for-op identical to the synchronous
-    /// `read_scattered_into` — same outcomes (including the error kind on
-    /// invalid addresses), same bytes delivered, same `DeviceStats` op
-    /// counts. Only time and the async-only counters may differ.
+    /// The submit/poll contract: on every backend, at depth 1 and at an
+    /// arbitrary depth, a submitted batch must be op-for-op identical to
+    /// reading its pages one `read_pages_into` at a time — same outcomes
+    /// (including the error kind on invalid addresses), same bytes
+    /// delivered, same `DeviceStats` op counts. Only time and the
+    /// submission counters may differ.
     #[test]
-    fn async_submit_poll_matches_sync_scattered(
+    fn submit_poll_matches_per_page_reads(
         appends in prop::collection::vec((0u32..ZONES, 0u8..=255, 1u32..4), 4..16),
         batches in prop::collection::vec(
             prop::collection::vec((0u32..ZONES + 1, 0u32..PAGES_PER_ZONE + 1), 0..7),
             1..12
         ),
-        queue_depth in 1usize..=16,
+        queue_depth in 2usize..=16,
         case_id in 0u64..u64::MAX
     ) {
         let geom = Geometry::new(PAGE as u32, PAGES_PER_ZONE, ZONES, 2);
-        let sim_file = tmp(format!("async-sim-{case_id}.img"));
-        let real_sync = tmp(format!("async-real-s-{case_id}.img"));
-        let real_async = tmp(format!("async-real-a-{case_id}.img"));
-        // Per backend one sync and one async twin, identically populated.
-        type Twins = (&'static str, Box<dyn ZonedFlash>, Box<dyn ZonedFlash>);
-        let mut devices: Vec<Twins> = vec![
-            (
-                "mem-sim",
-                Box::new(SimFlash::with_latency(geom, LatencyModel::default())),
-                Box::new(SimFlash::with_latency(geom, LatencyModel::default())),
-            ),
-            (
-                "file-sim",
-                Box::new(SimFlash::with_latency(geom, LatencyModel::default())),
-                Box::new(
-                    SimFlash::file_backed(geom, LatencyModel::default(), &sim_file)
-                        .expect("file-backed device"),
-                ),
-            ),
-            (
-                "real",
-                Box::new(
-                    RealFlash::create_with_clock(
-                        geom,
-                        &real_sync,
-                        RealFlashOptions::default(),
-                        TickClock::new(Nanos::from_micros(1)),
-                    )
+        // Per backend: the per-page reference first, then one identically
+        // populated twin per submission depth.
+        let depths = [1, queue_depth];
+        let images: Vec<std::path::PathBuf> = (0..2 * (1 + depths.len()))
+            .map(|i| tmp(format!("submit-{i}-{case_id}.img")))
+            .collect();
+        let mem = |_: &std::path::PathBuf| -> Box<dyn ZonedFlash> {
+            Box::new(SimFlash::with_latency(geom, LatencyModel::default()))
+        };
+        let file = |path: &std::path::PathBuf| -> Box<dyn ZonedFlash> {
+            Box::new(
+                SimFlash::file_backed(geom, LatencyModel::default(), path)
+                    .expect("file-backed device"),
+            )
+        };
+        let real = |path: &std::path::PathBuf| -> Box<dyn ZonedFlash> {
+            let clock = TickClock::new(Nanos::from_micros(1));
+            Box::new(
+                RealFlash::create_with_clock(geom, path, RealFlashOptions::default(), clock)
                     .expect("real device"),
-                ),
-                Box::new(
-                    RealFlash::create_with_clock(
-                        geom,
-                        &real_async,
-                        RealFlashOptions::default(),
-                        TickClock::new(Nanos::from_micros(1)),
-                    )
-                    .expect("real device"),
-                ),
-            ),
+            )
+        };
+        let (file_images, real_images) = images.split_at(1 + depths.len());
+        let mut devices: Vec<(&str, Vec<Box<dyn ZonedFlash>>)> = vec![
+            ("mem-sim", file_images.iter().map(mem).collect()),
+            ("file-sim", file_images.iter().map(file).collect()),
+            ("real", real_images.iter().map(real).collect()),
         ];
-        for (_, sync_dev, async_dev) in &mut devices {
+        for (_, devs) in &mut devices {
             for &(zone, fill, pages) in &appends {
                 let data = vec![fill; pages as usize * PAGE];
-                let a = sync_dev.append(ZoneId(zone), &data, Nanos::ZERO).map(|r| r.0);
-                let b = async_dev.append(ZoneId(zone), &data, Nanos::ZERO).map(|r| r.0);
-                prop_assert_eq!(a.is_ok(), b.is_ok(), "twin appends must agree");
+                let oks: Vec<bool> = devs
+                    .iter_mut()
+                    .map(|d| d.append(ZoneId(zone), &data, Nanos::ZERO).is_ok())
+                    .collect();
+                prop_assert!(oks.iter().all(|&ok| ok == oks[0]), "twin appends must agree");
             }
         }
 
@@ -243,68 +233,66 @@ proptest! {
         let mut completions = Vec::new();
         // Per-backend signatures of every batch, for cross-backend parity.
         let mut signatures: Vec<Vec<Outcome>> = Vec::new();
-        for (name, sync_dev, async_dev) in &mut devices {
+        for (name, devs) in &mut devices {
+            let (reference, twins) = devs.split_first_mut().expect("reference device");
             let mut sigs = Vec::new();
             for (bi, raw) in batches.iter().enumerate() {
                 let addrs: Vec<PageAddr> =
                     raw.iter().map(|&(z, p)| PageAddr::new(z, p)).collect();
-                let mut sync_out = vec![0u8; addrs.len() * PAGE];
-                let mut async_out = vec![0xAAu8; addrs.len() * PAGE];
-                let sync_res = sync_dev.read_scattered_into(&addrs, &mut sync_out, Nanos::ZERO);
-                let async_res = async_dev.submit_read_batch(
-                    &mut batch,
-                    &addrs,
-                    &mut async_out,
-                    Nanos::ZERO,
-                    queue_depth,
-                );
-                match (sync_res, async_res) {
-                    (Ok(_), Ok(())) => {
-                        completions.clear();
-                        while !async_dev
-                            .poll_completions(&mut batch, &mut completions)
-                            .expect("poll never fails on these devices")
-                        {}
-                        prop_assert_eq!(
-                            completions.len(),
-                            addrs.len(),
-                            "{}: batch {} must complete fully",
-                            name,
-                            bi
-                        );
-                        prop_assert_eq!(
-                            &sync_out,
-                            &async_out,
-                            "{}: async bytes diverged on batch {}",
-                            name,
-                            bi
-                        );
-                        sigs.push(Outcome::ReadBytes(sync_out));
-                    }
-                    (Err(se), Err(ae)) => {
-                        prop_assert_eq!(
-                            error_kind(&se),
-                            error_kind(&ae),
-                            "{}: error kind diverged on batch {}",
-                            name,
-                            bi
-                        );
-                        sigs.push(Outcome::Failed(error_kind(&se)));
-                    }
-                    (s, a) => {
-                        return Err(TestCaseError::fail(format!(
-                            "{name}: sync {s:?} vs async {a:?} on batch {bi}"
-                        )));
-                    }
+                let mut out = vec![0u8; addrs.len() * PAGE];
+                let read = out
+                    .chunks_exact_mut(PAGE)
+                    .zip(&addrs)
+                    .try_for_each(|(chunk, &addr)| {
+                        reference.read_pages_into(addr, 1, chunk, Nanos::ZERO).map(drop)
+                    });
+                let want = match read {
+                    Ok(()) => Outcome::ReadBytes(out),
+                    Err(e) => Outcome::Failed(error_kind(&e)),
+                };
+                for (twin, &depth) in twins.iter_mut().zip(&depths) {
+                    let mut out = vec![0xAAu8; addrs.len() * PAGE];
+                    let submitted =
+                        twin.submit_read_batch(&mut batch, &addrs, &mut out, Nanos::ZERO, depth);
+                    let got = match submitted {
+                        Ok(()) => {
+                            completions.clear();
+                            while !twin
+                                .poll_completions(&mut batch, &mut completions)
+                                .expect("poll never fails on these devices")
+                            {}
+                            prop_assert_eq!(
+                                completions.len(),
+                                addrs.len(),
+                                "{} qd{}: batch {} must complete fully",
+                                name,
+                                depth,
+                                bi
+                            );
+                            Outcome::ReadBytes(out)
+                        }
+                        Err(e) => Outcome::Failed(error_kind(&e)),
+                    };
+                    prop_assert_eq!(
+                        &want,
+                        &got,
+                        "{} qd{}: diverged from per-page reads on batch {}",
+                        name,
+                        depth,
+                        bi
+                    );
                 }
+                sigs.push(want);
             }
-            // The async twin did exactly the sync twin's device work.
-            let (ss, aa) = (sync_dev.stats(), async_dev.stats());
-            let counts = |s: &nemo_flash::DeviceStats| {
+            // Every twin did exactly the reference's device work.
+            let counts = |s: nemo_flash::DeviceStats| {
                 (s.pages_read, s.bytes_read, s.read_ops, s.pages_written, s.append_ops)
             };
-            prop_assert_eq!(counts(&ss), counts(&aa), "{}: op counts diverged", name);
-            prop_assert_eq!(ss.async_reads, 0, "{}: sync twin took the async path", name);
+            let want = reference.stats();
+            prop_assert_eq!(want.async_reads, 0, "{}: blocking reads are not submissions", name);
+            for twin in twins.iter() {
+                prop_assert_eq!(counts(want), counts(twin.stats()), "{}: op counts diverged", name);
+            }
             signatures.push(sigs);
         }
 
@@ -313,9 +301,9 @@ proptest! {
         prop_assert_eq!(&signatures[0], &signatures[2], "mem vs real diverged");
 
         drop(devices);
-        std::fs::remove_file(&sim_file).ok();
-        std::fs::remove_file(&real_sync).ok();
-        std::fs::remove_file(&real_async).ok();
+        for path in images {
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
 

@@ -130,6 +130,10 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
         let mut off = 0;
         let mut closing = false;
         let mut fatal = false;
+        // A miss rendered below may only collect metadata that predates
+        // this wave: a `set` dispatched after the lookup (later in this
+        // wave, or on another connection) owns whatever it recorded.
+        let cas_floor = shared.meta.cas_floor();
         loop {
             match parse_command(&buf[off..], &shared.limits) {
                 ParseOutcome::Incomplete => break,
@@ -261,7 +265,7 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                             );
                         } else {
                             ps.wire_misses += 1;
-                            shared.meta.forget(engine_key);
+                            shared.meta.forget(engine_key, cas_floor);
                         }
                     }
                     out.extend_from_slice(b"END\r\n");

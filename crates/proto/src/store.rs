@@ -112,13 +112,25 @@ impl MetaStore {
             .copied()
     }
 
+    /// The newest cas unique handed out so far. A connection reads it
+    /// once per wave, before dispatching anything, as the floor for that
+    /// wave's [`Self::forget`] calls. Relaxed is enough: a stale read
+    /// only lowers the floor, which makes `forget` keep an entry it
+    /// could have collected.
+    pub fn cas_floor(&self) -> u64 {
+        self.cas_counter.load(Ordering::Relaxed)
+    }
+
     /// Garbage-collects metadata after the engine reported a miss (the
-    /// object was evicted, so its wire metadata is dead).
-    pub fn forget(&self, key: u64) {
-        self.stripe(key)
-            .lock()
-            .expect("meta stripe poisoned")
-            .remove(&key);
+    /// object was evicted, so its wire metadata is dead) — unless the
+    /// entry is newer than `floor`: a `set` recorded after the lookup's
+    /// wave was dispatched wrote it, and the miss says nothing about
+    /// that version.
+    pub fn forget(&self, key: u64, floor: u64) {
+        let mut stripe = self.stripe(key).lock().expect("meta stripe poisoned");
+        if stripe.get(&key).is_some_and(|meta| meta.cas <= floor) {
+            stripe.remove(&key);
+        }
     }
 
     /// Live metadata entries across all stripes.
@@ -173,7 +185,11 @@ mod tests {
         assert!(cas2 > cas1, "cas uniques are monotone");
         let meta = store.get(7).unwrap();
         assert_eq!((meta.flags, meta.vlen, meta.cas), (4, 200, cas2));
-        store.forget(7);
+        // A miss from a wave dispatched before the second set must not
+        // collect the newer entry; one dispatched after it does.
+        store.forget(7, cas1);
+        assert_eq!(store.get(7), Some(meta));
+        store.forget(7, store.cas_floor());
         assert!(store.get(7).is_none());
         assert!(store.is_empty());
     }

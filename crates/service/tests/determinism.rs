@@ -158,14 +158,10 @@ fn openloop_runs_are_bit_identical() {
 }
 
 #[test]
-fn pipeline_and_io_queue_depth_leave_aggregates_bit_identical() {
-    // Two wall-clock throughput knobs from the overlapped-I/O work: the
-    // worker `pipeline` batches command intake, and `io_queue_depth`
-    // switches Nemo's candidate reads to the submit/poll path. On the
-    // modeled backend neither may change any result. (The default wave
-    // width is 1, so the async path issues the same single-page reads
-    // the sync path does and even completion times are identical.)
-    let run = |pipeline: usize, io_qd: u32| -> (EngineStats, Vec<LatencyWindow>, [u64; 3]) {
+fn pipeline_depth_leaves_aggregates_bit_identical() {
+    // The worker `pipeline` knob batches command intake for wall-clock
+    // throughput; on the modeled backend it may not change any result.
+    let run = |pipeline: usize| -> (EngineStats, Vec<LatencyWindow>, [u64; 3]) {
         let mut cfg = OpenLoopConfig::new(60_000, 50_000.0);
         cfg.shards = 4;
         cfg.inflight = 8;
@@ -174,35 +170,19 @@ fn pipeline_and_io_queue_depth_leave_aggregates_bit_identical() {
         cfg.warmup_ops = 15_000;
         let mut ecfg = nemo_config();
         ecfg.background_eviction = true;
-        ecfg.io_queue_depth = io_qd;
         let r = OpenLoopReplay::new(cfg).run(ecfg.factory(), &mut trace());
-        let mut stats = r.report.stats;
-        // The async path intentionally reports its own depth counters;
-        // everything else must match bit-for-bit.
-        stats.device.async_reads = 0;
-        stats.device.submit_lat_total = Nanos::ZERO;
-        stats.device.inflight_hwm = 0;
         (
-            stats,
+            r.report.stats,
             r.windows,
             [r.latency.p9999(), r.queueing.p9999(), r.service.p9999()],
         )
     };
-    let (stats, windows, tails) = run(16, 0);
-    for (pipeline, io_qd) in [(1usize, 0u32), (64, 0), (16, 1), (16, 8)] {
-        let (s, w, t) = run(pipeline, io_qd);
-        assert_eq!(
-            s, stats,
-            "aggregates diverged at pipeline={pipeline}, io_queue_depth={io_qd}"
-        );
-        assert_eq!(
-            w, windows,
-            "windows diverged at pipeline={pipeline}, io_queue_depth={io_qd}"
-        );
-        assert_eq!(
-            t, tails,
-            "tails diverged at pipeline={pipeline}, io_queue_depth={io_qd}"
-        );
+    let (stats, windows, tails) = run(16);
+    for pipeline in [1usize, 64] {
+        let (s, w, t) = run(pipeline);
+        assert_eq!(s, stats, "aggregates diverged at pipeline={pipeline}");
+        assert_eq!(w, windows, "windows diverged at pipeline={pipeline}");
+        assert_eq!(t, tails, "tails diverged at pipeline={pipeline}");
     }
 }
 
