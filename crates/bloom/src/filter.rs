@@ -9,7 +9,8 @@ use nemo_util::hash_u64;
 /// which matches the paper's observation that "each hash function is
 /// computed once and the results are shared across all filters in the PBFG"
 /// (§5.5): callers can precompute a [`ProbeSet`] once per key and test it
-/// against many filters.
+/// against many filters, or a [`ProbeTable`] of the positions themselves
+/// when the filters share one size, as those of a PBFG do.
 ///
 /// # Examples
 ///
@@ -190,39 +191,145 @@ impl BloomFilter {
     }
 }
 
-/// Queries a serialized filter in place, without deserializing — how Nemo
-/// probes the packed PBFG pages fetched from the index pool.
+/// Most probes a [`ProbeTable`] can hold. The sizing math stays far
+/// below it (0.1 % needs 10 hashes, one in a billion 30).
+pub const MAX_PROBES: u32 = 64;
+
+/// One key's probe positions for serialized filters of one size: what
+/// the filters of a PBFG share (§5.5, "each hash function is computed
+/// once and the results are shared across all filters in the PBFG").
 ///
-/// `bytes` must be a whole serialized filter ([`BloomFilter::write_bytes`]);
-/// its length determines the bit count.
+/// Every filter of a PBFG has the same bit count, so position `i` of a
+/// key is the same bit in each of them. The table computes a position
+/// the first time a probe needs it — most filters reject a key on probe
+/// 0 or 1 — and never again, and tests serialized filters
+/// ([`BloomFilter::write_bytes`]) in place: one at a time
+/// ([`Self::contains_in`]) or a packed run of them
+/// ([`Self::matches_in`]), which is how Nemo walks the still-building
+/// index group and the PBFG pages fetched from the index pool.
 ///
 /// # Examples
 ///
 /// ```
-/// use nemo_bloom::{contains_in_slice, BloomFilter, ProbeSet};
+/// use nemo_bloom::{BloomFilter, ProbeTable};
 ///
 /// let mut bf = BloomFilter::for_items(40, 0.001);
 /// bf.insert(7);
 /// let mut buf = vec![0u8; bf.serialized_len()];
 /// bf.write_bytes(&mut buf);
-/// let probes = ProbeSet::for_key(7);
-/// assert!(contains_in_slice(&buf, bf.hash_count(), &probes));
+/// let mut probes = ProbeTable::new(7, buf.len(), bf.hash_count());
+/// assert!(probes.contains_in(&buf));
 /// ```
-///
-/// # Panics
-///
-/// Panics if `bytes` is empty or not word-aligned.
-pub fn contains_in_slice(bytes: &[u8], k: u32, probes: &ProbeSet) -> bool {
-    assert!(
-        !bytes.is_empty() && bytes.len() % 8 == 0,
-        "bad filter slice"
-    );
-    let m_bits = bytes.len() as u64 * 8;
-    (0..k).all(|i| {
-        let pos = probes.position(i, m_bits);
-        let byte = bytes[(pos / 8) as usize];
-        byte & (1u8 << (pos % 8)) != 0
-    })
+#[derive(Debug, Clone)]
+pub struct ProbeTable {
+    probes: ProbeSet,
+    filter_bytes: usize,
+    k: u32,
+    computed: u32,
+    /// Bit positions `0..computed`, each below `filter_bytes * 8`.
+    bit: [u32; MAX_PROBES as usize],
+}
+
+impl ProbeTable {
+    /// Starts the table of `key` for filters of `filter_bytes` bytes
+    /// probed `k` times. Nothing is computed yet but the key's hash pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filter_bytes` is zero, not word-aligned or beyond
+    /// 512 MB, or `k` is zero or above [`MAX_PROBES`].
+    pub fn new(key: u64, filter_bytes: usize, k: u32) -> Self {
+        assert!(
+            filter_bytes > 0 && filter_bytes % 8 == 0 && filter_bytes <= (u32::MAX / 8) as usize,
+            "bad filter size"
+        );
+        assert!((1..=MAX_PROBES).contains(&k), "bad probe count");
+        Self {
+            probes: ProbeSet::for_key(key),
+            filter_bytes,
+            k,
+            computed: 0,
+            bit: [0; MAX_PROBES as usize],
+        }
+    }
+
+    /// The key's hash pair, for filters of any other size
+    /// ([`BloomFilter::contains_probes`]).
+    pub fn probe_set(&self) -> &ProbeSet {
+        &self.probes
+    }
+
+    /// How many positions have been computed so far.
+    pub fn computed(&self) -> u32 {
+        self.computed
+    }
+
+    /// Byte offset and bit mask of probe `i` inside a filter.
+    #[inline]
+    fn at(&mut self, i: u32) -> (usize, u8) {
+        while self.computed <= i {
+            let m_bits = self.filter_bytes as u64 * 8;
+            self.bit[self.computed as usize] = self.probes.position(self.computed, m_bits) as u32;
+            self.computed += 1;
+        }
+        let bit = self.bit[i as usize];
+        ((bit / 8) as usize, 1u8 << (bit % 8))
+    }
+
+    /// Whether probes `from..k` all find their bit set in `filter`.
+    #[inline]
+    fn rest_set_in(&mut self, filter: &[u8], from: u32) -> bool {
+        (from..self.k).all(|i| {
+            let (byte, mask) = self.at(i);
+            filter[byte] & mask != 0
+        })
+    }
+
+    /// Tests the key against one serialized filter, stopping at the
+    /// first clear bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filter` is not `filter_bytes` long.
+    pub fn contains_in(&mut self, filter: &[u8]) -> bool {
+        assert_eq!(filter.len(), self.filter_bytes, "bad filter slice");
+        self.rest_set_in(filter, 0)
+    }
+
+    /// Tests the key against the first `slots` filters packed back to
+    /// back in `region` and calls `on_match` with the index of each one
+    /// that contains it, in ascending order.
+    ///
+    /// The first two probes are tested on every filter without a branch
+    /// (at the 30 to 50 % fill of a set-level filter the early exit is a
+    /// coin flip the predictor loses) into a bitmask of 64 filters at a
+    /// time; only the survivors, a tenth to a quarter, see the
+    /// remaining probes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is shorter than `slots` filters.
+    pub fn matches_in(&mut self, region: &[u8], slots: usize, mut on_match: impl FnMut(usize)) {
+        let fb = self.filter_bytes;
+        let region = &region[..slots * fb];
+        let first = self.k.min(2);
+        let (byte0, mask0) = self.at(0);
+        let (byte1, mask1) = self.at(first - 1);
+        for (chunk, filters) in region.chunks(64 * fb).enumerate() {
+            let mut survivors = 0u64;
+            for (j, filter) in filters.chunks_exact(fb).enumerate() {
+                let both = (filter[byte0] & mask0 != 0) & (filter[byte1] & mask1 != 0);
+                survivors |= u64::from(both) << j;
+            }
+            while survivors != 0 {
+                let j = survivors.trailing_zeros() as usize;
+                survivors &= survivors - 1;
+                if self.rest_set_in(&filters[j * fb..(j + 1) * fb], first) {
+                    on_match(chunk * 64 + j);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -306,11 +413,21 @@ mod tests {
                 f.insert(rng.next_u64() ^ (i as u64) << 56);
             }
         }
+        let bytes: Vec<Vec<u8>> = filters
+            .iter()
+            .map(|f| {
+                let mut buf = vec![0u8; f.serialized_len()];
+                f.write_bytes(&mut buf);
+                buf
+            })
+            .collect();
         for _ in 0..1000 {
             let key = rng.next_u64();
-            let probes = ProbeSet::for_key(key);
-            for f in &filters {
-                assert_eq!(f.contains(key), f.contains_probes(&probes));
+            // One table per key, shared by all eight filters.
+            let mut probes = ProbeTable::new(key, bytes[0].len(), filters[0].hash_count());
+            for (f, buf) in filters.iter().zip(&bytes) {
+                assert_eq!(f.contains(key), f.contains_probes(probes.probe_set()));
+                assert_eq!(f.contains(key), probes.contains_in(buf));
             }
         }
     }
@@ -355,25 +472,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slice_queries_match_filter_queries() {
-        // contains_in_slice is the PBFG probe path; it must agree bit-for-
-        // bit with BloomFilter::contains on the same serialized state.
-        let mut bf = BloomFilter::for_items(64, 0.01);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(21);
-        for _ in 0..64 {
-            bf.insert(rng.next_u64());
+    /// A filter of `m_bits` holding `n` random keys, and its bytes.
+    fn filled(m_bits: u64, k: u32, n: usize, seed: u64) -> (BloomFilter, Vec<u64>, Vec<u8>) {
+        let mut bf = BloomFilter::with_geometry(m_bits, k);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+        for &key in &keys {
+            bf.insert(key);
         }
         let mut buf = vec![0u8; bf.serialized_len()];
         bf.write_bytes(&mut buf);
-        for _ in 0..5000 {
-            let key = rng.next_u64();
-            let probes = ProbeSet::for_key(key);
-            assert_eq!(
-                bf.contains(key),
-                contains_in_slice(&buf, bf.hash_count(), &probes),
-                "slice and filter disagree on {key:#x}"
+        (bf, keys, buf)
+    }
+
+    #[test]
+    fn table_queries_match_filter_queries() {
+        // The probe table is the PBFG probe path; it must agree bit for
+        // bit with BloomFilter::contains on the same serialized state:
+        // one word, a power of two, and the paper's 576 bits.
+        for (m_bits, k, n) in [(64u64, 3u32, 8usize), (256, 10, 16), (576, 10, 40)] {
+            let (bf, keys, buf) = filled(m_bits, k, n, 21 + m_bits);
+            for &key in &keys {
+                assert!(ProbeTable::new(key, buf.len(), k).contains_in(&buf));
+            }
+            let mut rng = Xoshiro256StarStar::seed_from_u64(m_bits);
+            let mut positives = 0;
+            for _ in 0..100_000 {
+                let key = rng.next_u64();
+                let got = ProbeTable::new(key, buf.len(), k).contains_in(&buf);
+                assert_eq!(bf.contains(key), got, "m_bits {m_bits}, key {key:#x}");
+                positives += u32::from(got);
+            }
+            assert!(
+                positives < 5_000,
+                "{positives} false positives at {m_bits} bits"
             );
+        }
+    }
+
+    #[test]
+    fn positions_are_computed_once_and_only_when_needed() {
+        let (_, keys, buf) = filled(576, 10, 40, 5);
+        let empty = vec![0u8; buf.len()];
+        let mut probes = ProbeTable::new(keys[0], buf.len(), 10);
+        assert_eq!(probes.computed(), 0);
+        assert!(!probes.contains_in(&empty));
+        assert_eq!(probes.computed(), 1, "rejected on probe 0");
+        assert!(probes.contains_in(&buf));
+        assert_eq!(probes.computed(), 10);
+        // A filter missing only the bit of probe 4 rejects there, from
+        // the table: asking again computes nothing.
+        let mut holed = buf.clone();
+        let (byte, mask) = probes.at(4);
+        holed[byte] &= !mask;
+        assert!(!probes.contains_in(&holed));
+        assert_eq!(probes.computed(), 10);
+        // A packed run computes the two probes of its first pass, and the
+        // rest only once a filter survives them.
+        let mut probes = ProbeTable::new(keys[0], buf.len(), 10);
+        probes.matches_in(&empty.repeat(3), 3, |_| panic!("empty filters"));
+        assert_eq!(probes.computed(), 2);
+        probes.matches_in(&[empty, buf].concat(), 2, |slot| assert_eq!(slot, 1));
+        assert_eq!(probes.computed(), 10);
+    }
+
+    #[test]
+    fn packed_run_matches_filter_by_filter() {
+        // 1, 64, 65 and 130 filters: below, at and across the 64-filter
+        // chunks of the survivor mask; k = 1 has no second probe.
+        for (slots, m_bits, k) in [
+            (1usize, 64u64, 1u32),
+            (64, 256, 10),
+            (65, 64, 2),
+            (130, 576, 10),
+        ] {
+            let filters: Vec<_> = (0..slots)
+                .map(|i| filled(m_bits, k, 12, 1000 * m_bits + i as u64))
+                .collect();
+            let packed: Vec<u8> = filters.iter().flat_map(|f| f.2.iter().copied()).collect();
+            let fb = filters[0].2.len();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(77);
+            let absent = (0..2000).map(|_| rng.next_u64());
+            let present = filters.iter().map(|f| f.1[0]);
+            for key in present.chain(absent).collect::<Vec<_>>() {
+                let want: Vec<usize> = (0..slots).filter(|&i| filters[i].0.contains(key)).collect();
+                let mut got = Vec::new();
+                ProbeTable::new(key, fb, k).matches_in(&packed, slots, |slot| got.push(slot));
+                assert_eq!(got, want, "{slots} slots, key {key:#x}");
+            }
         }
     }
 }

@@ -6,6 +6,8 @@
 //! candidate set-groups (paper §4.3). This crate provides:
 //!
 //! * [`BloomFilter`] — a fixed-size filter with double hashing,
+//! * [`ProbeTable`] — one key's probe positions, computed once and tested
+//!   against every serialized filter of a PBFG in one pass,
 //! * [`sizing`] — the standard bits-per-key / hash-count math the paper
 //!   quotes (14.4 bits/obj at 0.1 % FPR, 9.6 bits/obj at 1 %),
 //! * [`PackedLayout`] — how many set-level filters fit per flash page, so a
@@ -25,7 +27,7 @@
 mod filter;
 pub mod sizing;
 
-pub use filter::{contains_in_slice, BloomFilter, ProbeSet};
+pub use filter::{BloomFilter, ProbeSet, ProbeTable, MAX_PROBES};
 
 /// How set-level Bloom filters are packed into flash pages.
 ///

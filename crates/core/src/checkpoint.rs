@@ -54,15 +54,21 @@ impl Writer {
     pub fn filter_opt(&mut self, f: Option<&BloomFilter>) {
         match f {
             Some(f) => {
-                self.u8(1);
-                self.u32(f.hash_count());
                 let mut bits = vec![0u8; f.serialized_len()];
                 f.write_bytes(&mut bits);
-                self.u32(bits.len() as u32);
-                self.bytes(&bits);
+                self.filter_bits(f.hash_count(), &bits);
             }
             None => self.u8(0),
         }
+    }
+
+    /// Writes a present filter from its serialized bits
+    /// ([`BloomFilter::write_bytes`]).
+    pub fn filter_bits(&mut self, hashes: u32, bits: &[u8]) {
+        self.u8(1);
+        self.u32(hashes);
+        self.u32(bits.len() as u32);
+        self.bytes(bits);
     }
 
     /// Stamps the payload CRC and returns the finished checkpoint.
@@ -146,6 +152,13 @@ impl<'a> Reader<'a> {
 
     /// Reads an optional Bloom filter written by [`Writer::filter_opt`].
     pub fn filter_opt(&mut self) -> Result<Option<BloomFilter>, String> {
+        let filter = self.filter_bits()?;
+        Ok(filter.map(|(hashes, bits)| BloomFilter::from_bytes(bits, hashes)))
+    }
+
+    /// Reads an optional filter record as its hash count and serialized
+    /// bits, without building a [`BloomFilter`].
+    pub fn filter_bits(&mut self) -> Result<Option<(u32, &'a [u8])>, String> {
         if self.u8()? == 0 {
             return Ok(None);
         }
@@ -157,8 +170,7 @@ impl<'a> Reader<'a> {
         if n == 0 || n % 8 != 0 {
             return Err(format!("checkpoint corrupt: filter length {n}"));
         }
-        let bits = self.take(n)?;
-        Ok(Some(BloomFilter::from_bytes(bits, hashes)))
+        Ok(Some((hashes, self.take(n)?)))
     }
 
     /// Fails if payload bytes remain unread — a length-field corruption

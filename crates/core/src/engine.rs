@@ -435,7 +435,6 @@ impl<D: ZonedFlash> Nemo<D> {
         });
         self.front_sacrifices = 0;
 
-        let filters = front.take_filters();
         // Admitted keys feed the group's supersede filter (stale-version
         // cutoff on the get path); skip the walk when filtering is off.
         let keys: Vec<u64> = if self.cfg.enable_stale_filter {
@@ -447,7 +446,7 @@ impl<D: ZonedFlash> Nemo<D> {
         };
         let added = self
             .index
-            .add_sg(&mut self.dev, seq, zone, filters, &keys, now);
+            .add_sg(&mut self.dev, seq, zone, front.filters(), &keys, now);
         self.stats.device_retries += self.index.take_device_retries();
 
         self.pool.push_back(FlashSg {
@@ -1221,7 +1220,7 @@ impl<D: ZonedFlash> Nemo<D> {
             &[]
         };
         self.index
-            .add_sg(&mut self.dev, seq, zone, filters, keys_ref, Nanos::ZERO)
+            .add_sg(&mut self.dev, seq, zone, &filters, keys_ref, Nanos::ZERO)
             .expect("index pool append: the index pool must be writable to recover");
         self.stats.device_retries += self.index.take_device_retries();
         self.pool.push_back(FlashSg { seq, zone, objects });
@@ -1319,19 +1318,12 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
         self.report
             .candidates_per_get
             .record(q.candidates.len() as u32);
-        if q.candidates.is_empty() {
-            return Ok(GetOutcome {
-                hit: false,
-                done_at: q.done_at,
-                flash_reads: q.flash_reads,
-                set_reads: 0,
-            });
-        }
         // 3. Staged candidate reads: the newest `read_wave_width`
         //    candidates are read in parallel (paper §4.1's parallel
         //    access, per wave); older waves are issued only when every
         //    newer one missed, so a hit on the live (newest) version
-        //    never pays for the stale copies behind it.
+        //    never pays for the stale copies behind it. No candidates,
+        //    no wave: a miss at the index's completion time.
         let wave = self.cfg.read_wave_width.max(1) as usize;
         let mut addrs = std::mem::take(&mut self.wave_addrs);
         let mut done = q.done_at;
@@ -1378,6 +1370,7 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
             faulted |= failed;
         }
         self.wave_addrs = addrs;
+        self.index.recycle(q.candidates);
         self.stats.candidate_reads += reads as u64;
         if faulted && !hit {
             // The object may have lived on a zone the fault path just

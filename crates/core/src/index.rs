@@ -7,8 +7,23 @@
 //! index pool; an in-memory FIFO cache keeps the configured fraction of
 //! PBFG pages resident, and the youngest (still-building) group's filters
 //! stay in memory until the group is sealed.
+//!
+//! A candidate query is one pass over packed bytes. The building group
+//! keeps its filters in one set-major buffer `[set][slot][filter_bytes]`,
+//! row for row the filter region of the pages a seal appends, so the
+//! PBFG of a set is one contiguous run whether it is still building,
+//! cached or just fetched. The key's probe positions are computed once
+//! per query ([`ProbeTable`]) and one routine
+//! ([`ProbeTable::matches_in`]) tests them against every slot of every
+//! group; a slot directory per group masks the stale bits of evicted
+//! SGs. Each persisted group owns its share of the PBFG cache as a table
+//! indexed by set offset, so finding a cached page is an index, not a
+//! hash; a fetched page lands in the buffer the last eviction freed, and
+//! the candidate list in a buffer the caller hands back
+//! ([`PbfgIndex::recycle`]). A query whose pages are cached allocates
+//! nothing.
 
-use nemo_bloom::{contains_in_slice, BloomFilter, ProbeSet};
+use nemo_bloom::{BloomFilter, ProbeTable};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
@@ -29,7 +44,10 @@ pub struct CandidateQuery {
     /// Candidate SGs, newest first. With the supersede filter enabled,
     /// groups older than one that re-admitted the key contribute
     /// nothing (their copies are stale); the list is further truncated
-    /// to the configured candidate cap.
+    /// to the configured candidate cap
+    /// ([`IndexStats::capped_queries`] counts the truncations). The
+    /// vector is the index's own buffer: [`PbfgIndex::recycle`] it when
+    /// done, and the next query allocates nothing.
     pub candidates: Vec<SgCandidate>,
     /// PBFG pages fetched from flash to answer the query.
     pub flash_reads: u32,
@@ -37,8 +55,6 @@ pub struct CandidateQuery {
     pub bytes_read: u64,
     /// Completion time of the index fetches.
     pub done_at: Nanos,
-    /// Candidates dropped by the newest-first cap on this query.
-    pub capped: u32,
 }
 
 /// Index-cache and pool counters (Fig. 19b, §5.5).
@@ -73,13 +89,6 @@ impl IndexStats {
 }
 
 #[derive(Debug)]
-struct BufferedSlot {
-    seq: u64,
-    zone: u32,
-    filters: Vec<BloomFilter>,
-}
-
-#[derive(Debug)]
 struct PersistedGroup {
     id: u64,
     /// First page of the group in the index pool; page `s` of the group
@@ -91,57 +100,11 @@ struct PersistedGroup {
     /// Supersede filter: every key the group's SGs admitted. `None`
     /// when stale-version filtering is disabled.
     supersede: Option<BloomFilter>,
-}
-
-#[derive(Debug, Default)]
-struct IndexCache {
-    capacity: usize,
-    map: HashMap<(u64, u32), Vec<u8>>,
-    fifo: VecDeque<(u64, u32)>,
-}
-
-impl IndexCache {
-    fn contains(&self, group: u64, set: u32) -> bool {
-        self.map.contains_key(&(group, set))
-    }
-
-    fn get(&self, group: u64, set: u32) -> Option<&Vec<u8>> {
-        self.map.get(&(group, set))
-    }
-
-    fn insert(&mut self, group: u64, set: u32, page: Vec<u8>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.insert((group, set), page).is_none() {
-            self.fifo.push_back((group, set));
-        }
-        while self.map.len() > self.capacity {
-            match self.fifo.pop_front() {
-                Some(key) => {
-                    self.map.remove(&key);
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn purge_group(&mut self, group: u64) {
-        let keys: Vec<(u64, u32)> = self
-            .map
-            .keys()
-            .filter(|&&(g, _)| g == group)
-            .copied()
-            .collect();
-        for k in keys {
-            self.map.remove(&k);
-        }
-        // Stale fifo entries are skipped lazily during eviction.
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.map.values().map(|p| p.len() as u64).sum()
-    }
+    /// The group's share of the PBFG cache: `cached[s]` holds the filter
+    /// region of page `s` while it is resident. The table itself (one
+    /// pointer pair per set offset) is not part of the modelled index
+    /// memory; it is under half a percent of the pages it can point to.
+    cached: Vec<Option<Box<[u8]>>>,
 }
 
 /// The complete PBFG index: building group, persisted groups, on-flash
@@ -153,11 +116,30 @@ pub struct PbfgIndex {
     sgs_per_group: u32,
     sets_per_sg: u32,
     page_size: u32,
-    building: Vec<Option<BufferedSlot>>,
+    /// Slot directory of the still-building group: slot -> live SG,
+    /// `None` once evicted.
+    building: Vec<Option<SgCandidate>>,
+    building_live: u32,
+    /// The building group's filters, `[set][slot][filter_bytes]` with
+    /// `sgs_per_group` slots per row: what a seal appends, less the
+    /// page padding. Slots from `building.len()` on hold leftovers of
+    /// earlier groups, which nothing reads; a dead slot is zeroed.
+    building_bits: Vec<u8>,
     next_group_id: u64,
+    /// Live persisted groups, ascending by id.
     groups: VecDeque<PersistedGroup>,
     sg_group: HashMap<u64, u64>,
-    cache: IndexCache,
+    /// PBFG cache capacity in pages.
+    cache_capacity: usize,
+    /// The resident PBFG pages as `(group id, set)`, oldest first; the
+    /// bytes are in the group's `cached` table.
+    cache_fifo: VecDeque<(u64, u32)>,
+    /// The buffer the last cache eviction freed, for the next fetch.
+    cache_spare: Option<Box<[u8]>>,
+    /// One page, for index-pool fetches.
+    page_buf: Vec<u8>,
+    /// The candidate list of the next query ([`Self::recycle`]).
+    candidate_buf: Vec<SgCandidate>,
     pool_zones: Vec<u32>,
     pool_open: usize,
     /// zone -> group ids with pages there (for ring recycling).
@@ -197,6 +179,7 @@ impl PbfgIndex {
             sgs_per_group * filter_bytes <= page_size,
             "a PBFG must fit in one page"
         );
+        let row = (sgs_per_group * filter_bytes) as usize;
         Self {
             filter_bytes,
             hashes,
@@ -204,10 +187,16 @@ impl PbfgIndex {
             sets_per_sg,
             page_size,
             building: Vec::new(),
+            building_live: 0,
+            building_bits: vec![0; sets_per_sg as usize * row],
             next_group_id: 0,
             groups: VecDeque::new(),
             sg_group: HashMap::new(),
-            cache: IndexCache::default(),
+            cache_capacity: 0,
+            cache_fifo: VecDeque::new(),
+            cache_spare: None,
+            page_buf: vec![0; page_size as usize],
+            candidate_buf: Vec::new(),
             pool_zones,
             pool_open: 0,
             zone_groups: HashMap::new(),
@@ -218,6 +207,23 @@ impl PbfgIndex {
             device_retries: 0,
             stats: IndexStats::default(),
         }
+    }
+
+    /// Bytes of one PBFG: the filter region of a pool page, and one row
+    /// of the building buffer.
+    fn row_bytes(&self) -> usize {
+        (self.sgs_per_group * self.filter_bytes) as usize
+    }
+
+    /// Where the building group keeps the filter of `(set, slot)`.
+    fn building_filter(&self, set: usize, slot: usize) -> std::ops::Range<usize> {
+        let at = set * self.row_bytes() + slot * self.filter_bytes as usize;
+        at..at + self.filter_bytes as usize
+    }
+
+    /// Position in `groups` of the live group `id`.
+    fn group_index(&self, id: u64) -> Option<usize> {
+        self.groups.binary_search_by_key(&id, |g| g.id).ok()
     }
 
     /// Drains the transient-retry count accumulated by index-pool I/O
@@ -259,24 +265,51 @@ impl PbfgIndex {
 
     /// Sets the PBFG cache capacity in pages.
     pub fn set_cache_capacity(&mut self, pages: usize) {
-        self.cache.capacity = pages;
-        while self.cache.map.len() > pages {
-            match self.cache.fifo.pop_front() {
-                Some(key) => {
-                    self.cache.map.remove(&key);
-                }
-                None => break,
-            }
+        self.cache_capacity = pages;
+        self.evict_to_capacity();
+    }
+
+    /// Drops the oldest resident PBFG pages until the cache fits its
+    /// capacity, keeping the last freed buffer for the next fetch.
+    fn evict_to_capacity(&mut self) {
+        while self.cache_fifo.len() > self.cache_capacity {
+            let (id, set) = self.cache_fifo.pop_front().expect("longer than capacity");
+            let gi = self
+                .group_index(id)
+                .expect("resident pages are of live groups");
+            self.cache_spare = self.groups[gi].cached[set as usize].take();
         }
+    }
+
+    /// Makes the page just fetched into `page_buf` (set offset `set` of
+    /// group `gi`) resident, evicting in FIFO order.
+    fn cache_fetched(&mut self, gi: usize, set: u32) {
+        if self.cache_capacity == 0 {
+            return;
+        }
+        // Keep only the filter region in memory; the page tail is
+        // padding when groups are smaller than the packing limit.
+        let row = self.row_bytes();
+        let mut page = self
+            .cache_spare
+            .take()
+            .unwrap_or_else(|| vec![0; row].into_boxed_slice());
+        page.copy_from_slice(&self.page_buf[..row]);
+        let g = &mut self.groups[gi];
+        g.cached[set as usize] = Some(page);
+        self.cache_fifo.push_back((g.id, set));
+        self.evict_to_capacity();
     }
 
     /// Whether the PBFG covering `(seq, set)` is currently in memory —
     /// the recency signal of the hybrid hotness tracker (§4.4).
     pub fn is_recently_active(&self, seq: u64, set: u32) -> bool {
         match self.sg_group.get(&seq) {
-            Some(&g) => self.cache.contains(g, set),
+            Some(&id) => self
+                .group_index(id)
+                .is_some_and(|gi| self.groups[gi].cached[set as usize].is_some()),
             // Still in the building group: filters are in memory.
-            None => self.building.iter().flatten().any(|b| b.seq == seq),
+            None => self.building.iter().flatten().any(|c| c.seq == seq),
         }
     }
 
@@ -291,13 +324,20 @@ impl PbfgIndex {
     /// Returns the device error if persisting a sealed group fails
     /// permanently (transient errors are retried internally). The
     /// building group keeps the new SG either way; only the pool append
-    /// is lost, and the index cannot serve without its pool.
+    /// is lost, and the group stays in memory, full and queryable. The
+    /// next call retries the seal first, and while that keeps failing
+    /// takes no further SG: the index cannot grow without its pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `filters` holds one filter per set, each of the
+    /// index's filter size and hash count.
     pub fn add_sg<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
         seq: u64,
         zone: u32,
-        filters: Vec<BloomFilter>,
+        filters: &[BloomFilter],
         keys: &[u64],
         now: Nanos,
     ) -> Result<(u64, Nanos), FlashError> {
@@ -306,6 +346,10 @@ impl PbfgIndex {
             self.sets_per_sg as usize,
             "one filter per set"
         );
+        let (mut wrote, mut done) = (0, now);
+        if self.building.len() as u32 >= self.sgs_per_group {
+            (wrote, done) = self.persist_building(dev, now)?;
+        }
         if let Some((keys_per_group, fpr)) = self.supersede_sizing {
             let filter = self
                 .building_supersede
@@ -314,60 +358,63 @@ impl PbfgIndex {
                 filter.insert(k);
             }
         }
-        self.building
-            .push(Some(BufferedSlot { seq, zone, filters }));
-        if self.building.len() as u32 >= self.sgs_per_group {
-            self.persist_building(dev, now)
-        } else {
-            Ok((0, now))
+        let slot = self.building.len();
+        for (set, f) in filters.iter().enumerate() {
+            assert!(
+                f.serialized_len() == self.filter_bytes as usize && f.hash_count() == self.hashes,
+                "set-level filter geometry"
+            );
+            let at = self.building_filter(set, slot);
+            f.write_bytes(&mut self.building_bits[at]);
         }
+        self.building.push(Some(SgCandidate { seq, zone }));
+        self.building_live += 1;
+        if self.building.len() as u32 >= self.sgs_per_group {
+            let (bytes, t) = self.persist_building(dev, now)?;
+            wrote += bytes;
+            done = t;
+        }
+        Ok((wrote, done))
     }
 
-    /// Serializes the building group into packed PBFG pages and appends
-    /// them to the index pool.
+    /// Appends the building group's PBFGs, one per page, to the index
+    /// pool; only once they are on flash does the group leave the
+    /// buffer, so a failed seal loses nothing.
     fn persist_building<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
         now: Nanos,
     ) -> Result<(u64, Nanos), FlashError> {
-        let group_id = self.next_group_id;
-        self.next_group_id += 1;
         let psz = self.page_size as usize;
-        let fb = self.filter_bytes as usize;
+        let row = self.row_bytes();
         let mut bytes = vec![0u8; self.sets_per_sg as usize * psz];
-        let mut slots: Vec<Option<SgCandidate>> = Vec::new();
-        let mut live = 0;
-        for (slot_idx, slot) in self.building.iter().enumerate() {
-            match slot {
-                Some(b) => {
-                    for set in 0..self.sets_per_sg as usize {
-                        let off = set * psz + slot_idx * fb;
-                        b.filters[set].write_bytes(&mut bytes[off..off + fb]);
-                    }
-                    slots.push(Some(SgCandidate {
-                        seq: b.seq,
-                        zone: b.zone,
-                    }));
-                    self.sg_group.insert(b.seq, group_id);
-                    live += 1;
-                }
-                None => slots.push(None),
-            }
+        for (page, pbfg) in bytes
+            .chunks_exact_mut(psz)
+            .zip(self.building_bits.chunks_exact(row))
+        {
+            page[..row].copy_from_slice(pbfg);
         }
-        self.building.clear();
         let zone = self.pool_zone_with_room(dev, now)?;
         let (base, done) = retry_transient(&mut self.device_retries, |attempt| {
             dev.append(ZoneId(zone), &bytes, backoff(now, attempt))
         })?;
+        let id = self.next_group_id;
+        self.next_group_id += 1;
+        let slots = std::mem::take(&mut self.building);
+        let live = std::mem::take(&mut self.building_live);
+        for c in slots.iter().flatten() {
+            self.sg_group.insert(c.seq, id);
+        }
         self.stats.pool_pages_written += self.sets_per_sg as u64;
-        self.zone_groups.entry(zone).or_default().push(group_id);
-        self.retired.insert(group_id, live == 0);
+        self.zone_groups.entry(zone).or_default().push(id);
+        self.retired.insert(id, live == 0);
         self.groups.push_back(PersistedGroup {
-            id: group_id,
+            id,
             base,
             slots,
             live,
             supersede: self.building_supersede.take(),
+            cached: vec![None; self.sets_per_sg as usize],
         });
         Ok((bytes.len() as u64, done))
     }
@@ -411,29 +458,37 @@ impl PbfgIndex {
     /// Marks an SG dead after its data SG was evicted; retires its group
     /// when the last member dies.
     pub fn on_evict(&mut self, seq: u64) {
-        if let Some(group_id) = self.sg_group.remove(&seq) {
-            if let Some(g) = self.groups.iter_mut().find(|g| g.id == group_id) {
-                for slot in g.slots.iter_mut() {
-                    if slot.is_some_and(|c| c.seq == seq) {
-                        *slot = None;
-                        g.live -= 1;
-                    }
+        if let Some(id) = self.sg_group.remove(&seq) {
+            let Some(gi) = self.group_index(id) else {
+                return;
+            };
+            let g = &mut self.groups[gi];
+            for slot in g.slots.iter_mut() {
+                if slot.is_some_and(|c| c.seq == seq) {
+                    *slot = None;
+                    g.live -= 1;
                 }
-                if g.live == 0 {
-                    let id = g.id;
-                    self.groups.retain(|g| g.id != id);
-                    self.cache.purge_group(id);
-                    if let Some(r) = self.retired.get_mut(&id) {
-                        *r = true;
-                    }
+            }
+            if g.live == 0 {
+                // The group's cached pages go with it.
+                self.groups.remove(gi);
+                self.cache_fifo.retain(|&(g, _)| g != id);
+                if let Some(r) = self.retired.get_mut(&id) {
+                    *r = true;
                 }
             }
             return;
         }
-        // Rare: evicting an SG whose group is still building.
-        for slot in self.building.iter_mut() {
-            if slot.as_ref().is_some_and(|b| b.seq == seq) {
-                *slot = None;
+        // Rare: evicting an SG whose group is still building. A seal
+        // appends the buffer as it stands, and a dead slot persists as
+        // zeros.
+        let dead = |slot: &Option<SgCandidate>| slot.is_some_and(|c| c.seq == seq);
+        if let Some(slot) = self.building.iter().position(dead) {
+            self.building[slot] = None;
+            self.building_live -= 1;
+            for set in 0..self.sets_per_sg as usize {
+                let at = self.building_filter(set, slot);
+                self.building_bits[at].fill(0);
             }
         }
     }
@@ -461,111 +516,98 @@ impl PbfgIndex {
         key: u64,
         now: Nanos,
     ) -> Result<CandidateQuery, FlashError> {
-        let probes = ProbeSet::for_key(key);
-        let mut out = Vec::new();
+        let row = self.row_bytes();
+        let mut probes = ProbeTable::new(key, self.filter_bytes as usize, self.hashes);
+        let mut out = std::mem::take(&mut self.candidate_buf);
+        out.clear();
         // Building group (newest): filters are in memory — one
         // in-memory PBFG access for the whole group.
-        let mut any_building = false;
-        let mut building_matched = false;
-        for b in self.building.iter().flatten() {
-            any_building = true;
-            if b.filters[set as usize].contains_probes(&probes) {
-                building_matched = true;
-                out.push(SgCandidate {
-                    seq: b.seq,
-                    zone: b.zone,
-                });
-            }
-        }
-        if any_building {
+        if self.building_live > 0 {
             self.stats.cache_hits += 1;
+            let pbfg = &self.building_bits[set as usize * row..][..row];
+            let slots = &self.building;
+            probes.matches_in(pbfg, slots.len(), |slot| out.extend(slots[slot]));
         }
         // Stale cutoff after the building group: a supersede hit alone
         // could be a false positive of the coarse filter, so it must be
         // corroborated by an actual candidate before older groups are
         // declared stale.
-        let mut superseded = building_matched
+        let mut superseded = !out.is_empty()
             && self
                 .building_supersede
                 .as_ref()
-                .is_some_and(|f| f.contains_probes(&probes));
+                .is_some_and(|f| f.contains_probes(probes.probe_set()));
         let mut flash_reads = 0u32;
-        let mut bytes_read = 0u64;
         let mut done = now;
-        let fb = self.filter_bytes as usize;
         for gi in (0..self.groups.len()).rev() {
             if superseded {
                 self.stats.superseded_cutoffs += 1;
                 break;
             }
-            let (gid, addr) = {
-                let g = &self.groups[gi];
-                (g.id, PageAddr::new(g.base.zone, g.base.page + set))
-            };
-            let fetched: Option<Vec<u8>> = if self.cache.contains(gid, set) {
-                self.stats.cache_hits += 1;
-                None
-            } else {
-                self.stats.cache_misses += 1;
-                let (mut page, t) = retry_transient(&mut self.device_retries, |attempt| {
-                    dev.read_pages(addr, 1, backoff(now, attempt))
-                })?;
-                flash_reads += 1;
-                bytes_read += page.len() as u64;
-                done = done.max(t);
-                // Keep only the filter region in memory; the page tail is
-                // padding when groups are smaller than the packing limit.
-                page.truncate(self.sgs_per_group as usize * fb);
-                Some(page)
-            };
             let g = &self.groups[gi];
-            let page: &[u8] = match &fetched {
-                Some(p) => p,
-                None => self.cache.get(gid, set).expect("checked above"),
-            };
-            let mut group_matched = false;
-            for (slot_idx, slot) in g.slots.iter().enumerate() {
-                let Some(cand) = slot else { continue };
-                let off = slot_idx * fb;
-                if contains_in_slice(&page[off..off + fb], self.hashes, &probes) {
-                    group_matched = true;
-                    out.push(*cand);
+            let fetch = g.cached[set as usize].is_none();
+            if fetch {
+                self.stats.cache_misses += 1;
+                let addr = PageAddr::new(g.base.zone, g.base.page + set);
+                let page = &mut self.page_buf;
+                let fetched = retry_transient(&mut self.device_retries, |attempt| {
+                    dev.read_pages_into(addr, 1, page, backoff(now, attempt))
+                });
+                match fetched {
+                    Ok(t) => done = done.max(t),
+                    Err(e) => {
+                        self.candidate_buf = out;
+                        return Err(e);
+                    }
                 }
+                flash_reads += 1;
+            } else {
+                self.stats.cache_hits += 1;
             }
-            superseded = group_matched
+            let pbfg: &[u8] = g.cached[set as usize]
+                .as_deref()
+                .unwrap_or(&self.page_buf[..row]);
+            // The page still carries the bits of evicted SGs; the slot
+            // directory masks them.
+            let found = out.len();
+            probes.matches_in(pbfg, g.slots.len(), |slot| out.extend(g.slots[slot]));
+            superseded = out.len() > found
                 && g.supersede
                     .as_ref()
-                    .is_some_and(|f| f.contains_probes(&probes));
-            if let Some(p) = fetched {
-                self.cache.insert(gid, set, p);
+                    .is_some_and(|f| f.contains_probes(probes.probe_set()));
+            if fetch {
+                self.cache_fetched(gi, set);
             }
         }
-        out.sort_by_key(|c| std::cmp::Reverse(c.seq));
-        let mut capped = 0u32;
+        // One seq per SG, so the unstable sort has one possible outcome
+        // (and, unlike the stable one, never allocates).
+        out.sort_unstable_by_key(|c| std::cmp::Reverse(c.seq));
         if self.max_candidates > 0 && out.len() > self.max_candidates as usize {
-            capped = (out.len() - self.max_candidates as usize) as u32;
             out.truncate(self.max_candidates as usize);
             self.stats.capped_queries += 1;
         }
         Ok(CandidateQuery {
             candidates: out,
             flash_reads,
-            bytes_read,
+            bytes_read: flash_reads as u64 * self.page_size as u64,
             done_at: done,
-            capped,
         })
+    }
+
+    /// Takes back the candidate list of a finished query: the next query
+    /// fills the same buffer.
+    pub fn recycle(&mut self, candidates: Vec<SgCandidate>) {
+        self.candidate_buf = candidates;
     }
 
     /// Resident bytes of the PBFG cache.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.resident_bytes()
+        (self.cache_fifo.len() * self.row_bytes()) as u64
     }
 
     /// Modelled bytes of the building group's in-memory filters.
     pub fn buffer_bytes(&self) -> u64 {
-        self.building.iter().flatten().count() as u64
-            * self.sets_per_sg as u64
-            * self.filter_bytes as u64
+        self.building_live as u64 * self.sets_per_sg as u64 * self.filter_bytes as u64
     }
 
     /// Resident bytes of the supersede filters (building + per group).
@@ -620,14 +662,17 @@ impl PbfgIndex {
         w.u64(self.stats.superseded_cutoffs);
         w.u64(self.stats.capped_queries);
         w.u32(self.building.len() as u32);
-        for slot in &self.building {
-            match slot {
-                Some(b) => {
+        for (slot, sg) in self.building.iter().enumerate() {
+            match sg {
+                Some(c) => {
                     w.u8(1);
-                    w.u64(b.seq);
-                    w.u32(b.zone);
-                    for f in &b.filters {
-                        w.filter_opt(Some(f));
+                    w.u64(c.seq);
+                    w.u32(c.zone);
+                    // One filter record per set, as if each were a
+                    // `BloomFilter` of its own.
+                    for set in 0..self.sets_per_sg as usize {
+                        let at = self.building_filter(set, slot);
+                        w.filter_bits(self.hashes, &self.building_bits[at]);
                     }
                 }
                 None => w.u8(0),
@@ -715,18 +760,25 @@ impl PbfgIndex {
         if building > sgs_per_group as usize {
             return Err(format!("checkpoint corrupt: building group of {building}"));
         }
-        for _ in 0..building {
+        for slot in 0..building {
             if r.u8()? != 0 {
                 let seq = r.u64()?;
                 let zone = r.u32()?;
-                let mut filters = Vec::with_capacity(sets_per_sg as usize);
-                for _ in 0..sets_per_sg {
-                    filters
-                        .push(r.filter_opt()?.ok_or_else(|| {
-                            "checkpoint corrupt: missing PBFG filter".to_string()
-                        })?);
+                for set in 0..sets_per_sg as usize {
+                    let (k, bits) = r
+                        .filter_bits()?
+                        .ok_or_else(|| "checkpoint corrupt: missing PBFG filter".to_string())?;
+                    if k != hashes || bits.len() != filter_bytes as usize {
+                        return Err(format!(
+                            "checkpoint corrupt: PBFG filter of {} bytes, {k} hashes",
+                            bits.len()
+                        ));
+                    }
+                    let at = idx.building_filter(set, slot);
+                    idx.building_bits[at].copy_from_slice(bits);
                 }
-                idx.building.push(Some(BufferedSlot { seq, zone, filters }));
+                idx.building.push(Some(SgCandidate { seq, zone }));
+                idx.building_live += 1;
             } else {
                 idx.building.push(None);
             }
@@ -735,6 +787,9 @@ impl PbfgIndex {
         let groups = r.len(1)?;
         for _ in 0..groups {
             let id = r.u64()?;
+            if idx.groups.back().is_some_and(|newest| newest.id >= id) {
+                return Err(format!("checkpoint corrupt: group {id} out of order"));
+            }
             let zone = r.u32()?;
             let page = r.u32()?;
             let base = PageAddr::new(zone, page);
@@ -764,6 +819,7 @@ impl PbfgIndex {
                 slots,
                 live,
                 supersede,
+                cached: vec![None; sets_per_sg as usize],
             });
         }
         let nz = r.len(8)?;
@@ -818,8 +874,15 @@ mod tests {
     fn building_group_answers_from_memory() {
         let mut d = dev();
         let mut idx = index();
-        idx.add_sg(&mut d, 1, 10, filters_with_keys(&[8, 16]), &[], Nanos::ZERO)
-            .unwrap();
+        idx.add_sg(
+            &mut d,
+            1,
+            10,
+            &filters_with_keys(&[8, 16]),
+            &[],
+            Nanos::ZERO,
+        )
+        .unwrap();
         let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
         assert_eq!(q.candidates, vec![SgCandidate { seq: 1, zone: 10 }]);
         assert_eq!(q.flash_reads, 0);
@@ -836,7 +899,7 @@ mod tests {
                     &mut d,
                     seq,
                     10 + seq as u32,
-                    filters_with_keys(&[seq * SETS as u64]),
+                    &filters_with_keys(&[seq * SETS as u64]),
                     &[],
                     Nanos::ZERO,
                 )
@@ -858,7 +921,7 @@ mod tests {
                 &mut d,
                 seq,
                 10 + seq as u32,
-                filters_with_keys(&[seq + 8]), // keys 8,9,10 -> sets 0,1,2
+                &filters_with_keys(&[seq + 8]), // keys 8,9,10 -> sets 0,1,2
                 &[],
                 Nanos::ZERO,
             )
@@ -879,7 +942,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(0);
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(&[1]), &[], Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), &[], Nanos::ZERO)
                 .unwrap();
         }
         let q1 = idx.candidates(&mut d, 1, 1, Nanos::ZERO).unwrap();
@@ -899,7 +962,7 @@ mod tests {
                 &mut d,
                 seq,
                 10 + seq as u32,
-                filters_with_keys(&[8]),
+                &filters_with_keys(&[8]),
                 &[],
                 Nanos::ZERO,
             )
@@ -923,7 +986,7 @@ mod tests {
                 &mut d,
                 seq,
                 seq as u32,
-                filters_with_keys(&[8]),
+                &filters_with_keys(&[8]),
                 &[],
                 Nanos::ZERO,
             )
@@ -944,7 +1007,7 @@ mod tests {
         let mut seq = 0u64;
         for _ in 0..8 {
             for _ in 0..3 {
-                idx.add_sg(&mut d, seq, 10, filters_with_keys(&[1]), &[], Nanos::ZERO)
+                idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), &[], Nanos::ZERO)
                     .unwrap();
                 seq += 1;
             }
@@ -965,12 +1028,12 @@ mod tests {
         // (seqs 3..6) re-admits key 8 in seq 5.
         for seq in 0..3u64 {
             let keys: &[u64] = if seq == 0 { &[8] } else { &[seq + 16] };
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(keys), keys, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
                 .unwrap();
         }
         for seq in 3..6u64 {
             let keys: &[u64] = if seq == 5 { &[8] } else { &[seq + 32] };
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(keys), keys, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
                 .unwrap();
         }
         let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
@@ -994,12 +1057,12 @@ mod tests {
         // PBFG candidate.
         for seq in 0..3u64 {
             let keys: &[u64] = if seq == 0 { &[8] } else { &[seq + 16] };
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(keys), keys, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
                 .unwrap();
         }
         for seq in 3..6u64 {
             let keys: &[u64] = &[seq + 32];
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(keys), keys, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
                 .unwrap();
         }
         let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
@@ -1019,10 +1082,10 @@ mod tests {
         idx.enable_supersede(12, 0.02);
         // Persisted group holds key 8; the building group re-admits it.
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(&[8]), &[8], Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), &[8], Nanos::ZERO)
                 .unwrap();
         }
-        idx.add_sg(&mut d, 3, 11, filters_with_keys(&[8]), &[8], Nanos::ZERO)
+        idx.add_sg(&mut d, 3, 11, &filters_with_keys(&[8]), &[8], Nanos::ZERO)
             .unwrap();
         let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
         let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
@@ -1041,7 +1104,7 @@ mod tests {
                 &mut d,
                 seq,
                 seq as u32,
-                filters_with_keys(&[8]),
+                &filters_with_keys(&[8]),
                 &[],
                 Nanos::ZERO,
             )
@@ -1050,7 +1113,6 @@ mod tests {
         let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
         let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
         assert_eq!(seqs, vec![9, 7], "cap keeps the newest candidates");
-        assert_eq!(q.capped, 1);
         assert_eq!(idx.stats().capped_queries, 1);
     }
 
@@ -1059,17 +1121,450 @@ mod tests {
         let mut d = dev();
         let mut idx = index();
         idx.set_cache_capacity(64);
-        idx.add_sg(&mut d, 0, 10, filters_with_keys(&[8]), &[], Nanos::ZERO)
+        idx.add_sg(&mut d, 0, 10, &filters_with_keys(&[8]), &[], Nanos::ZERO)
             .unwrap();
         // Building: always "recently active".
         assert!(idx.is_recently_active(0, 0));
         for seq in 1..3u64 {
-            idx.add_sg(&mut d, seq, 10, filters_with_keys(&[8]), &[], Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), &[], Nanos::ZERO)
                 .unwrap();
         }
         // Persisted but not yet cached.
         assert!(!idx.is_recently_active(0, 0));
         idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
         assert!(idx.is_recently_active(0, 0), "fetch populates the cache");
+    }
+
+    #[test]
+    fn failed_seal_keeps_the_group_in_memory() {
+        use nemo_flash::{FaultOp, FaultPlan, FaultyFlash};
+        // The group's seal (4 attempts) and the retry before the next SG
+        // (4 more) exhaust their transient budgets; the third seal lands.
+        let plan = FaultPlan::new(7).fail_next(FaultOp::Write, 8);
+        let mut d = FaultyFlash::new(dev(), plan);
+        let mut idx = index();
+        idx.set_cache_capacity(64);
+        let add = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
+            let keys = [seq + 8];
+            idx.add_sg(d, seq, 10, &filters_with_keys(&keys), &keys, Nanos::ZERO)
+        };
+        let finds = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
+            let q = idx.candidates(d, seq as u32 % SETS, seq + 8, Nanos::ZERO);
+            q.unwrap().candidates == vec![SgCandidate { seq, zone: 10 }]
+        };
+        add(&mut idx, &mut d, 0).unwrap();
+        add(&mut idx, &mut d, 1).unwrap();
+        assert!(add(&mut idx, &mut d, 2).is_err(), "the seal fails");
+        assert_eq!(idx.group_count(), 0);
+        assert_eq!(idx.buffer_bytes(), 3 * SETS as u64 * 64);
+        for seq in 0..3 {
+            assert!(finds(&mut idx, &mut d, seq), "SG {seq} lost with the seal");
+            assert!(idx.is_recently_active(seq, 0));
+        }
+        // Still full: the next SG cannot enter before the seal lands.
+        assert!(add(&mut idx, &mut d, 3).is_err(), "the retried seal fails");
+        assert!(!idx.live_seqs().contains(&3));
+        assert!((0..3).all(|seq| finds(&mut idx, &mut d, seq)));
+        let (wrote, _) = add(&mut idx, &mut d, 4).unwrap();
+        assert_eq!(wrote, SETS as u64 * 512, "the retried seal lands");
+        assert_eq!(idx.group_count(), 1);
+        assert_eq!(idx.buffer_bytes(), SETS as u64 * 64);
+        assert!([0, 1, 2, 4]
+            .into_iter()
+            .all(|seq| finds(&mut idx, &mut d, seq)));
+        // A dead pool zone fails every seal; the SGs stay reachable and
+        // evictable all the same.
+        let plan = FaultPlan::new(7).kill_zone(ZoneId(0), 0);
+        let mut d = FaultyFlash::new(dev(), plan);
+        let mut idx = index();
+        for seq in 0..3 {
+            assert_eq!(add(&mut idx, &mut d, seq).is_err(), seq == 2);
+        }
+        assert!((0..3).all(|seq| finds(&mut idx, &mut d, seq)));
+        idx.on_evict(1);
+        assert!(!finds(&mut idx, &mut d, 1));
+        assert_eq!(idx.live_seqs(), vec![0, 2]);
+    }
+
+    /// The query against a reference that keeps one `BloomFilter` per
+    /// (SG, set), answers with `BloomFilter::contains` and models the
+    /// PBFG cache as a set of page names.
+    mod differential {
+        use super::super::*;
+        use crate::checkpoint::{Reader, Writer};
+        use nemo_flash::{Geometry, LatencyModel, SimFlash};
+        use nemo_util::Xoshiro256StarStar;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        const SETS: u32 = 4;
+        const PAGE: u32 = 4096;
+        const POOL_ZONES: u32 = 8;
+        const GROUP_SIZES: [u32; 6] = [1, 8, 50, 64, 65, 128];
+        const KEYS: u64 = 160;
+
+        #[derive(Default)]
+        struct RefGroup {
+            /// Seals before this one, as the index numbers its groups.
+            id: u64,
+            /// Slot -> live SG and its filters, one per set.
+            slots: Vec<Option<(SgCandidate, Vec<BloomFilter>)>>,
+            supersede: Option<BloomFilter>,
+        }
+
+        impl RefGroup {
+            fn live(&self) -> impl Iterator<Item = &(SgCandidate, Vec<BloomFilter>)> {
+                self.slots.iter().flatten()
+            }
+
+            /// Appends the group's candidates for `key`; whether the
+            /// group also supersedes everything older.
+            fn query(&self, set: u32, key: u64, out: &mut Vec<SgCandidate>) -> bool {
+                let found = out.len();
+                out.extend(
+                    self.live()
+                        .filter(|(_, f)| f[set as usize].contains(key))
+                        .map(|(c, _)| *c),
+                );
+                out.len() > found && self.supersede.as_ref().is_some_and(|f| f.contains(key))
+            }
+        }
+
+        #[derive(Default)]
+        struct Reference {
+            group_sgs: usize,
+            supersede: Option<(u64, f64)>,
+            max_candidates: usize,
+            building: RefGroup,
+            groups: Vec<RefGroup>,
+            /// The PBFG cache as the parent kept it: names of resident
+            /// pages, and a FIFO whose entries may outlive their group.
+            resident: HashSet<(u64, u32)>,
+            fifo: VecDeque<(u64, u32)>,
+            capacity: usize,
+            stats: IndexStats,
+        }
+
+        impl Reference {
+            /// Buffers the SG; when that seals the group, the pool pages
+            /// it must have appended: filter by filter, a dead slot as
+            /// zeros.
+            fn add_sg(
+                &mut self,
+                sg: SgCandidate,
+                filters: Vec<BloomFilter>,
+                keys: &[u64],
+            ) -> Option<Vec<u8>> {
+                if let Some((n, fpr)) = self.supersede {
+                    let f = self
+                        .building
+                        .supersede
+                        .get_or_insert_with(|| BloomFilter::for_items(n, fpr));
+                    keys.iter().for_each(|&k| f.insert(k));
+                }
+                let fb = filters[0].serialized_len();
+                self.building.slots.push(Some((sg, filters)));
+                if self.building.slots.len() < self.group_sgs {
+                    return None;
+                }
+                let mut pages = vec![0u8; (SETS * PAGE) as usize];
+                for (set, page) in pages.chunks_exact_mut(PAGE as usize).enumerate() {
+                    for (slot, sg) in self.building.slots.iter().enumerate() {
+                        if let Some((_, filters)) = sg {
+                            filters[set].write_bytes(&mut page[slot * fb..][..fb]);
+                        }
+                    }
+                }
+                self.building.id = self.stats.pool_pages_written / SETS as u64;
+                self.groups.push(std::mem::take(&mut self.building));
+                self.stats.pool_pages_written += SETS as u64;
+                Some(pages)
+            }
+
+            fn on_evict(&mut self, seq: u64) {
+                let groups = self.groups.iter_mut().chain([&mut self.building]);
+                for g in groups {
+                    for slot in g.slots.iter_mut() {
+                        if slot.as_ref().is_some_and(|(c, _)| c.seq == seq) {
+                            *slot = None;
+                        }
+                    }
+                }
+                let resident = &mut self.resident;
+                self.groups.retain(|g| {
+                    let live = g.live().next().is_some();
+                    if !live {
+                        resident.retain(|&(id, _)| id != g.id);
+                    }
+                    live
+                });
+            }
+
+            fn set_cache_capacity(&mut self, pages: usize) {
+                self.capacity = pages;
+                while self.resident.len() > self.capacity {
+                    let Some(page) = self.fifo.pop_front() else {
+                        break;
+                    };
+                    self.resident.remove(&page);
+                }
+            }
+
+            /// Candidates and index-pool pages fetched.
+            fn candidates(&mut self, set: u32, key: u64) -> (Vec<SgCandidate>, u32) {
+                let mut out = Vec::new();
+                let mut superseded = false;
+                if self.building.live().next().is_some() {
+                    self.stats.cache_hits += 1;
+                    superseded = self.building.query(set, key, &mut out);
+                }
+                let mut fetched = 0;
+                for g in self.groups.iter().rev() {
+                    if superseded {
+                        self.stats.superseded_cutoffs += 1;
+                        break;
+                    }
+                    let page = (g.id, set);
+                    if self.resident.contains(&page) {
+                        self.stats.cache_hits += 1;
+                    } else {
+                        self.stats.cache_misses += 1;
+                        fetched += 1;
+                        if self.capacity > 0 {
+                            self.resident.insert(page);
+                            self.fifo.push_back(page);
+                        }
+                    }
+                    superseded = g.query(set, key, &mut out);
+                    // (Eviction after the probe, as the index does it;
+                    // the order cannot matter to a model without bytes.)
+                    while self.resident.len() > self.capacity {
+                        let Some(old) = self.fifo.pop_front() else {
+                            break;
+                        };
+                        self.resident.remove(&old);
+                    }
+                }
+                out.sort_by_key(|c| std::cmp::Reverse(c.seq));
+                if self.max_candidates > 0 && out.len() > self.max_candidates {
+                    out.truncate(self.max_candidates);
+                    self.stats.capped_queries += 1;
+                }
+                (out, fetched)
+            }
+
+            fn live_seqs(&self) -> Vec<u64> {
+                let groups = self.groups.iter().chain([&self.building]);
+                groups.flat_map(|g| g.live().map(|(c, _)| c.seq)).collect()
+            }
+        }
+
+        /// One random interleaving of `add_sg`, `on_evict`,
+        /// `set_cache_capacity` and `candidates` on both sides, with a
+        /// checkpoint round trip of the index at op `checkpoint_at`.
+        fn run(group_sgs: u32, supersede: bool, cap: u32, seed: u64, checkpoint_at: Option<u64>) {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            // A filter size the group fits a page with, and a hash
+            // count from none-to-spare (k = 1 has no second probe).
+            let sizes: Vec<u32> = [8, 32, 72]
+                .into_iter()
+                .filter(|fb| fb * group_sgs <= PAGE)
+                .collect();
+            let fb = sizes[rng.next_below(sizes.len() as u64) as usize];
+            let hashes = [1, 2, 5, 10][rng.next_below(4) as usize];
+            let mut dev = SimFlash::with_latency(
+                Geometry::new(PAGE, 2 * SETS, POOL_ZONES, 2),
+                LatencyModel::zero(),
+            );
+            let pool: Vec<u32> = (0..POOL_ZONES).collect();
+            let mut idx = PbfgIndex::new(pool.clone(), SETS, PAGE, fb, hashes, group_sgs);
+            let mut reference = Reference {
+                group_sgs: group_sgs as usize,
+                max_candidates: cap as usize,
+                ..Reference::default()
+            };
+            idx.set_max_candidates(cap);
+            if supersede {
+                let sizing = (group_sgs as u64 * 24, 0.05);
+                idx.enable_supersede(sizing.0, sizing.1);
+                reference.supersede = Some(sizing);
+            }
+            // SGs live at most `max_live` flushes: at most seven live
+            // groups in a pool of sixteen.
+            let max_live = (group_sgs as usize * 5).max(8);
+            let ops = 6 * group_sgs as u64 + 200;
+            let mut live: VecDeque<u64> = VecDeque::new();
+            let mut next_seq = 0u64;
+            for op in 0..ops {
+                if checkpoint_at == Some(op) {
+                    let mut w = Writer::new();
+                    idx.checkpoint_encode(&mut w);
+                    let image = w.finish();
+                    let mut r = Reader::parse(&image).unwrap();
+                    idx = PbfgIndex::checkpoint_decode(
+                        &mut r,
+                        pool.clone(),
+                        SETS,
+                        PAGE,
+                        fb,
+                        hashes,
+                        group_sgs,
+                    )
+                    .unwrap();
+                    r.done().unwrap();
+                    // The cache restarts cold.
+                    idx.set_cache_capacity(reference.capacity);
+                    reference.resident.clear();
+                    reference.fifo.clear();
+                }
+                let dice = rng.next_f64();
+                let overdue = live.len() >= max_live
+                    || live
+                        .front()
+                        .is_some_and(|&seq| seq + max_live as u64 <= next_seq);
+                if dice < 0.40 && !overdue {
+                    let sg = SgCandidate {
+                        seq: next_seq,
+                        zone: rng.next_below(64) as u32,
+                    };
+                    next_seq += 1;
+                    let mut filters: Vec<BloomFilter> = (0..SETS)
+                        .map(|_| BloomFilter::with_geometry(fb as u64 * 8, hashes))
+                        .collect();
+                    // From sparse to saturated filters.
+                    let keys: Vec<u64> = (0..rng.next_below(4 * fb as u64 / 8 + 2))
+                        .map(|_| rng.next_below(KEYS))
+                        .collect();
+                    for &k in &keys {
+                        filters[(k % SETS as u64) as usize].insert(k);
+                    }
+                    let keys: &[u64] = if supersede && rng.chance(0.9) {
+                        &keys
+                    } else {
+                        &[]
+                    };
+                    let (wrote, _) = idx
+                        .add_sg(&mut dev, sg.seq, sg.zone, &filters, keys, Nanos::ZERO)
+                        .unwrap();
+                    let sealed = reference.add_sg(sg, filters, keys);
+                    assert_eq!(wrote, sealed.as_ref().map_or(0, |pages| pages.len() as u64));
+                    if let Some(want) = sealed {
+                        let base = idx.groups.back().expect("just sealed").base;
+                        let (on_flash, _) = dev.read_pages(base, SETS, Nanos::ZERO).unwrap();
+                        assert!(on_flash == want, "op {op}: sealed pages differ");
+                    }
+                    live.push_back(sg.seq);
+                } else if dice < 0.55 || overdue {
+                    // Mostly the oldest SG, as the engine evicts.
+                    if !live.is_empty() {
+                        let any = !overdue && rng.chance(0.3);
+                        let at = if any {
+                            rng.next_below(live.len() as u64)
+                        } else {
+                            0
+                        };
+                        let seq = live.remove(at as usize).unwrap();
+                        idx.on_evict(seq);
+                        reference.on_evict(seq);
+                    }
+                } else if dice < 0.60 {
+                    let pages = rng.next_below(idx.persisted_pages() + 2) as usize;
+                    idx.set_cache_capacity(pages);
+                    reference.set_cache_capacity(pages);
+                } else {
+                    let set = rng.next_below(SETS as u64) as u32;
+                    let key = rng.next_below(KEYS + KEYS / 4);
+                    let q = idx.candidates(&mut dev, set, key, Nanos::ZERO).unwrap();
+                    let (want, fetched) = reference.candidates(set, key);
+                    assert_eq!(q.candidates, want, "op {op}: set {set}, key {key}");
+                    assert_eq!(q.flash_reads, fetched, "op {op}");
+                    assert_eq!(q.bytes_read, fetched as u64 * PAGE as u64);
+                    if rng.chance(0.8) {
+                        idx.recycle(q.candidates);
+                    }
+                }
+                assert_eq!(idx.stats(), reference.stats, "op {op}");
+                assert_eq!(idx.group_count(), reference.groups.len());
+                let resident = reference.resident.len() as u64;
+                assert_eq!(idx.cache_bytes(), resident * (group_sgs * fb) as u64);
+                let buffered = reference.building.live().count() as u64;
+                assert_eq!(idx.buffer_bytes(), buffered * (SETS * fb) as u64);
+                if let Some(&seq) = live.get(rng.next_below(live.len().max(1) as u64) as usize) {
+                    let set = rng.next_below(SETS as u64) as u32;
+                    let group = reference
+                        .groups
+                        .iter()
+                        .find(|g| g.live().any(|(c, _)| c.seq == seq));
+                    let want = group.is_none_or(|g| reference.resident.contains(&(g.id, set)));
+                    assert_eq!(idx.is_recently_active(seq, set), want);
+                }
+            }
+            let (mut got, mut want) = (idx.live_seqs(), reference.live_seqs());
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want);
+        }
+
+        #[test]
+        fn every_group_size_supersede_and_cap() {
+            for (i, &group_sgs) in GROUP_SIZES.iter().enumerate() {
+                for supersede in [false, true] {
+                    for cap in [0, 4] {
+                        for seed in 0..3u64 {
+                            let seed =
+                                seed * 100 + i as u64 * 4 + cap as u64 + u64::from(supersede);
+                            run(group_sgs, supersede, cap, seed, None);
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn checkpoint_mid_group_answers_the_same() {
+            for (i, &group_sgs) in GROUP_SIZES.iter().enumerate() {
+                // Late enough that groups have sealed and another is
+                // part built.
+                let at = 2 * group_sgs as u64 + 60 + i as u64;
+                run(group_sgs, true, 4, 40 + i as u64, Some(at));
+                run(group_sgs, false, 0, 50 + i as u64, Some(at / 2));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_interleavings_match_the_reference(
+                group in 0usize..GROUP_SIZES.len(),
+                supersede in any::<bool>(),
+                capped in any::<bool>(),
+                seed in any::<u64>(),
+                checkpoint_at in 0u64..1000,
+            ) {
+                // Past the run's last op means no checkpoint.
+                let cap = if capped { 4 } else { 0 };
+                run(GROUP_SIZES[group], supersede, cap, seed, Some(checkpoint_at));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+            /// Deep variant of the sweep above. Run explicitly with
+            /// `cargo test -- --ignored`.
+            #[test]
+            #[ignore = "deep generative sweep; run via the scheduled CI job"]
+            fn random_interleavings_match_the_reference_deep(
+                group in 0usize..GROUP_SIZES.len(),
+                supersede in any::<bool>(),
+                capped in any::<bool>(),
+                seed in any::<u64>(),
+                checkpoint_at in 0u64..1000,
+            ) {
+                let cap = if capped { 4 } else { 0 };
+                run(GROUP_SIZES[group], supersede, cap, seed, Some(checkpoint_at));
+            }
+        }
     }
 }

@@ -240,9 +240,9 @@ impl MemSg {
         &self.sets[set as usize]
     }
 
-    /// The per-set Bloom filters (moved into the index group at flush).
-    pub fn take_filters(&mut self) -> Vec<BloomFilter> {
-        std::mem::take(&mut self.filters)
+    /// The per-set Bloom filters (copied into the index group at flush).
+    pub fn filters(&self) -> &[BloomFilter] {
+        &self.filters
     }
 
     /// Live objects in the SG.
@@ -488,7 +488,7 @@ mod tests {
         for k in 0..200u64 {
             sg.insert(k, 100);
         }
-        let filters = sg.take_filters();
+        let filters = sg.filters();
         for k in 0..200u64 {
             let set = MemSg::set_index_of(k, 16);
             assert!(filters[set as usize].contains(k), "no false negatives");
