@@ -218,7 +218,7 @@ fn main() {
         "table6" => overhead::table6(scale),
         "read_amplification" => overhead::read_amplification(scale),
         "appendix_a" => overhead::appendix_a(scale),
-        "sharded" => sharded::all(scale, shards),
+        "sharded" => sharded::fleet_comparison(scale, shards),
         "openloop" => sharded::openloop_comparison(scale, shards, rate, inflight),
         "netload" => netload::netload(
             scale,

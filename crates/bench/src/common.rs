@@ -6,8 +6,7 @@ use nemo_baselines::{
 };
 use nemo_core::{Nemo, NemoConfig};
 use nemo_engine::CacheEngine;
-use nemo_flash::{Geometry, LatencyModel, Nanos};
-use nemo_sim::standard_geometry;
+use nemo_flash::{standard_geometry, Geometry, LatencyModel, Nanos};
 use nemo_trace::{RequestKind, TraceConfig, TraceGenerator};
 use std::fs;
 use std::io::Write as _;

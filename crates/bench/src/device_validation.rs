@@ -32,11 +32,12 @@
 
 use crate::common::{drive, f2, f3, print_table, write_csv, RunScale};
 use nemo_core::{Nemo, RecoveryMode};
-use nemo_engine::CacheEngine;
 use nemo_flash::{AnyFlash, Nanos, ZonedFlash};
 use nemo_metrics::LatencyHistogram;
-use nemo_service::{checkpoint_fleet, DeviceBackend, ShardedCache, ShardedCacheBuilder};
-use nemo_sim::{Replay, ReplayConfig};
+use nemo_service::{
+    checkpoint_fleet, DeviceBackend, OpenLoopConfig, OpenLoopReplay, ShardedCache,
+    ShardedCacheBuilder,
+};
 use nemo_trace::TraceGenerator;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -51,25 +52,18 @@ struct BackendRun {
 }
 
 fn replay_on(backend: &DeviceBackend, scale: &RunScale, ops: u64) -> BackendRun {
-    let cfg = scale.nemo_config();
-    let mut dev_factory = backend.device_factory("devval");
-    let dev: AnyFlash = dev_factory(0, cfg.geometry, cfg.latency);
-    let mut engine = Nemo::with_device(cfg, dev);
-    let replay_cfg = ReplayConfig {
-        ops,
-        arrival_rate: 50_000.0,
-        sample_every: (ops / 10).max(1),
-        warmup_ops: ops / 10,
-    };
-    let mut trace = scale.merged_trace();
-    let r = Replay::new(replay_cfg).run(&mut engine, &mut trace);
-    engine.drain(r.sim_end);
+    let factory = scale
+        .nemo_config()
+        .factory_on(backend.device_factory("devval"));
+    let mut cfg = OpenLoopConfig::new(ops, 50_000.0);
+    cfg.warmup_ops = ops / 10;
+    let r = OpenLoopReplay::new(cfg).run(factory, &mut scale.merged_trace());
     BackendRun {
         label: backend.label(),
         measured: backend.is_measured(),
-        stats: engine.stats(),
+        stats: r.report.stats,
         latency: r.latency,
-        device: engine.device().stats(),
+        device: r.report.engines[0].device().stats(),
     }
 }
 
@@ -331,9 +325,8 @@ fn probe(cache: &ShardedCache<Nemo<AnyFlash>>, trace: &mut TraceGenerator, ops: 
     let mut hits = 0u64;
     for _ in 0..ops {
         let r = trace.next_request();
-        if cache.get(r.key, Nanos::ZERO).hit {
-            hits += 1;
-        }
+        let out = cache.try_get(r.key, Nanos::ZERO);
+        hits += out.expect("fault-free device").hit as u64;
     }
     let after = cache.stats();
     ProbeRun {

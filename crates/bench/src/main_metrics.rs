@@ -6,13 +6,14 @@
 //! vs FairyWREN under sustained load, and it is the one figure where
 //! the measurement loop matters as much as the system:
 //!
-//! * **Closed loop** (`nemo_sim::Replay`, used nowhere in this module's
-//!   latency runs anymore) blocks on every get, so the driver can never
-//!   offer more load than the system absorbs — overload shows up as a
-//!   longer run instead of higher latency. Early reproductions papered
-//!   over this by *pacing arrivals below the device's capacity*, which
-//!   silently assumed away the write-back read bursts the paper pays
-//!   for with dedicated background threads.
+//! * **Closed loop** — a driver that blocks on every get can never
+//!   offer more load than the system absorbs, so overload shows up as
+//!   a longer run instead of higher latency. Early reproductions
+//!   papered over this by *pacing arrivals below the device's
+//!   capacity*, which silently assumed away the write-back read bursts
+//!   the paper pays for with dedicated background threads. No such
+//!   driver is left in the tree: waiting per operation is now just one
+//!   way of calling the open-loop request path.
 //! * **Open loop** ([`nemo_service::OpenLoopReplay`], used here)
 //!   admits requests at a fixed virtual-time arrival rate with a
 //!   bounded in-flight window per shard, the same discipline Flashield
@@ -44,8 +45,8 @@
 
 use crate::common::{drive, f2, f3, print_table, write_csv, RunScale};
 use nemo_engine::CacheEngine;
+use nemo_metrics::LatencyWindow;
 use nemo_service::{OpenLoopConfig, OpenLoopReplay};
-use nemo_sim::{LatencyWindow, Replay, ReplayConfig};
 use nemo_trace::{TraceConfig, TraceGenerator};
 
 /// Figure 12a: steady-state WA of the five systems.
@@ -135,12 +136,9 @@ pub fn fig13(scale: RunScale) {
     println!("\n### Figure 13 — flash write pattern (MB per virtual minute)");
     println!("paper: Nemo writes occasionally in large batches; FW/KG write continuously");
     let ops = scale.ops_for_fills(2.5);
-    let replay_cfg = ReplayConfig {
-        ops,
-        arrival_rate: 50_000.0,
-        sample_every: (ops / 40).max(1),
-        warmup_ops: 0,
-    };
+    // Requests arrive at 50k/s of virtual time; only the minute axis
+    // depends on it, the bytes written per window do not.
+    let minute = |op: u64| op as f64 / 50_000.0 / 60.0;
     let mut headers = vec!["minute".to_string()];
     let mut columns: Vec<Vec<(f64, f64)>> = Vec::new();
     for name in ["nemo", "fairywren", "kangaroo"] {
@@ -151,8 +149,20 @@ pub fn fig13(scale: RunScale) {
             _ => Box::new(scale.kangaroo()),
         };
         let mut trace = scale.merged_trace();
-        let r = Replay::new(replay_cfg.clone()).run(engine.as_mut(), &mut trace);
-        columns.push(r.write_rate_series);
+        let mut series = Vec::new();
+        let mut written = 0u64;
+        drive(
+            engine.as_mut(),
+            &mut trace,
+            ops,
+            (ops / 40).max(1),
+            |e, op| {
+                let now = e.stats().flash_bytes_written;
+                series.push((minute(op), (now - written) as f64 / (1024.0 * 1024.0)));
+                written = now;
+            },
+        );
+        columns.push(series);
     }
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let n = columns.iter().map(|c| c.len()).min().unwrap_or(0);

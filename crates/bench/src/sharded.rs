@@ -8,10 +8,8 @@
 
 use crate::common::{f2, print_table, write_csv, RunScale, MERGED_WSS_MB};
 use nemo_engine::CacheEngine;
-use nemo_flash::Nanos;
-use nemo_service::{OpenLoopConfig, OpenLoopReplay, ShardedCache, ShardedCacheBuilder};
-use nemo_sim::{Replay, ReplayConfig};
-use nemo_trace::{RequestKind, TraceConfig, TraceGenerator};
+use nemo_service::{OpenLoopConfig, OpenLoopReplay};
+use nemo_trace::{TraceConfig, TraceGenerator};
 
 /// The fleet's trace: catalog ~6x the *aggregate* flash of `shards`
 /// full-size devices.
@@ -19,33 +17,27 @@ pub(crate) fn fleet_trace_config(scale: &RunScale, shards: usize) -> TraceConfig
     TraceConfig::twitter_merged(scale.flash_mb as f64 * shards as f64 * 6.0 / MERGED_WSS_MB)
 }
 
-/// Demand-fill replay of `ops` requests through a sharded front-end,
-/// using the batched fire-and-forget path for fills; returns the
-/// one-line summary row after a draining [`ShardedCache::finish`].
-fn run_fleet<E>(
+/// Arrival rate per shard for [`fleet_comparison`]. Every column of its
+/// table is counter-derived, so any rate would print the same rows.
+const FLEET_RATE_PER_SHARD: f64 = 8_000.0;
+
+/// Demand-fill replay of `cfg.ops` requests through a fresh fleet built
+/// from `factory`; returns the one-line summary row of the drained
+/// fleet.
+fn run_fleet<E, F>(
     label: &str,
-    cache: ShardedCache<E>,
+    cfg: &OpenLoopConfig,
+    factory: F,
     trace_cfg: &TraceConfig,
-    ops: u64,
 ) -> Vec<String>
 where
     E: CacheEngine + 'static,
+    F: FnMut(usize) -> E,
 {
-    let mut gen = TraceGenerator::new(trace_cfg.clone());
-    for _ in 0..ops {
-        let r = gen.next_request();
-        match r.kind {
-            RequestKind::Get => {
-                if !cache.get(r.key, Nanos::ZERO).hit {
-                    cache.put_and_forget(r.key, r.size, Nanos::ZERO);
-                }
-            }
-            RequestKind::Put => {
-                cache.put_and_forget(r.key, r.size, Nanos::ZERO);
-            }
-        }
-    }
-    let report = cache.finish(Nanos::ZERO);
+    let mut trace = TraceGenerator::new(trace_cfg.clone());
+    let report = OpenLoopReplay::new(cfg.clone())
+        .run(factory, &mut trace)
+        .report;
     let mean_gets = report.stats.gets as f64 / report.per_shard.len().max(1) as f64;
     let max_rel = report
         .per_shard
@@ -74,31 +66,18 @@ pub fn fleet_comparison(scale: RunScale, shards: usize) {
     );
     let trace_cfg = fleet_trace_config(&scale, shards);
     let ops = scale.ops_for_fills(3.0) * shards as u64;
+    let mut cfg = OpenLoopConfig::new(ops, FLEET_RATE_PER_SHARD * shards as f64);
+    cfg.shards = shards;
     let mut rows = vec![
-        run_fleet(
-            "Nemo",
-            ShardedCacheBuilder::new(shards).spawn(scale.nemo_config().factory()),
-            &trace_cfg,
-            ops,
-        ),
-        run_fleet(
-            "Log",
-            ShardedCacheBuilder::new(shards).spawn(scale.log_config().factory()),
-            &trace_cfg,
-            ops,
-        ),
+        run_fleet("Nemo", &cfg, scale.nemo_config().factory(), &trace_cfg),
+        run_fleet("Log", &cfg, scale.log_config().factory(), &trace_cfg),
         run_fleet(
             "FW",
-            ShardedCacheBuilder::new(shards).spawn(scale.fairywren_config(5, 5).factory()),
+            &cfg,
+            scale.fairywren_config(5, 5).factory(),
             &trace_cfg,
-            ops,
         ),
-        run_fleet(
-            "Set",
-            ShardedCacheBuilder::new(shards).spawn(scale.set_config().factory()),
-            &trace_cfg,
-            ops,
-        ),
+        run_fleet("Set", &cfg, scale.set_config().factory(), &trace_cfg),
     ];
     // Kangaroo's 5 % set-region OP must exceed one zone of slack or its
     // independent GC has nothing to reclaim (its constructor enforces
@@ -106,9 +85,9 @@ pub fn fleet_comparison(scale: RunScale, shards: usize) {
     if scale.flash_mb >= 24 {
         rows.push(run_fleet(
             "KG",
-            ShardedCacheBuilder::new(shards).spawn(scale.kangaroo_config().factory()),
+            &cfg,
+            scale.kangaroo_config().factory(),
             &trace_cfg,
-            ops,
         ));
     } else {
         println!("   (skipping KG: per-shard device below Kangaroo's ~24 MB GC-slack minimum)");
@@ -123,33 +102,6 @@ pub fn fleet_comparison(scale: RunScale, shards: usize) {
     ];
     print_table(&format!("Sharded x{shards}"), &headers, &rows);
     write_csv("sharded_fleet", &headers, &rows);
-}
-
-/// Closed-loop replay of sharded Nemo through `nemo_sim::Replay` — the
-/// front-end implements `CacheEngine`, so the standard blocking harness
-/// drives the whole fleet unchanged. For latency under *offered* load
-/// (queueing vs service) use [`openloop_comparison`] instead.
-pub fn fleet_replay(scale: RunScale, shards: usize) {
-    println!("\n### Sharded Nemo under the closed-loop replay harness ({shards} shards)");
-    let ops = scale.ops_for_fills(2.0) * shards as u64;
-    let cfg = ReplayConfig {
-        ops,
-        arrival_rate: 8_000.0 * shards as f64,
-        sample_every: (ops / 20).max(1),
-        warmup_ops: ops / 4,
-    };
-    let mut cache = ShardedCacheBuilder::new(shards).spawn(scale.nemo_config().factory());
-    let mut trace = TraceGenerator::new(fleet_trace_config(&scale, shards));
-    let r = Replay::new(cfg).run(&mut cache, &mut trace);
-    cache.drain(r.sim_end);
-    let stats = cache.stats();
-    println!(
-        "   aggregate: ALWA {:.2}, miss {:.2}%, p50 {:.1} us, p99 {:.1} us",
-        stats.alwa(),
-        stats.miss_ratio() * 100.0,
-        r.latency.percentile(0.50) as f64 / 1000.0,
-        r.latency.percentile(0.99) as f64 / 1000.0,
-    );
 }
 
 /// One open-loop run, type-erased into a table row: total / queueing /
@@ -254,12 +206,6 @@ pub fn openloop_comparison(scale: RunScale, shards: usize, rate: f64, inflight: 
     write_csv("openloop", &headers, &rows);
 }
 
-/// Runs the full sharded suite.
-pub fn all(scale: RunScale, shards: usize) {
-    fleet_comparison(scale, shards);
-    fleet_replay(scale, shards);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,8 +218,9 @@ mod tests {
             dies: 8,
         };
         let trace_cfg = fleet_trace_config(&scale, 2);
-        let cache = ShardedCacheBuilder::new(2).spawn(scale.log_config().factory());
-        let row = run_fleet("log", cache, &trace_cfg, 20_000);
+        let mut cfg = OpenLoopConfig::new(20_000, 16_000.0);
+        cfg.shards = 2;
+        let row = run_fleet("log", &cfg, scale.log_config().factory(), &trace_cfg);
         assert_eq!(row.len(), 6);
         let alwa: f64 = row[1].parse().expect("numeric ALWA");
         assert!(alwa >= 1.0, "ALWA {alwa}");

@@ -127,6 +127,16 @@ impl Geometry {
     }
 }
 
+/// The standard comparison geometry: 4 KB pages, 1 MB zones, 8 dies.
+///
+/// # Panics
+///
+/// Panics if `flash_mb == 0`.
+pub fn standard_geometry(flash_mb: u32) -> Geometry {
+    assert!(flash_mb > 0, "flash size must be positive");
+    Geometry::new(4096, 256, flash_mb, 8)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

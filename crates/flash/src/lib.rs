@@ -80,7 +80,7 @@ pub use conventional::{ConventionalSsd, FtlStats};
 pub use dies::{DieTimeline, LatencyModel};
 pub use error::{ErrorClass, FlashError};
 pub use faults::{FaultKind, FaultOp, FaultPlan, FaultRule, FaultyFlash};
-pub use geometry::{Geometry, PageAddr, ZoneId};
+pub use geometry::{standard_geometry, Geometry, PageAddr, ZoneId};
 pub use real::{RealFlash, RealFlashOptions};
 pub use stats::DeviceStats;
 pub use time::Nanos;

@@ -1,16 +1,14 @@
-//! Windowed latency trend samples shared by the replay drivers.
+//! Windowed latency trend samples produced by the replay driver.
 
 use nemo_flash::Nanos;
 
 /// One latency trend sample (a window's percentiles, in nanoseconds).
 ///
-/// Total read latency decomposes as *queueing delay* (time an admitted
-/// request waits before service begins — nonzero only under open-loop
-/// drivers with an in-flight bound, like `nemo_service::openloop`) plus
-/// *service time* (time from service start to completion, including
-/// device die contention). The closed-loop `nemo_sim::Replay` blocks on
-/// every operation, so it has no admission queue: its windows report
-/// `queue_* = 0` and `service_*` equal to the total percentiles.
+/// Total read latency decomposes as *queueing delay* (time a request
+/// waits behind its shard's in-flight bound before service begins —
+/// what `nemo_service::openloop` reports when a device falls behind the
+/// arrival rate) plus *service time* (time from service start to
+/// completion, including device die contention).
 /// Percentiles of a sum are not sums of percentiles, so all three
 /// families are recorded independently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,8 +16,8 @@
 //! let backend = DeviceBackend::Modeled; // or ::real(dir) for real I/O
 //! let cache = ShardedCacheBuilder::new(2)
 //!     .spawn(NemoConfig::small().factory_on(backend.device_factory("doc")));
-//! cache.put(7, 250, Nanos::ZERO);
-//! assert!(cache.get(7, Nanos::ZERO).hit);
+//! cache.try_put(7, 250, Nanos::ZERO).unwrap();
+//! assert!(cache.try_get(7, Nanos::ZERO).unwrap().hit);
 //! ```
 
 use nemo_flash::{

@@ -19,24 +19,32 @@
 //! a per-shard device builder, which [`DeviceBackend`] supplies for
 //! runtime backend selection (modeled in-memory, modeled file-backed,
 //! or real-I/O with measured latency). The front-end itself implements
-//! `CacheEngine` too, so harnesses like `nemo_sim::Replay` drive a shard
-//! fleet exactly like a single engine.
+//! `CacheEngine` too, so any harness written against the trait drives a
+//! shard fleet exactly like a single engine.
 //!
-//! Two ways to drive a fleet:
+//! One way to drive a fleet: **dispatch a request, get a completion.**
+//! [`Dispatcher::dispatch_lookup`], [`Dispatcher::dispatch_get`] (demand
+//! fill on a miss) and [`Dispatcher::dispatch_put`] route by key hash
+//! and return at once; the owning worker admits the request through its
+//! bounded in-flight window, runs the engine, runs one bounded slice of
+//! background maintenance, and answers with exactly one [`Completion`]
+//! on the caller's reply channel — even when the engine fails fatally
+//! or panics serving it ([`CompletionKind::Unavailable`]), so nobody
+//! waits on a request a dead shard accepted.
 //!
-//! * **Closed loop** — call [`ShardedCache::get`]/[`ShardedCache::put`]
-//!   (or hand the fleet to `nemo_sim::Replay`); every operation blocks
-//!   on its shard, so the caller itself throttles the offered load.
-//! * **Open loop** — [`openloop::OpenLoopReplay`] admits requests at a
-//!   configured virtual-time arrival rate with a bounded in-flight
-//!   window per shard, completes operations through reply channels
-//!   polled by a completion reactor, and reports queueing delay and
+//! * Waiting for each completion before sending the next request is the
+//!   special case [`ShardedCache::try_get`]/[`ShardedCache::try_put`]
+//!   package: the same dispatch on a reply channel the handle owns, the
+//!   caller itself throttling the offered load.
+//! * [`openloop::OpenLoopReplay`] is the general case and the one timed
+//!   driver: it dispatches at a configured virtual-time arrival rate,
+//!   folds completions as they arrive, and reports queueing delay and
 //!   service time separately. This is how the paper's Fig. 15 latency
 //!   claims are measured here.
 //!
 //! # Examples
 //!
-//! Closed-loop demand fill over four shards:
+//! Demand fill over four shards, the caller waiting per operation:
 //!
 //! ```
 //! use nemo_core::NemoConfig;
@@ -45,8 +53,8 @@
 //!
 //! let cache = ShardedCacheBuilder::new(4).spawn(NemoConfig::small().factory());
 //! for key in 0..1000u64 {
-//!     if !cache.get(key, Nanos::ZERO).hit {
-//!         cache.put_and_forget(key, 250, Nanos::ZERO);
+//!     if !cache.try_get(key, Nanos::ZERO).unwrap().hit {
+//!         cache.try_put(key, 250, Nanos::ZERO).unwrap();
 //!     }
 //! }
 //! let report = cache.finish(Nanos::ZERO); // drains every shard first

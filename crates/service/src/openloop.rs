@@ -1,32 +1,36 @@
-//! Open-loop async replay over the sharded front-end.
+//! Open-loop replay over the sharded front-end: the one timed driver.
 //!
-//! The closed-loop `nemo_sim::Replay` blocks on every get, so the
-//! driver's own waiting throttles the offered load: the engine is never
-//! asked to absorb more than one request at a time and overload can only
-//! show up as a longer run, never as queueing. Production cache fleets —
-//! and the evaluations of Flashield and the FDP flash-cache study — are
-//! measured *open loop* instead: requests arrive on a clock regardless
-//! of how the system is coping, and latency under load includes the time
-//! spent waiting for admission.
+//! A driver that blocks on every get throttles the offered load with its
+//! own waiting: the engine is never asked to absorb more than one
+//! request at a time and overload can only show up as a longer run,
+//! never as queueing. Production cache fleets — and the evaluations of
+//! Flashield and the FDP flash-cache study — are measured *open loop*
+//! instead: requests arrive on a clock regardless of how the system is
+//! coping, and latency under load includes the time spent waiting for
+//! admission.
 //!
 //! [`OpenLoopReplay`] reproduces that methodology in virtual time.
 //! Requests are admitted at [`OpenLoopConfig::arrival_rate`] and
 //! dispatched to shard workers without blocking per operation; each
 //! shard bounds its outstanding work with an in-flight window
-//! ([`OpenLoopConfig::inflight`]), runs bounded background slices
-//! between requests (so engine maintenance like Nemo's write-back scan
+//! ([`OpenLoopConfig::inflight`]), runs one bounded background slice
+//! after each request (so engine maintenance like Nemo's write-back scan
 //! interleaves with service instead of bursting), and reports every
-//! operation's [`Completion`] on a reply channel. A small completion
-//! reactor thread polls those replies and folds them into per-window
-//! and aggregate histograms, keeping **queueing delay** (admission wait,
-//! `start - arrival`) separate from **service time** (`done - start`) —
+//! operation's [`Completion`] on a reply channel. The dispatching thread
+//! itself folds those completions into per-window and aggregate
+//! histograms — whatever has arrived between two sends, the rest after
+//! the last — keeping **queueing delay** (admission wait,
+//! `start - arrival`) separate from **service time** (`done - start`):
 //! percentiles of a sum are not sums of percentiles, so both are
-//! recorded independently alongside the total.
+//! recorded independently alongside the total. A run is `shards + 1`
+//! threads.
 //!
 //! Determinism: arrivals, admission, service, and demand fills are all
-//! functions of the request sequence and virtual time only, and window
-//! aggregation is commutative, so for a fixed trace, rate, and shard
-//! count the result is identical across thread interleavings.
+//! functions of the request sequence and virtual time only. Which
+//! completions have arrived at a given poll is wall-clock luck, but a
+//! completion's window is keyed by its sequence number and histogram
+//! addition commutes, so for a fixed trace, rate, and shard count the
+//! result is identical across thread interleavings.
 //!
 //! # Examples
 //!
@@ -49,8 +53,7 @@ use nemo_engine::CacheEngine;
 use nemo_flash::Nanos;
 use nemo_metrics::{LatencyHistogram, LatencyWindow};
 use nemo_trace::{RequestKind, TraceGenerator};
-use std::sync::mpsc::{channel, Receiver};
-use std::thread;
+use std::sync::mpsc::channel;
 
 /// Parameters of an open-loop replay.
 #[derive(Debug, Clone)]
@@ -64,16 +67,6 @@ pub struct OpenLoopConfig {
     pub shards: usize,
     /// Per-shard in-flight window ([`ShardedCacheBuilder::inflight`]).
     pub inflight: usize,
-    /// Background slices per serviced op
-    /// ([`ShardedCacheBuilder::background_slices`]).
-    pub background_slices: u32,
-    /// Per-shard command-queue depth (wall-clock backpressure on the
-    /// dispatcher; does not affect virtual-time results).
-    pub queue_depth: usize,
-    /// Commands a shard worker drains per wakeup
-    /// ([`ShardedCacheBuilder::pipeline`]); a wall-clock throughput
-    /// knob that leaves virtual-time results bit-identical.
-    pub pipeline: usize,
     /// Interval (in ops) between latency trend windows.
     pub sample_every: u64,
     /// Requests excluded from the aggregate histograms (cache warm-up).
@@ -83,9 +76,9 @@ pub struct OpenLoopConfig {
 
 impl OpenLoopConfig {
     /// A configuration with sensible defaults: one shard, in-flight
-    /// window 16, one background slice per op, 24 trend windows, first
-    /// quarter of the run treated as warm-up. (The experiment presets
-    /// tune these per figure — Fig. 15 runs a 64-deep window.)
+    /// window 16, 24 trend windows, first quarter of the run treated as
+    /// warm-up. (The experiment presets tune these per figure — Fig. 15
+    /// runs a 64-deep window.)
     ///
     /// # Panics
     ///
@@ -98,9 +91,6 @@ impl OpenLoopConfig {
             arrival_rate,
             shards: 1,
             inflight: 16,
-            background_slices: 1,
-            queue_depth: 256,
-            pipeline: 16,
             sample_every: (ops / 24).max(1),
             warmup_ops: ops / 4,
         }
@@ -126,8 +116,7 @@ pub struct OpenLoopResult<E> {
 }
 
 /// The open-loop replay driver. Get misses demand-fill inside the owning
-/// shard worker (fills route to the same shard as their get, so in-worker
-/// filling preserves per-shard order and with it determinism).
+/// shard worker ([`crate::Dispatcher::dispatch_get`]).
 #[derive(Debug, Clone)]
 pub struct OpenLoopReplay {
     cfg: OpenLoopConfig,
@@ -146,7 +135,7 @@ impl OpenLoopReplay {
     ///
     /// Panics if the configuration was mutated into an invalid state
     /// (`ops`, `arrival_rate` or `sample_every` not positive), or if a
-    /// shard worker or the completion reactor panics.
+    /// shard worker panics.
     pub fn run<E, F>(&self, factory: F, trace: &mut TraceGenerator) -> OpenLoopResult<E>
     where
         E: CacheEngine + 'static,
@@ -154,7 +143,7 @@ impl OpenLoopReplay {
     {
         let cfg = &self.cfg;
         // The fields are public (the documented way to tune a config
-        // after `new`), so re-check what the reactor divides by.
+        // after `new`), so re-check what the fold divides by.
         assert!(cfg.ops > 0, "ops must be positive");
         assert!(cfg.arrival_rate > 0.0, "arrival rate must be positive");
         assert!(cfg.sample_every > 0, "sample_every must be positive");
@@ -163,19 +152,10 @@ impl OpenLoopReplay {
         // rates like INFINITY pass the sign check above).
         assert!(gap >= 1, "arrival rate above 1e9 req/s is not modelable");
         let cache = ShardedCacheBuilder::new(cfg.shards)
-            .queue_depth(cfg.queue_depth)
             .inflight(cfg.inflight)
-            .background_slices(cfg.background_slices)
-            .pipeline(cfg.pipeline)
             .spawn(factory);
         let (tx, rx) = channel::<Completion>();
-        let reactor = {
-            let cfg = cfg.clone();
-            thread::Builder::new()
-                .name("openloop-reactor".into())
-                .spawn(move || reactor(rx, &cfg, gap))
-                .expect("spawn completion reactor")
-        };
+        let mut fold = Fold::new(cfg, gap);
         for op in 1..=cfg.ops {
             let arrival = Nanos(gap * op);
             let r = trace.next_request();
@@ -183,19 +163,24 @@ impl OpenLoopReplay {
                 RequestKind::Get => cache.dispatch_get(r.key, r.size, arrival, op, &tx),
                 RequestKind::Put => cache.dispatch_put(r.key, r.size, arrival, op, &tx),
             }
+            rx.try_iter().for_each(|c| fold.record(c));
         }
-        // Hang up our reply sender; the reactor drains the completions
-        // still in flight and returns once the workers drop theirs.
+        // Hang up our reply sender: every queued command holds a clone,
+        // so the channel closes once the workers have answered them all.
         drop(tx);
-        let agg = reactor.join().expect("completion reactor panicked");
-        let report = cache.finish(agg.sim_end);
+        rx.iter().for_each(|c| fold.record(c));
+        let report = cache.finish(fold.sim_end);
         OpenLoopResult {
             report,
-            latency: agg.total,
-            queueing: agg.queue,
-            service: agg.service,
-            windows: agg.windows,
-            sim_end: agg.sim_end,
+            latency: fold.total,
+            queueing: fold.queue,
+            service: fold.service,
+            windows: fold
+                .windows
+                .into_iter()
+                .map(|w| w.expect("every op was answered, so every window filled"))
+                .collect(),
+            sim_end: fold.sim_end,
         }
     }
 }
@@ -234,37 +219,45 @@ impl WindowAccum {
     }
 }
 
-struct ReactorOutput {
+/// Folds completions into per-window and aggregate histograms.
+/// Completions arrive in arbitrary wall-clock order across shards;
+/// windows are keyed by each op's sequence number and histogram addition
+/// commutes, so the aggregates are independent of that order. Completion
+/// skew is bounded (a shard is at most queue-depth + in-flight ops
+/// behind the dispatcher), so only a handful of windows are live at once
+/// regardless of how fine a trend the caller asks for — each is
+/// allocated on first touch and freed the moment its op count fills.
+struct Fold<'a> {
+    cfg: &'a OpenLoopConfig,
+    gap: u64,
+    accums: Vec<Option<Box<WindowAccum>>>,
+    windows: Vec<Option<LatencyWindow>>,
     total: LatencyHistogram,
     queue: LatencyHistogram,
     service: LatencyHistogram,
-    windows: Vec<LatencyWindow>,
     sim_end: Nanos,
 }
 
-/// The completion reactor: folds completions into per-window and
-/// aggregate histograms. Completions arrive in arbitrary wall-clock
-/// order across shards; windows are keyed by each op's sequence number
-/// and histogram addition commutes, so the aggregates are independent of
-/// that order. Completion skew is bounded (a shard is at most
-/// queue-depth + in-flight ops behind the dispatcher), so only a
-/// handful of windows are live at once regardless of how fine a trend
-/// the caller asks for — each is allocated on first touch and freed the
-/// moment its op count fills.
-fn reactor(rx: Receiver<Completion>, cfg: &OpenLoopConfig, gap: u64) -> ReactorOutput {
-    let window_count = cfg.ops.div_ceil(cfg.sample_every) as usize;
-    let window_end = |i: usize| ((i as u64 + 1) * cfg.sample_every).min(cfg.ops);
-    let window_len = |i: usize| window_end(i) - i as u64 * cfg.sample_every;
-    let mut accums: Vec<Option<Box<WindowAccum>>> = (0..window_count).map(|_| None).collect();
-    let mut windows: Vec<Option<LatencyWindow>> = vec![None; window_count];
-    let mut total = LatencyHistogram::new();
-    let mut queue = LatencyHistogram::new();
-    let mut service = LatencyHistogram::new();
-    let mut sim_end = Nanos::ZERO;
-    for c in rx {
-        sim_end = sim_end.max(c.done);
-        let i = ((c.seq - 1) / cfg.sample_every) as usize;
-        let acc = accums[i].get_or_insert_with(Default::default);
+impl<'a> Fold<'a> {
+    fn new(cfg: &'a OpenLoopConfig, gap: u64) -> Self {
+        let window_count = cfg.ops.div_ceil(cfg.sample_every) as usize;
+        Self {
+            cfg,
+            gap,
+            accums: (0..window_count).map(|_| None).collect(),
+            windows: vec![None; window_count],
+            total: LatencyHistogram::new(),
+            queue: LatencyHistogram::new(),
+            service: LatencyHistogram::new(),
+            sim_end: Nanos::ZERO,
+        }
+    }
+
+    fn record(&mut self, c: Completion) {
+        let every = self.cfg.sample_every;
+        self.sim_end = self.sim_end.max(c.done);
+        let i = ((c.seq - 1) / every) as usize;
+        let acc = self.accums[i].get_or_insert_with(Default::default);
         acc.done_ops += 1;
         if let CompletionKind::Get { set_reads, .. } = c.kind {
             let (q, s) = (c.queueing(), c.service());
@@ -273,44 +266,25 @@ fn reactor(rx: Receiver<Completion>, cfg: &OpenLoopConfig, gap: u64) -> ReactorO
             acc.service.record(s);
             acc.get_ops += 1;
             acc.set_reads += set_reads as u64;
-            if c.seq > cfg.warmup_ops {
-                total.record(q + s);
-                queue.record(q);
-                service.record(s);
+            if c.seq > self.cfg.warmup_ops {
+                self.total.record(q + s);
+                self.queue.record(q);
+                self.service.record(s);
             }
         }
-        if acc.done_ops == window_len(i) {
-            windows[i] = Some(acc.finalize(window_end(i), gap));
-            accums[i] = None;
+        let window_end = ((i as u64 + 1) * every).min(self.cfg.ops);
+        if acc.done_ops == window_end - i as u64 * every {
+            self.windows[i] = Some(acc.finalize(window_end, self.gap));
+            self.accums[i] = None;
         }
-    }
-    // Any window not filled (possible only if a worker died mid-run)
-    // finalizes from whatever it accumulated — empty histograms report 0.
-    let windows = windows
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| {
-            w.unwrap_or_else(|| {
-                accums[i]
-                    .take()
-                    .unwrap_or_default()
-                    .finalize(window_end(i), gap)
-            })
-        })
-        .collect();
-    ReactorOutput {
-        total,
-        queue,
-        service,
-        windows,
-        sim_end,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemo_baselines::LogCacheConfig;
+    use nemo_baselines::{LogCacheConfig, SetCacheConfig};
+    use nemo_flash::{standard_geometry, Geometry, LatencyModel};
     use nemo_trace::TraceConfig;
 
     fn trace() -> TraceGenerator {
@@ -341,9 +315,7 @@ mod tests {
         // One die and a ruinous arrival rate: the device cannot keep up,
         // so queueing delay must dominate total latency while every
         // request is still serviced.
-        use nemo_baselines::LogCacheConfig as C;
-        use nemo_flash::{Geometry, LatencyModel};
-        let lcfg = C {
+        let lcfg = LogCacheConfig {
             geometry: Geometry::new(4096, 64, 8, 1),
             latency: LatencyModel::default(),
         };
@@ -358,6 +330,69 @@ mod tests {
             r.queueing.p99(),
             r.service.p99()
         );
+    }
+
+    /// The closed-loop harness's quick preset: 50k req/s, no warm-up cut.
+    fn quick(ops: u64) -> OpenLoopReplay {
+        let mut cfg = OpenLoopConfig::new(ops, 50_000.0);
+        cfg.warmup_ops = 0;
+        OpenLoopReplay::new(cfg)
+    }
+
+    #[test]
+    fn miss_ratio_decreases_as_cache_warms() {
+        let lcfg = LogCacheConfig {
+            geometry: standard_geometry(32),
+            latency: LatencyModel::zero(),
+        };
+        // (gets, hits) after the first `ops` requests of one trace.
+        let upto = |ops: u64| {
+            let mut t = TraceGenerator::new(TraceConfig::twitter_merged(0.0001));
+            let s = quick(ops).run(lcfg.clone().factory(), &mut t).report.stats;
+            (s.gets, s.hits)
+        };
+        let miss = |(gets, hits): (u64, u64)| 1.0 - hits as f64 / gets as f64;
+        let (head, before_tail, all) = (upto(3_000), upto(57_000), upto(60_000));
+        let early = miss(head);
+        let late = miss((all.0 - before_tail.0, all.1 - before_tail.1));
+        assert!(
+            late < early,
+            "cache should warm up: early {early}, late {late}"
+        );
+    }
+
+    #[test]
+    fn set_cache_wa_exceeds_log_cache_wa() {
+        let geometry = standard_geometry(16);
+        let log = LogCacheConfig {
+            geometry,
+            latency: LatencyModel::zero(),
+        };
+        let set = SetCacheConfig {
+            geometry,
+            latency: LatencyModel::zero(),
+            op_ratio: 0.5,
+            bloom_bits_per_object: 4.0,
+        };
+        let rl = quick(30_000).run(log.factory(), &mut trace());
+        let rs = quick(30_000).run(set.factory(), &mut trace());
+        let (log_wa, set_wa) = (rl.report.stats.alwa(), rs.report.stats.alwa());
+        assert!(
+            set_wa > 5.0 * log_wa,
+            "set ({set_wa}) must dwarf log ({log_wa})"
+        );
+    }
+
+    #[test]
+    fn latency_is_nonzero_under_real_model() {
+        let lcfg = LogCacheConfig {
+            geometry: standard_geometry(16),
+            latency: LatencyModel::default(),
+        };
+        let r = quick(30_000).run(lcfg.factory(), &mut trace());
+        // Flash-hit reads take ≥ 70 µs; the aggregate histogram must show
+        // flash-scale latencies somewhere past the median.
+        assert!(r.latency.percentile(0.99) >= 70_000);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl ShardedCacheBuilder {
     /// // First life: fill, drain, checkpoint.
     /// let cache = ShardedCacheBuilder::new(2)
     ///     .spawn(cfg.clone().factory_on(backend.device_factory("doc")));
-    /// cache.put(7, 250, Nanos::ZERO);
+    /// cache.try_put(7, 250, Nanos::ZERO).unwrap();
     /// let report = cache.finish(Nanos::ZERO);
     /// checkpoint_fleet(&backend, "doc", &report.engines).unwrap();
     ///
@@ -78,7 +78,7 @@ impl ShardedCacheBuilder {
     ///     .open_existing(&cfg, &backend, "doc")
     ///     .unwrap();
     /// assert!(recoveries.iter().all(|r| r.mode == RecoveryMode::Warm));
-    /// assert!(cache.get(7, Nanos::ZERO).hit);
+    /// assert!(cache.try_get(7, Nanos::ZERO).unwrap().hit);
     /// ```
     pub fn open_existing(
         self,
@@ -105,6 +105,7 @@ impl ShardedCacheBuilder {
 mod tests {
     use super::*;
     use nemo_core::RecoveryMode;
+    use nemo_engine::CacheEngine as _;
     use nemo_flash::{Geometry, Nanos};
     use std::path::PathBuf;
 
@@ -128,7 +129,7 @@ mod tests {
     }
 
     /// Demand-fill churn: `ops` lookups over `keys` distinct keys.
-    fn churn(cache: &ShardedCache<Nemo<AnyFlash>>, keys: u64, ops: u64) {
+    fn churn(cache: &mut ShardedCache<Nemo<AnyFlash>>, keys: u64, ops: u64) {
         for i in 0..ops {
             let key = i % keys;
             if !cache.get(key, Nanos::ZERO).hit {
@@ -141,14 +142,14 @@ mod tests {
     fn fleet_reopens_warm_with_identical_stats() {
         let backend = DeviceBackend::modeled_file(tmp("warm"));
         let cfg = small_cfg();
-        let cache = ShardedCacheBuilder::new(2)
+        let mut cache = ShardedCacheBuilder::new(2)
             .spawn(cfg.clone().factory_on(backend.device_factory("warm")));
-        churn(&cache, 3_000, 30_000);
+        churn(&mut cache, 3_000, 30_000);
         let report = cache.finish(Nanos::ZERO);
         assert!(report.stats.flash_bytes_written > 0, "nothing hit flash");
         checkpoint_fleet(&backend, "warm", &report.engines).unwrap();
 
-        let (cache, recoveries) = ShardedCacheBuilder::new(2)
+        let (mut cache, recoveries) = ShardedCacheBuilder::new(2)
             .open_existing(&cfg, &backend, "warm")
             .unwrap();
         assert_eq!(recoveries.len(), 2);
@@ -176,14 +177,14 @@ mod tests {
     fn reopen_without_checkpoints_cold_scans() {
         let backend = DeviceBackend::modeled_file(tmp("cold"));
         let cfg = small_cfg();
-        let cache = ShardedCacheBuilder::new(2)
+        let mut cache = ShardedCacheBuilder::new(2)
             .spawn(cfg.clone().factory_on(backend.device_factory("cold")));
-        churn(&cache, 3_000, 30_000);
+        churn(&mut cache, 3_000, 30_000);
         let before = cache.finish(Nanos::ZERO);
         assert!(before.stats.flash_bytes_written > 0, "nothing hit flash");
         // No checkpoint_fleet call: every shard must rebuild by scanning.
 
-        let (cache, recoveries) = ShardedCacheBuilder::new(2)
+        let (mut cache, recoveries) = ShardedCacheBuilder::new(2)
             .open_existing(&cfg, &backend, "cold")
             .unwrap();
         let mut recovered = 0;

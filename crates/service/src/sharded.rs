@@ -3,15 +3,23 @@
 use crate::routing::shard_of;
 use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::Nanos;
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::{Builder as ThreadBuilder, JoinHandle};
 
-/// One buffered fire-and-forget put: `(key, size, now)`.
-type BufferedPut = (u64, u32, Nanos);
+/// Bounded per-shard command-queue depth: a dispatcher that runs this
+/// far ahead of a shard blocks until the worker catches up. Wall-clock
+/// backpressure only; it cannot change a virtual-time result.
+const QUEUE_DEPTH: usize = 256;
+
+/// Commands a worker pulls from its queue per wakeup: after the blocking
+/// receive, up to `PIPELINE - 1` already-queued commands are drained
+/// non-blockingly and serviced in one pass. Commands are applied
+/// strictly in queue order either way, so this trades scheduling
+/// latency for throughput and nothing else.
+const PIPELINE: usize = 16;
 
 /// Health of one shard worker, reported by
 /// [`ShardedCache::fleet_health`] / [`Dispatcher::fleet_health`].
@@ -42,12 +50,12 @@ impl ShardHealth {
     }
 }
 
-/// What a timed (open-loop) operation was.
+/// What a request was, and how it ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionKind {
-    /// A lookup; `hit` is the outcome. On a miss the worker also ran the
-    /// demand fill, which is backing-store work and not part of the
-    /// client-visible latency.
+    /// A lookup; `hit` is the outcome. On a miss of a demand-fill get
+    /// ([`Dispatcher::dispatch_get`]) the worker also ran the fill, which
+    /// is backing-store work and not part of the client-visible latency.
     Get {
         /// Whether the lookup hit.
         hit: bool,
@@ -55,20 +63,23 @@ pub enum CompletionKind {
         /// ([`GetOutcome::set_reads`]) — the per-get set-read cost the
         /// trend windows aggregate.
         set_reads: u32,
+        /// All flash pages the lookup read ([`GetOutcome::flash_reads`]).
+        flash_reads: u32,
     },
     /// An insert.
     Put,
-    /// The owning shard is dead; the request was refused, not serviced.
-    /// The wire layer maps this to a memcached `SERVER_ERROR`.
+    /// The owning shard is dead — it died serving this request, or had
+    /// died before — so the request was refused, not serviced. The wire
+    /// layer maps this to a memcached `SERVER_ERROR`.
     Unavailable {
         /// Index of the dead shard.
         shard: usize,
     },
 }
 
-/// Completion record of one timed (open-loop) operation, sent on the
-/// reply channel passed to [`ShardedCache::dispatch_get`] /
-/// [`ShardedCache::dispatch_put`].
+/// Completion record of one request, sent on the reply channel passed
+/// to the `dispatch_*` call that issued it. Every dispatched request is
+/// answered with exactly one.
 ///
 /// All times are virtual: `arrival ≤ start ≤ done`. Queueing delay is
 /// `start - arrival` (admission wait behind the shard's in-flight
@@ -77,7 +88,7 @@ pub enum CompletionKind {
 pub struct Completion {
     /// Caller-chosen sequence number (e.g. the global op index).
     pub seq: u64,
-    /// Open-loop arrival time of the request.
+    /// Arrival time of the request.
     pub arrival: Nanos,
     /// Virtual time service began.
     pub start: Nanos,
@@ -99,44 +110,27 @@ impl Completion {
     }
 }
 
-/// A request dispatched to a shard worker. Reply channels carry the
-/// result back for the synchronous operations; batched puts have none.
+/// The three requests a shard serves.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Lookup *without* demand fill: a miss stays a miss. This is the
+    /// wire-protocol get — a memcached client decides for itself whether
+    /// to `set` after a miss, so the cache must not insert on its behalf.
+    Lookup,
+    /// Lookup with demand fill: a miss inserts `fill_size` bytes at the
+    /// lookup's completion time.
+    Get { fill_size: u32 },
+    /// Insert.
+    Put { size: u32 },
+}
+
+/// What a shard worker receives: requests, which are all answered with
+/// a [`Completion`], and three fleet-control commands whose reply
+/// channel a dead shard simply drops.
 enum Command {
-    Get {
+    Op {
         key: u64,
-        now: Nanos,
-        reply: Sender<GetOutcome>,
-    },
-    Put {
-        key: u64,
-        size: u32,
-        now: Nanos,
-        reply: Sender<Nanos>,
-    },
-    PutBatch(Vec<BufferedPut>),
-    /// Open-loop lookup with demand fill: admitted through the shard's
-    /// in-flight window, filled on miss at the completion time.
-    TimedGet {
-        key: u64,
-        fill_size: u32,
-        arrival: Nanos,
-        seq: u64,
-        reply: Sender<Completion>,
-    },
-    /// Open-loop insert, admitted through the same window.
-    TimedPut {
-        key: u64,
-        size: u32,
-        arrival: Nanos,
-        seq: u64,
-        reply: Sender<Completion>,
-    },
-    /// Open-loop lookup *without* demand fill: a miss stays a miss. This
-    /// is the wire-protocol get — a memcached client decides for itself
-    /// whether to `set` after a miss, so the cache must not insert on
-    /// its behalf.
-    TimedLookup {
-        key: u64,
+        op: Op,
         arrival: Nanos,
         seq: u64,
         reply: Sender<Completion>,
@@ -153,7 +147,7 @@ enum Command {
     },
 }
 
-/// Builds a [`ShardedCache`]: shard count plus channel/batch tuning.
+/// Builds a [`ShardedCache`]: shard count plus the in-flight window.
 ///
 /// # Examples
 ///
@@ -162,11 +156,11 @@ enum Command {
 /// use nemo_flash::Nanos;
 /// use nemo_service::ShardedCacheBuilder;
 ///
-/// let mut cache = ShardedCacheBuilder::new(4)
-///     .queue_depth(128)
+/// let cache = ShardedCacheBuilder::new(4)
+///     .inflight(8)
 ///     .spawn(LogCacheConfig::small().factory());
-/// cache.put(7, 250, Nanos::ZERO);
-/// assert!(cache.get(7, Nanos::ZERO).hit);
+/// cache.try_put(7, 250, Nanos::ZERO).unwrap();
+/// assert!(cache.try_get(7, Nanos::ZERO).unwrap().hit);
 /// let report = cache.finish(Nanos::ZERO);
 /// assert_eq!(report.stats.puts, 1);
 /// assert_eq!(report.engines.len(), 4);
@@ -174,17 +168,12 @@ enum Command {
 #[derive(Debug, Clone)]
 pub struct ShardedCacheBuilder {
     shards: usize,
-    queue_depth: usize,
-    batch_capacity: usize,
     inflight: usize,
-    background_slices: u32,
-    pipeline: usize,
 }
 
 impl ShardedCacheBuilder {
-    /// A front-end with `shards` worker threads and default tuning
-    /// (queue depth 256, put-batch capacity 64, in-flight window 16, one
-    /// background slice per timed op).
+    /// A front-end with `shards` worker threads and an in-flight window
+    /// of 16 per shard.
     ///
     /// # Panics
     ///
@@ -193,11 +182,7 @@ impl ShardedCacheBuilder {
         assert!(shards > 0, "shard count must be positive");
         Self {
             shards,
-            queue_depth: 256,
-            batch_capacity: 64,
             inflight: 16,
-            background_slices: 1,
-            pipeline: 16,
         }
     }
 
@@ -206,36 +191,12 @@ impl ShardedCacheBuilder {
         self.shards
     }
 
-    /// Bounded per-shard command-queue depth (backpressure limit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "queue depth must be positive");
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Puts buffered per shard before a fire-and-forget batch is shipped
-    /// (see [`ShardedCache::put_and_forget`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn batch_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be positive");
-        self.batch_capacity = capacity;
-        self
-    }
-
-    /// Per-shard in-flight window for timed (open-loop) operations: a
-    /// request arriving at virtual time `a` begins service at `a` if
-    /// fewer than `k` operations are outstanding, else at the earliest
-    /// outstanding completion time — at most `k` operations are in
-    /// flight on the shard at any virtual instant, and admission wait
-    /// beyond that is reported as queueing delay. Synchronous
-    /// [`ShardedCache::get`]/[`ShardedCache::put`] bypass the window.
+    /// Per-shard in-flight window: a request arriving at virtual time
+    /// `a` begins service at `a` if fewer than `k` operations are
+    /// outstanding, else at the earliest outstanding completion time —
+    /// at most `k` operations are in flight on the shard at any virtual
+    /// instant, and admission wait beyond that is reported as queueing
+    /// delay.
     ///
     /// # Panics
     ///
@@ -243,38 +204,6 @@ impl ShardedCacheBuilder {
     pub fn inflight(mut self, k: usize) -> Self {
         assert!(k > 0, "in-flight window must be positive");
         self.inflight = k;
-        self
-    }
-
-    /// Background-work slices a worker runs after each timed operation
-    /// ([`nemo_engine::CacheEngine::background_slice`]), interleaving
-    /// deferred engine maintenance (e.g. Nemo's write-back scan) with
-    /// request service in bounded doses. `0` disables slicing; engines
-    /// then fall back to doing the work inline in bursts.
-    ///
-    /// Slices are tied to the command stream (never to worker idleness),
-    /// so results stay deterministic across thread interleavings.
-    pub fn background_slices(mut self, slices: u32) -> Self {
-        self.background_slices = slices;
-        self
-    }
-
-    /// Commands a worker pulls from its queue per wakeup: after the
-    /// blocking receive, up to `k - 1` already-queued commands are
-    /// drained non-blockingly and serviced in one pass, keeping several
-    /// requests in flight per shard (their service interleaves
-    /// submissions, completions and background slices inside one wakeup
-    /// instead of one syscall round-trip each). Commands are applied
-    /// strictly in queue order either way, so aggregates are
-    /// bit-identical at any pipeline depth — the knob trades scheduling
-    /// latency for throughput only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn pipeline(mut self, k: usize) -> Self {
-        assert!(k > 0, "pipeline depth must be positive");
-        self.pipeline = k;
         self
     }
 
@@ -293,46 +222,30 @@ impl ShardedCacheBuilder {
         for shard in 0..self.shards {
             let engine = factory(shard);
             name = engine.name();
-            let (tx, rx) = sync_channel(self.queue_depth);
+            let (tx, rx) = sync_channel(QUEUE_DEPTH);
             senders.push(tx);
-            let tuning = WorkerTuning {
-                inflight: self.inflight,
-                background_slices: self.background_slices,
-                pipeline: self.pipeline,
-                shard,
-            };
+            let inflight = self.inflight;
             let shard_health = Arc::new(AtomicU8::new(HEALTH_HEALTHY));
             health.push(Arc::clone(&shard_health));
             let handle = ThreadBuilder::new()
                 .name(format!("{name}-shard-{shard}"))
-                .spawn(move || run_worker(engine, rx, tuning, shard_health))
+                .spawn(move || run_worker(engine, rx, inflight, shard, shard_health))
                 .expect("spawn shard worker");
             workers.push(handle);
         }
         ShardedCache {
             name,
-            senders,
+            dispatcher: Dispatcher { senders, health },
             workers,
-            health,
-            pending: (0..self.shards).map(|_| RefCell::new(Vec::new())).collect(),
-            batch_capacity: self.batch_capacity,
+            reply: channel(),
         }
     }
 }
 
-/// Per-worker knobs for the timed (open-loop) path.
-#[derive(Debug, Clone, Copy)]
-struct WorkerTuning {
-    inflight: usize,
-    background_slices: u32,
-    pipeline: usize,
-    shard: usize,
-}
-
 /// Virtual-time admission window of one shard: completion times of the
-/// `inflight` most recently admitted timed operations. When the window
-/// is full, a new operation starts no earlier than the *earliest* of
-/// those completions — the first slot to free — so at most `inflight`
+/// `inflight` most recently admitted operations. When the window is
+/// full, a new operation starts no earlier than the *earliest* of those
+/// completions — the first slot to free — so at most `inflight`
 /// requests are outstanding on the shard at any virtual instant and any
 /// wait beyond that shows up as queueing delay. (Completions can finish
 /// out of admission order: a buffered-memory hit returns at its start
@@ -372,79 +285,53 @@ impl InflightWindow {
 /// front-end hangs up, then hands the engine back through the join.
 ///
 /// Each wakeup blocks for one command, then drains up to
-/// `tuning.pipeline - 1` more that are already queued and services the
+/// [`PIPELINE`]` - 1` more that are already queued and services the
 /// whole batch back-to-back. Under load this keeps several requests in
 /// flight per shard — their device submissions, completions and
 /// background slices interleave within one scheduling quantum instead
 /// of paying a blocking receive per command. Commands are applied
 /// strictly in queue order regardless of batch boundaries, so every
-/// engine transition (and thus every aggregate) is identical at any
-/// pipeline depth.
-///
-/// Timed commands additionally run up to `tuning.background_slices`
-/// bounded slices of deferred engine maintenance *after* the foreground
-/// operation — foreground first in call order means foreground flash
-/// operations claim the device dies first at any given timestamp, and
-/// tying slices to the command stream (never to wall-clock idleness)
-/// keeps results deterministic across thread interleavings.
+/// engine transition (and thus every aggregate) is identical however
+/// the batches fall.
 ///
 /// Supervision: a fatal [`EngineError`] from the engine — or a panic
-/// inside it — does not take the worker thread down. The shard's health
-/// flips to [`ShardHealth::Dead`], and the worker keeps draining its
-/// queue, refusing every subsequent request with a typed
-/// [`CompletionKind::Unavailable`] reply (or a dropped reply channel for
-/// the synchronous paths, which the front-end maps to
-/// [`EngineError::ShardUnavailable`]) — requesters always get an answer,
-/// never a wedged channel. The engine value survives for post-mortem
+/// inside it — does not take the worker thread down. The request being
+/// served completes as [`CompletionKind::Unavailable`], the shard's
+/// health flips to [`ShardHealth::Dead`], and the worker keeps draining
+/// its queue, refusing every subsequent request the same way. Requests
+/// are therefore always answered, whichever call killed the engine; the
+/// fleet-control commands (drain, stats, memory) get their reply channel
+/// dropped instead, which [`ShardedCache`] reads as "this shard has
+/// nothing to report". The engine value survives for post-mortem
 /// inspection via [`ShardedCache::finish`].
 fn run_worker<E: CacheEngine>(
     mut engine: E,
     rx: Receiver<Command>,
-    tuning: WorkerTuning,
+    inflight: usize,
+    shard: usize,
     health: Arc<AtomicU8>,
 ) -> E {
-    let mut window = InflightWindow::new(tuning.inflight);
-    let mut intake = Vec::with_capacity(tuning.pipeline);
+    let mut window = InflightWindow::new(inflight);
+    let mut intake = Vec::with_capacity(PIPELINE);
     while let Ok(first) = rx.recv() {
         intake.push(first);
-        while intake.len() < tuning.pipeline {
+        while intake.len() < PIPELINE {
             match rx.try_recv() {
                 Ok(cmd) => intake.push(cmd),
                 Err(_) => break,
             }
         }
-        let mut fatal = false;
         let mut drained = intake.drain(..);
-        for cmd in drained.by_ref() {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                apply_command(&mut engine, &mut window, &tuning, cmd)
-            }));
-            match outcome {
-                Ok(Ok(())) => {}
-                // Fatal engine error: the command already received its
-                // typed unavailable reply inside `apply_command`.
-                Ok(Err(_)) => {
-                    fatal = true;
-                    break;
-                }
-                // Engine panic: the in-flight command's reply channel was
-                // dropped during unwinding, which requesters observe as a
-                // disconnect; everything still queued is refused below.
-                Err(_) => {
-                    fatal = true;
-                    break;
-                }
-            }
-        }
-        if fatal {
+        let alive = drained
+            .by_ref()
+            .all(|cmd| apply_command(&mut engine, &mut window, shard, cmd));
+        if !alive {
             health.store(HEALTH_DEAD, Ordering::Release);
-            for cmd in drained {
-                refuse_command(cmd, tuning.shard);
-            }
-            // Keep the queue open: answer everything the front-end sends
-            // from now on with typed refusals instead of wedging senders.
-            while let Ok(cmd) = rx.recv() {
-                refuse_command(cmd, tuning.shard);
+            // Keep the queue open: answer what is left of this batch and
+            // everything the front-end sends from now on with refusals
+            // instead of wedging senders.
+            for cmd in drained.chain(rx.iter()) {
+                refuse_command(cmd, shard);
             }
             return engine;
         }
@@ -461,12 +348,17 @@ fn run_worker<E: CacheEngine>(
     engine
 }
 
-/// Refuses a command on behalf of a dead shard: timed operations get a
-/// typed [`CompletionKind::Unavailable`] completion; synchronous ones
-/// get their reply channel dropped (a disconnect the front-end converts
-/// to [`EngineError::ShardUnavailable`]).
+/// Refuses a command on behalf of a dead shard: a request completes as
+/// [`CompletionKind::Unavailable`]; a control command's reply channel is
+/// dropped.
 fn refuse_command(cmd: Command, shard: usize) {
-    let unavailable = |seq, arrival, reply: Sender<Completion>| {
+    if let Command::Op {
+        arrival,
+        seq,
+        reply,
+        ..
+    } = cmd
+    {
         let _ = reply.send(Completion {
             seq,
             arrival,
@@ -474,214 +366,111 @@ fn refuse_command(cmd: Command, shard: usize) {
             done: arrival,
             kind: CompletionKind::Unavailable { shard },
         });
-    };
-    match cmd {
-        Command::TimedGet {
-            seq,
-            arrival,
-            reply,
-            ..
-        }
-        | Command::TimedPut {
-            seq,
-            arrival,
-            reply,
-            ..
-        }
-        | Command::TimedLookup {
-            seq,
-            arrival,
-            reply,
-            ..
-        } => unavailable(seq, arrival, reply),
-        // Dropping the reply sender disconnects the requester's receive.
-        Command::Get { .. }
-        | Command::Put { .. }
-        | Command::PutBatch(_)
-        | Command::Drain { .. }
-        | Command::Stats { .. }
-        | Command::Memory { .. } => {}
     }
 }
 
-/// Applies one command to the shard's engine.
-///
-/// A fatal [`EngineError`] propagates to [`run_worker`], which kills the
-/// shard — but only after this function has answered the requester:
-/// timed commands get a typed [`CompletionKind::Unavailable`] completion,
-/// synchronous ones a dropped reply channel.
+/// Runs one engine call; `None` if it panicked.
+fn guarded<T>(call: impl FnOnce() -> T) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(call)).ok()
+}
+
+/// Applies one command to the shard's engine; `false` means the engine
+/// died doing it. A request is answered either way.
 fn apply_command<E: CacheEngine>(
     engine: &mut E,
     window: &mut InflightWindow,
-    tuning: &WorkerTuning,
+    shard: usize,
     cmd: Command,
-) -> Result<(), EngineError> {
-    let unavailable = |seq, arrival, start, reply: &Sender<Completion>| {
-        let _ = reply.send(Completion {
-            seq,
-            arrival,
-            start,
-            done: start,
-            kind: CompletionKind::Unavailable {
-                shard: tuning.shard,
-            },
-        });
-    };
-    // Reply sends only fail if the requester gave up waiting (it
-    // never does today); the engine transition already happened, so
-    // dropping the reply is harmless either way.
+) -> bool {
+    // Reply sends only fail if the requester stopped listening; the
+    // engine transition already happened, so that is harmless.
     match cmd {
-        Command::Get { key, now, reply } => {
-            // On error the reply sender drops, which the front-end maps
-            // to `EngineError::ShardUnavailable`.
-            let _ = reply.send(engine.try_get(key, now)?);
-        }
-        Command::Put {
+        Command::Op {
             key,
-            size,
-            now,
-            reply,
-        } => {
-            let _ = reply.send(engine.try_put(key, size, now)?);
-        }
-        Command::PutBatch(batch) => {
-            for (key, size, now) in batch {
-                engine.try_put(key, size, now)?;
-            }
-        }
-        Command::TimedGet {
-            key,
-            fill_size,
+            op,
             arrival,
             seq,
             reply,
         } => {
             let start = window.admit(arrival);
-            let out = match engine.try_get(key, start) {
-                Ok(out) => out,
-                Err(e) => {
-                    unavailable(seq, arrival, start, &reply);
-                    return Err(e);
-                }
-            };
-            let done = out.done_at;
-            if !out.hit {
+            // A fatal error and a panic end the same way: the request is
+            // refused and the engine is not called again.
+            let served = guarded(|| serve(engine, key, op, start)).and_then(Result::ok);
+            let (done, kind) = served.unwrap_or((start, CompletionKind::Unavailable { shard }));
+            window.complete(done);
+            let _ = reply.send(Completion {
+                seq,
+                arrival,
+                start,
+                done,
+                kind,
+            });
+            served.is_some()
+        }
+        Command::Drain { now, reply } => answer(reply, guarded(|| engine.drain(now))),
+        Command::Stats { reply } => answer(reply, guarded(|| engine.stats())),
+        Command::Memory { reply } => answer(reply, guarded(|| engine.memory())),
+    }
+}
+
+/// Sends a control command's answer if the engine survived producing it.
+fn answer<T>(reply: Sender<T>, value: Option<T>) -> bool {
+    value.map(|v| reply.send(v)).is_some()
+}
+
+/// Serves one admitted request at virtual time `start`, then runs one
+/// bounded slice of deferred engine maintenance (e.g. Nemo's write-back
+/// scan) at its completion time. Foreground first in call order means
+/// foreground flash operations claim the device dies first at any given
+/// timestamp, and tying slices to the command stream (never to
+/// wall-clock idleness) keeps results deterministic across thread
+/// interleavings.
+fn serve<E: CacheEngine>(
+    engine: &mut E,
+    key: u64,
+    op: Op,
+    start: Nanos,
+) -> Result<(Nanos, CompletionKind), EngineError> {
+    let (done, kind) = match op {
+        Op::Put { size } => (engine.try_put(key, size, start)?, CompletionKind::Put),
+        Op::Lookup | Op::Get { .. } => {
+            let out = engine.try_get(key, start)?;
+            if let (false, Op::Get { fill_size }) = (out.hit, op) {
                 // Demand fill at the miss's completion time; backing
                 // store work, not client-visible latency.
-                if let Err(e) = engine.try_put(key, fill_size, done) {
-                    unavailable(seq, arrival, start, &reply);
-                    return Err(e);
-                }
+                engine.try_put(key, fill_size, out.done_at)?;
             }
-            window.complete(done);
-            run_background(engine, done, tuning.background_slices);
-            let _ = reply.send(Completion {
-                seq,
-                arrival,
-                start,
-                done,
-                kind: CompletionKind::Get {
-                    hit: out.hit,
-                    set_reads: out.set_reads,
-                },
-            });
-        }
-        Command::TimedPut {
-            key,
-            size,
-            arrival,
-            seq,
-            reply,
-        } => {
-            let start = window.admit(arrival);
-            let done = match engine.try_put(key, size, start) {
-                Ok(done) => done,
-                Err(e) => {
-                    unavailable(seq, arrival, start, &reply);
-                    return Err(e);
-                }
+            let kind = CompletionKind::Get {
+                hit: out.hit,
+                set_reads: out.set_reads,
+                flash_reads: out.flash_reads,
             };
-            window.complete(done);
-            run_background(engine, done, tuning.background_slices);
-            let _ = reply.send(Completion {
-                seq,
-                arrival,
-                start,
-                done,
-                kind: CompletionKind::Put,
-            });
+            (out.done_at, kind)
         }
-        Command::TimedLookup {
-            key,
-            arrival,
-            seq,
-            reply,
-        } => {
-            let start = window.admit(arrival);
-            let out = match engine.try_get(key, start) {
-                Ok(out) => out,
-                Err(e) => {
-                    unavailable(seq, arrival, start, &reply);
-                    return Err(e);
-                }
-            };
-            let done = out.done_at;
-            window.complete(done);
-            run_background(engine, done, tuning.background_slices);
-            let _ = reply.send(Completion {
-                seq,
-                arrival,
-                start,
-                done,
-                kind: CompletionKind::Get {
-                    hit: out.hit,
-                    set_reads: out.set_reads,
-                },
-            });
-        }
-        Command::Drain { now, reply } => {
-            engine.drain(now);
-            let _ = reply.send(());
-        }
-        Command::Stats { reply } => {
-            let _ = reply.send(engine.stats());
-        }
-        Command::Memory { reply } => {
-            let _ = reply.send(engine.memory());
-        }
+    };
+    if engine.background_pending() {
+        engine.background_slice(done);
     }
-    Ok(())
+    Ok((done, kind))
 }
 
-/// Runs up to `slices` bounded background slices at `now`.
-fn run_background<E: CacheEngine>(engine: &mut E, now: Nanos, slices: u32) {
-    for _ in 0..slices {
-        if !engine.background_pending() {
-            break;
-        }
-        engine.background_slice(now);
-    }
-}
-
-/// A cloneable, thread-safe dispatch handle onto a shard fleet, for
-/// callers that drive the fleet from many threads at once — the wire
-/// front-end in `nemo-proto` hands one to every connection handler.
+/// A cloneable, thread-safe dispatch handle onto a shard fleet: the one
+/// way requests reach the workers. [`ShardedCache`] owns one; callers
+/// that drive the fleet from many threads at once — the wire front-end
+/// in `nemo-proto` hands one to every connection handler — clone it via
+/// [`ShardedCache::dispatcher`].
 ///
-/// [`ShardedCache`] itself is deliberately not `Sync` (its fire-and-
-/// forget put buffers are single-dispatcher state); this handle carries
-/// only the shard senders, so clones dispatch concurrently without
-/// locks. Sends block when the owning shard's bounded command queue is
-/// full, which is the service backpressure a connection handler wants:
-/// an overloaded shard stalls its connections instead of buffering
-/// unboundedly.
+/// Every `dispatch_*` call routes by key hash, sends without waiting for
+/// the result, and is answered with exactly one [`Completion`] on the
+/// `reply` channel it was given. Sends block when the owning shard's
+/// bounded command queue is full, which is the service backpressure a
+/// connection handler wants: an overloaded shard stalls its connections
+/// instead of buffering unboundedly.
 ///
-/// Ordering: commands from one `Dispatcher` clone are applied in send
-/// order per shard. Interleaving *across* clones is whatever the
-/// threads race to — callers needing a deterministic global order must
-/// dispatch from a single thread. A `Dispatcher` bypasses the owning
-/// handle's buffered [`ShardedCache::put_and_forget`] batches; don't
-/// mix the two paths while dispatching, or shard order between them is
-/// unspecified.
+/// Ordering: commands from one thread are applied in send order per
+/// shard. Interleaving *across* threads is whatever they race to —
+/// callers needing a deterministic global order must dispatch from a
+/// single thread.
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     senders: Vec<SyncSender<Command>>,
@@ -699,8 +488,11 @@ impl Dispatcher {
         shard_of(key, self.senders.len())
     }
 
-    /// Current health of every shard, indexed by shard id. Lock-free;
-    /// safe to poll from connection handlers.
+    /// Current health of every shard, indexed by shard id: `Healthy`
+    /// until the engine first reports absorbed faults (retries,
+    /// quarantines, fault-induced misses), `Degraded` after, `Dead` once
+    /// a fatal engine error or panic kills the shard. Lock-free; safe to
+    /// poll from connection handlers.
     pub fn fleet_health(&self) -> Vec<ShardHealth> {
         self.health
             .iter()
@@ -708,29 +500,45 @@ impl Dispatcher {
             .collect()
     }
 
-    fn send(&self, shard: usize, cmd: Command) {
-        self.senders[shard].send(cmd).expect("shard worker alive");
+    fn dispatch(&self, key: u64, op: Op, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
+        let cmd = Command::Op {
+            key,
+            op,
+            arrival,
+            seq,
+            reply: reply.clone(),
+        };
+        self.senders[self.shard_of(key)]
+            .send(cmd)
+            .expect("shard worker alive");
     }
 
-    /// Dispatches an open-loop lookup *without* demand fill: the worker
-    /// admits it through the in-flight window, services it, and reports
-    /// a [`Completion`] on `reply`; a miss leaves the cache untouched.
+    /// Dispatches a lookup *without* demand fill: the worker admits it
+    /// through the in-flight window ([`ShardedCacheBuilder::inflight`]),
+    /// services it, runs one background slice, and reports a
+    /// [`Completion`] on `reply`; a miss leaves the cache untouched.
     /// This is the wire-protocol `get` path — whether to insert after a
     /// miss is the remote client's call, not the cache's.
     pub fn dispatch_lookup(&self, key: u64, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
-        self.send(
-            self.shard_of(key),
-            Command::TimedLookup {
-                key,
-                arrival,
-                seq,
-                reply: reply.clone(),
-            },
-        );
+        self.dispatch(key, Op::Lookup, arrival, seq, reply);
     }
 
-    /// Dispatches an open-loop insert; the counterpart of
-    /// [`Self::dispatch_lookup`]. See [`ShardedCache::dispatch_put`].
+    /// Dispatches a lookup that, on a miss, inserts `fill_size` bytes at
+    /// the miss's completion time inside the worker — the demand-fill
+    /// policy the paper's replays use. Fills route to the same shard as
+    /// their get, so in-worker filling preserves per-shard order.
+    pub fn dispatch_get(
+        &self,
+        key: u64,
+        fill_size: u32,
+        arrival: Nanos,
+        seq: u64,
+        reply: &Sender<Completion>,
+    ) {
+        self.dispatch(key, Op::Get { fill_size }, arrival, seq, reply);
+    }
+
+    /// Dispatches an insert; admitted through the same window.
     pub fn dispatch_put(
         &self,
         key: u64,
@@ -739,16 +547,7 @@ impl Dispatcher {
         seq: u64,
         reply: &Sender<Completion>,
     ) {
-        self.send(
-            self.shard_of(key),
-            Command::TimedPut {
-                key,
-                size,
-                arrival,
-                seq,
-                reply: reply.clone(),
-            },
-        );
+        self.dispatch(key, Op::Put { size }, arrival, seq, reply);
     }
 }
 
@@ -781,17 +580,24 @@ pub struct ShardedReport<E> {
 /// it). The simulator engines stay deterministic and single-threaded;
 /// concurrency lives entirely in this layer.
 ///
+/// There is one request path. [`Self::dispatch_get`] /
+/// [`Self::dispatch_put`] send and return; the [`Completion`] arrives on
+/// the caller's channel. [`Self::try_get`] / [`Self::try_put`] are the
+/// same dispatch on a reply channel this handle owns, followed by a
+/// wait for that one completion — closed loop is open loop with the
+/// caller waiting.
+///
 /// # Determinism contract
 ///
 /// For a fixed request sequence and shard count, the aggregate
 /// [`Self::stats`] after [`Self::drain`] — hit ratio, ALWA, every
-/// counter — is identical across runs, regardless of thread scheduling,
-/// queue depth, or put-batch capacity. Routing is a pure function of the
-/// key, each worker applies its commands in the order this handle sent
-/// them, and shards share no state, so interleaving across shards cannot
-/// affect any shard's outcome. (Dispatching the same sequence from
-/// multiple handle clones would forfeit this; the handle is deliberately
-/// not clonable.)
+/// counter — is identical across runs, regardless of thread scheduling
+/// and of whether the caller waits per operation or collects completions
+/// later. Routing is a pure function of the key, each worker applies its
+/// commands in the order this handle sent them, and shards share no
+/// state, so interleaving across shards cannot affect any shard's
+/// outcome. (Dispatching the same sequence from several threads through
+/// [`Dispatcher`] clones forfeits this.)
 ///
 /// # Examples
 ///
@@ -799,137 +605,51 @@ pub struct ShardedReport<E> {
 /// use nemo_core::NemoConfig;
 /// use nemo_flash::Nanos;
 /// use nemo_service::ShardedCacheBuilder;
+/// use std::sync::mpsc::channel;
 ///
-/// let mut cache = ShardedCacheBuilder::new(2).spawn(NemoConfig::small().factory());
+/// let cache = ShardedCacheBuilder::new(2).spawn(NemoConfig::small().factory());
+/// let (tx, rx) = channel();
 /// for key in 0..100u64 {
-///     cache.put_and_forget(key, 200, Nanos::ZERO);
+///     cache.dispatch_put(key, 200, Nanos::ZERO, key, &tx);
 /// }
-/// assert!(cache.get(1, Nanos::ZERO).hit); // reads see buffered puts
+/// assert_eq!(rx.iter().take(100).count(), 100); // every op is answered
+/// assert!(cache.try_get(1, Nanos::ZERO).unwrap().hit);
 /// let report = cache.finish(Nanos::ZERO);
 /// assert_eq!(report.stats.puts, 100);
 /// ```
 #[derive(Debug)]
 pub struct ShardedCache<E: CacheEngine + 'static> {
     name: &'static str,
-    senders: Vec<SyncSender<Command>>,
+    dispatcher: Dispatcher,
     workers: Vec<JoinHandle<E>>,
-    /// Per-shard health flags, shared with the workers.
-    health: Vec<Arc<AtomicU8>>,
-    /// Fire-and-forget puts buffered per shard until a batch fills (or a
-    /// synchronous operation on the shard forces them out first, keeping
-    /// per-shard order equal to dispatch order).
-    pending: Vec<RefCell<Vec<BufferedPut>>>,
-    batch_capacity: usize,
+    /// Reply channel of the synchronous operations. The handle is not
+    /// `Sync`, so at most one completion is ever outstanding on it.
+    reply: (Sender<Completion>, Receiver<Completion>),
 }
 
 impl<E: CacheEngine + 'static> ShardedCache<E> {
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.dispatcher.shards()
     }
 
     /// The shard a key routes to.
     pub fn shard_of(&self, key: u64) -> usize {
-        shard_of(key, self.senders.len())
+        self.dispatcher.shard_of(key)
     }
 
-    fn send(&self, shard: usize, cmd: Command) {
-        self.senders[shard].send(cmd).expect("shard worker alive");
-    }
-
-    /// Ships `shard`'s buffered puts, preserving their dispatch order
-    /// ahead of whatever command the caller sends next.
-    fn flush_shard(&self, shard: usize) {
-        let batch = std::mem::take(&mut *self.pending[shard].borrow_mut());
-        if !batch.is_empty() {
-            self.send(shard, Command::PutBatch(batch));
-        }
-    }
-
-    /// Ships every shard's buffered fire-and-forget puts.
-    pub fn flush_puts(&self) {
-        for shard in 0..self.senders.len() {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Looks up `key` at virtual time `now`, blocking on the owning
-    /// shard. Buffered puts for that shard are shipped first, so a get
-    /// always observes every put dispatched before it.
-    ///
-    /// If the owning shard is dead (its engine failed fatally or
-    /// panicked), returns [`EngineError::ShardUnavailable`] instead of
-    /// hanging.
-    pub fn try_get(&self, key: u64, now: Nanos) -> Result<GetOutcome, EngineError> {
-        let shard = self.shard_of(key);
-        self.flush_shard(shard);
-        let (reply, rx) = channel();
-        self.send(shard, Command::Get { key, now, reply });
-        rx.recv()
-            .map_err(|_| EngineError::ShardUnavailable { shard })
-    }
-
-    /// Panicking convenience wrapper over [`Self::try_get`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the owning shard is dead.
-    pub fn get(&self, key: u64, now: Nanos) -> GetOutcome {
-        self.try_get(key, now)
-            .unwrap_or_else(|e| panic!("engine failed fatally on get: {e}"))
-    }
-
-    /// Inserts synchronously, returning the foreground completion time
-    /// reported by the owning shard's engine — or
-    /// [`EngineError::ShardUnavailable`] if the owning shard is dead.
-    pub fn try_put(&self, key: u64, size: u32, now: Nanos) -> Result<Nanos, EngineError> {
-        let shard = self.shard_of(key);
-        self.flush_shard(shard);
-        let (reply, rx) = channel();
-        self.send(
-            shard,
-            Command::Put {
-                key,
-                size,
-                now,
-                reply,
-            },
-        );
-        rx.recv()
-            .map_err(|_| EngineError::ShardUnavailable { shard })
-    }
-
-    /// Panicking convenience wrapper over [`Self::try_put`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the owning shard is dead.
-    pub fn put(&self, key: u64, size: u32, now: Nanos) -> Nanos {
-        self.try_put(key, size, now)
-            .unwrap_or_else(|e| panic!("engine failed fatally on put: {e}"))
-    }
-
-    /// Current health of every shard, indexed by shard id: `Healthy`
-    /// until the engine first reports absorbed faults (retries,
-    /// quarantines, fault-induced misses), `Degraded` after, `Dead` once
-    /// a fatal engine error or panic kills the shard. Lock-free.
+    /// Current health of every shard; see [`Dispatcher::fleet_health`].
     pub fn fleet_health(&self) -> Vec<ShardHealth> {
-        self.health
-            .iter()
-            .map(|h| ShardHealth::from_u8(h.load(Ordering::Acquire)))
-            .collect()
+        self.dispatcher.fleet_health()
     }
 
-    /// Dispatches an open-loop lookup (with demand fill on miss) to the
-    /// owning shard *without blocking on the result*: the worker admits
-    /// the request through its in-flight window
-    /// ([`ShardedCacheBuilder::inflight`]), services it, interleaves
-    /// bounded background slices, and sends a [`Completion`] on `reply`.
-    /// Poll the receiving end from a completion reactor;
-    /// `crate::openloop` provides one.
-    ///
-    /// Buffered fire-and-forget puts for the shard are shipped first, so
-    /// the lookup observes every put dispatched before it.
+    /// A clone of this fleet's [`Dispatcher`], for driving the shards
+    /// from other threads. The workers run until every clone is gone.
+    pub fn dispatcher(&self) -> Dispatcher {
+        self.dispatcher.clone()
+    }
+
+    /// [`Dispatcher::dispatch_get`] from the owning handle.
     pub fn dispatch_get(
         &self,
         key: u64,
@@ -938,22 +658,11 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         seq: u64,
         reply: &Sender<Completion>,
     ) {
-        let shard = self.shard_of(key);
-        self.flush_shard(shard);
-        self.send(
-            shard,
-            Command::TimedGet {
-                key,
-                fill_size,
-                arrival,
-                seq,
-                reply: reply.clone(),
-            },
-        );
+        self.dispatcher
+            .dispatch_get(key, fill_size, arrival, seq, reply);
     }
 
-    /// Dispatches an open-loop insert to the owning shard without
-    /// blocking; the counterpart of [`Self::dispatch_get`].
+    /// [`Dispatcher::dispatch_put`] from the owning handle.
     pub fn dispatch_put(
         &self,
         key: u64,
@@ -962,89 +671,88 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         seq: u64,
         reply: &Sender<Completion>,
     ) {
-        let shard = self.shard_of(key);
-        self.flush_shard(shard);
-        self.send(
-            shard,
-            Command::TimedPut {
-                key,
-                size,
-                arrival,
-                seq,
-                reply: reply.clone(),
-            },
-        );
+        self.dispatcher.dispatch_put(key, size, arrival, seq, reply);
     }
 
-    /// A cloneable, thread-safe [`Dispatcher`] onto this fleet, for
-    /// driving the shards from many threads at once. Buffered
-    /// fire-and-forget puts are shipped first so dispatched commands
-    /// can't overtake them.
-    pub fn dispatcher(&self) -> Dispatcher {
-        self.flush_puts();
-        Dispatcher {
-            senders: self.senders.clone(),
-            health: self.health.clone(),
+    /// Dispatches `op` on the handle's own reply channel and waits for
+    /// its completion; a refusal becomes
+    /// [`EngineError::ShardUnavailable`].
+    fn wait(&self, key: u64, op: Op, now: Nanos) -> Result<Completion, EngineError> {
+        let (tx, rx) = &self.reply;
+        self.dispatcher.dispatch(key, op, now, 0, tx);
+        // Cannot disconnect (`tx` lives as long as `rx`) and cannot
+        // block forever: a worker answers every request it accepts.
+        let c = rx.recv().expect("the handle holds a reply sender");
+        match c.kind {
+            CompletionKind::Unavailable { shard } => Err(EngineError::ShardUnavailable { shard }),
+            _ => Ok(c),
         }
     }
 
-    /// Fire-and-forget insert: buffered locally and shipped to the owning
-    /// shard in batches (the builder's `batch_capacity`), amortizing the
-    /// channel round-trip. Per-shard ordering with respect to [`Self::get`],
-    /// [`Self::put`], [`Self::drain`] and [`Self::stats`] is preserved —
-    /// those operations flush the buffer first.
-    pub fn put_and_forget(&self, key: u64, size: u32, now: Nanos) {
-        let shard = self.shard_of(key);
-        let full = {
-            let mut pending = self.pending[shard].borrow_mut();
-            pending.push((key, size, now));
-            pending.len() >= self.batch_capacity
+    /// Looks up `key` arriving at virtual time `now` — a
+    /// [`Dispatcher::dispatch_lookup`] this call waits out, so it
+    /// observes every request dispatched from this thread before it.
+    /// [`GetOutcome::done_at`] includes any admission wait.
+    ///
+    /// If the owning shard is dead (its engine failed fatally or
+    /// panicked, on this request or an earlier one), returns
+    /// [`EngineError::ShardUnavailable`] instead of hanging.
+    pub fn try_get(&self, key: u64, now: Nanos) -> Result<GetOutcome, EngineError> {
+        let c = self.wait(key, Op::Lookup, now)?;
+        let CompletionKind::Get {
+            hit,
+            set_reads,
+            flash_reads,
+        } = c.kind
+        else {
+            unreachable!("a lookup completes as a get")
         };
-        if full {
-            self.flush_shard(shard);
-        }
+        Ok(GetOutcome {
+            hit,
+            done_at: c.done,
+            flash_reads,
+            set_reads,
+        })
+    }
+
+    /// Inserts and waits, returning the foreground completion time
+    /// reported by the owning shard's engine — or
+    /// [`EngineError::ShardUnavailable`] if the owning shard is dead.
+    pub fn try_put(&self, key: u64, size: u32, now: Nanos) -> Result<Nanos, EngineError> {
+        Ok(self.wait(key, Op::Put { size }, now)?.done)
+    }
+
+    /// Sends one control command to every shard, then collects the
+    /// answers in shard order. A dead shard drops the reply sender and
+    /// yields `None`; the fleet carries on around it.
+    fn ask_all<T>(&self, cmd: impl Fn(Sender<T>) -> Command) -> Vec<Option<T>> {
+        let replies: Vec<Receiver<T>> = self
+            .dispatcher
+            .senders
+            .iter()
+            .map(|tx| {
+                let (reply, rx) = channel();
+                tx.send(cmd(reply)).expect("shard worker alive");
+                rx
+            })
+            .collect();
+        replies.into_iter().map(|rx| rx.recv().ok()).collect()
     }
 
     /// Forces every shard's in-memory engine buffers to flash and waits
-    /// for all shards to acknowledge. Buffered puts ship first. Dead
-    /// shards refuse the drain (their reply channel drops); the fleet
-    /// drains around them.
+    /// for all live shards to acknowledge.
     pub fn drain(&self, now: Nanos) {
-        self.flush_puts();
-        let acks: Vec<Receiver<()>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply, rx) = channel();
-                tx.send(Command::Drain { now, reply })
-                    .expect("shard worker alive");
-                rx
-            })
-            .collect();
-        for ack in acks {
-            let _ = ack.recv();
-        }
+        self.ask_all(|reply| Command::Drain { now, reply });
     }
 
-    /// Live per-shard counters, indexed by shard id. Buffered puts ship
-    /// first so the counters cover every dispatched request. A dead
-    /// shard reports zeroed counters (its engine is unreachable until
-    /// [`Self::finish`] hands it back).
+    /// Live per-shard counters, indexed by shard id, covering every
+    /// request dispatched from this thread so far. A dead shard reports
+    /// zeroed counters (its engine is unreachable until [`Self::finish`]
+    /// hands it back).
     pub fn shard_stats(&self) -> Vec<EngineStats> {
-        self.flush_puts();
-        let replies: Vec<Receiver<EngineStats>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply, rx) = channel();
-                tx.send(Command::Stats { reply })
-                    .expect("shard worker alive");
-                rx
-            })
-            .collect();
-        replies
+        self.ask_all(|reply| Command::Stats { reply })
             .into_iter()
-            .map(|rx| rx.recv().unwrap_or_default())
+            .map(Option::unwrap_or_default)
             .collect()
     }
 
@@ -1060,20 +768,10 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
 
     /// Aggregate metadata memory across all shards.
     pub fn memory(&self) -> MemoryBreakdown {
-        self.flush_puts();
-        let replies: Vec<Receiver<MemoryBreakdown>> = self
-            .senders
-            .iter()
-            .map(|tx| {
-                let (reply, rx) = channel();
-                tx.send(Command::Memory { reply })
-                    .expect("shard worker alive");
-                rx
-            })
-            .collect();
-        let parts: Vec<MemoryBreakdown> = replies
+        let parts: Vec<MemoryBreakdown> = self
+            .ask_all(|reply| Command::Memory { reply })
             .into_iter()
-            .map(|rx| rx.recv().unwrap_or_default())
+            .map(Option::unwrap_or_default)
             .collect();
         MemoryBreakdown::merge_all(&parts)
     }
@@ -1092,7 +790,7 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         let stats = EngineStats::merge_all(&per_shard);
         // Hang up so the workers fall out of their receive loops, then
         // collect the engines. Drop sees empty vectors and does nothing.
-        self.senders = Vec::new();
+        self.dispatcher.senders.clear();
         let engines = std::mem::take(&mut self.workers)
             .into_iter()
             .map(|w| w.join().expect("shard worker panicked"))
@@ -1108,18 +806,9 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
 
 impl<E: CacheEngine + 'static> Drop for ShardedCache<E> {
     fn drop(&mut self) {
-        // Ship stragglers, hang up, and reap the worker threads so a
-        // dropped front-end never leaks detached threads. Sends here are
-        // best-effort — this Drop also runs while unwinding from a dead
-        // worker, and a panicking send would escalate to an abort that
-        // masks the worker's original panic.
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let batch = std::mem::take(&mut *self.pending[shard].borrow_mut());
-            if !batch.is_empty() {
-                let _ = sender.send(Command::PutBatch(batch));
-            }
-        }
-        self.senders = Vec::new();
+        // Hang up and reap the worker threads so a dropped front-end
+        // never leaks detached threads.
+        self.dispatcher.senders.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1127,9 +816,10 @@ impl<E: CacheEngine + 'static> Drop for ShardedCache<E> {
 }
 
 /// A sharded front-end is itself a [`CacheEngine`], so every harness that
-/// drives engines through the trait — `nemo_sim::Replay`, the bench
-/// loops, the cross-engine tests — can drive a shard fleet unchanged.
-/// Operations block on the owning shard; `stats`/`memory` aggregate.
+/// drives engines through the trait — the bench loops, the cross-engine
+/// tests — can drive a shard fleet unchanged. Operations wait on the
+/// owning shard; `stats`/`memory` aggregate. The provided panicking
+/// `get`/`put` come from the trait, as for every engine.
 impl<E: CacheEngine + 'static> CacheEngine for ShardedCache<E> {
     /// The wrapped engine's name (shards are homogeneous).
     fn name(&self) -> &'static str {
@@ -1161,6 +851,7 @@ impl<E: CacheEngine + 'static> CacheEngine for ShardedCache<E> {
 mod tests {
     use super::*;
     use nemo_baselines::LogCacheConfig;
+    use std::time::Duration;
 
     fn small_sharded(shards: usize) -> ShardedCache<nemo_baselines::LogCache> {
         ShardedCacheBuilder::new(shards).spawn(LogCacheConfig::small().factory())
@@ -1168,7 +859,7 @@ mod tests {
 
     #[test]
     fn get_put_roundtrip_across_shards() {
-        let cache = small_sharded(3);
+        let mut cache = small_sharded(3);
         for key in 0..300u64 {
             cache.put(key, 200, Nanos::ZERO);
         }
@@ -1182,34 +873,8 @@ mod tests {
     }
 
     #[test]
-    fn buffered_puts_are_visible_to_gets() {
-        // Batch capacity larger than the workload: nothing would ship
-        // without the read-path flush.
-        let cache = ShardedCacheBuilder::new(2)
-            .batch_capacity(1024)
-            .spawn(LogCacheConfig::small().factory());
-        for key in 0..50u64 {
-            cache.put_and_forget(key, 180, Nanos::ZERO);
-        }
-        for key in 0..50u64 {
-            assert!(cache.get(key, Nanos::ZERO).hit, "key {key} invisible");
-        }
-    }
-
-    #[test]
-    fn stats_cover_buffered_puts() {
-        let cache = ShardedCacheBuilder::new(2)
-            .batch_capacity(1024)
-            .spawn(LogCacheConfig::small().factory());
-        for key in 0..64u64 {
-            cache.put_and_forget(key, 180, Nanos::ZERO);
-        }
-        assert_eq!(cache.stats().puts, 64);
-    }
-
-    #[test]
     fn finish_returns_one_engine_per_shard() {
-        let cache = small_sharded(4);
+        let mut cache = small_sharded(4);
         for key in 0..100u64 {
             cache.put(key, 200, Nanos::ZERO);
         }
@@ -1227,7 +892,7 @@ mod tests {
 
     #[test]
     fn drop_without_finish_joins_workers() {
-        let cache = small_sharded(2);
+        let mut cache = small_sharded(2);
         cache.put(1, 200, Nanos::ZERO);
         drop(cache); // must not hang or leak
     }
@@ -1322,28 +987,43 @@ mod tests {
 
     #[test]
     fn drop_after_worker_death_does_not_abort() {
-        let cache = ShardedCacheBuilder::new(2)
-            .batch_capacity(1024)
-            .spawn(|_| Bomb::default());
+        let mut cache = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
         // The get's engine panics; the supervisor converts that into a
         // typed unavailable error, which the panicking wrapper surfaces.
         let attempt =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get(7, Nanos::ZERO)));
         assert!(attempt.is_err(), "bomb shard should be unavailable");
-        // Leave puts buffered for the dead shard: Drop's best-effort
-        // flush must swallow a refused batch, not double-panic into an
-        // abort (which would fail this whole test binary).
-        for key in 0..64u64 {
-            cache.put_and_forget(key, 10, Nanos::ZERO);
-        }
+        // Dropping a fleet with a dead shard must not double-panic into
+        // an abort (which would fail this whole test binary).
         drop(cache);
     }
 
     #[test]
+    fn timed_op_on_a_panicking_engine_completes_unavailable() {
+        // The op that *kills* the shard must be answered too, not only
+        // the ops that find it dead: a dropped reply sender leaves a
+        // caller that still holds its own sender (a wire connection)
+        // waiting forever.
+        let cache = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
+        let dispatcher = cache.dispatcher();
+        let dead = dispatcher.shard_of(7);
+        let (tx, rx) = channel();
+        dispatcher.dispatch_lookup(7, Nanos(5), 41, &tx);
+        let c = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the op whose engine panicked is still answered");
+        assert_eq!((c.seq, c.arrival), (41, Nanos(5)));
+        assert!(matches!(c.kind, CompletionKind::Unavailable { shard } if shard == dead));
+        // So is a demand-fill get, by the now-dead shard.
+        dispatcher.dispatch_get(7, 100, Nanos(6), 42, &tx);
+        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        assert!(matches!(c.kind, CompletionKind::Unavailable { shard } if shard == dead));
+        assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
+    }
+
+    #[test]
     fn dead_shard_reports_typed_errors_and_health() {
-        let cache = ShardedCacheBuilder::new(2)
-            .batch_capacity(1024)
-            .spawn(|_| Bomb::default());
+        let cache = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
         let dead = cache.shard_of(7);
         let err = cache.try_get(7, Nanos::ZERO).expect_err("bomb must die");
         assert!(matches!(err, EngineError::ShardUnavailable { shard } if shard == dead));

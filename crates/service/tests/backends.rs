@@ -4,7 +4,7 @@
 //! Only *time* (the measured `busy_time`) may differ.
 
 use nemo_core::NemoConfig;
-use nemo_engine::EngineStats;
+use nemo_engine::{CacheEngine as _, EngineStats};
 use nemo_flash::{Geometry, Nanos};
 use nemo_service::{DeviceBackend, ShardedCacheBuilder};
 use nemo_util::Xoshiro256StarStar;
@@ -21,7 +21,8 @@ fn run(backend: DeviceBackend) -> EngineStats {
     cfg.flush_threshold = 16;
     cfg.expected_objects_per_set = 16;
     cfg.index_group_sgs = 4;
-    let cache = ShardedCacheBuilder::new(2).spawn(cfg.factory_on(backend.device_factory("xback")));
+    let mut cache =
+        ShardedCacheBuilder::new(2).spawn(cfg.factory_on(backend.device_factory("xback")));
     let mut rng = Xoshiro256StarStar::seed_from_u64(7);
     for _ in 0..6000 {
         let key = rng.next_below(2000);

@@ -148,11 +148,10 @@ fn sharded_shards_split_the_load() {
     let cache = ShardedCacheBuilder::new(SHARDS).spawn(nemo_cfg.factory());
     let mut gen = trace();
     // Balance shows up long before steady state; keep this test quick.
-    for _ in 0..300_000 {
+    let (tx, _completions) = std::sync::mpsc::channel();
+    for op in 0..300_000 {
         let r = gen.next_request();
-        if !cache.get(r.key, Nanos::ZERO).hit {
-            cache.put_and_forget(r.key, r.size, Nanos::ZERO);
-        }
+        cache.dispatch_get(r.key, r.size, Nanos::ZERO, op, &tx);
     }
     let report = cache.finish(Nanos::ZERO);
     let total_gets: u64 = report.per_shard.iter().map(|s| s.gets).sum();

@@ -10,8 +10,7 @@
 
 use nemo_repro::core::{Nemo, NemoConfig};
 use nemo_repro::engine::CacheEngine;
-use nemo_repro::flash::Nanos;
-use nemo_repro::sim::standard_geometry;
+use nemo_repro::flash::{standard_geometry, Nanos};
 use nemo_repro::trace::{RequestKind, TraceConfig, TraceGenerator};
 
 fn smoke() -> bool {

@@ -5,16 +5,19 @@
 //! engines are deliberately single-threaded and deterministic, so
 //! `nemo-service` embeds one engine per shard and routes requests by key
 //! *hash* — the same shard-per-core pattern CacheLib deploys, without a
-//! lock anywhere. This example runs four shards on four worker threads,
-//! feeds them a demand-fill replay through the batched fire-and-forget
-//! put path, then drains every shard before reading the final numbers
-//! (an undrained Nemo under-reports WA: its in-memory SGs haven't hit
-//! flash yet).
+//! lock anywhere. This example runs four shards on four worker threads
+//! and feeds them a demand-fill replay: every request is dispatched to
+//! its shard without waiting (a miss fills inside the worker), and each
+//! is answered with one completion on the reply channel, counted here
+//! as it arrives. It then drains every shard before reading the final
+//! numbers (an undrained Nemo under-reports WA: its in-memory SGs
+//! haven't hit flash yet).
 //!
-//! This is the *closed-loop* way to drive a fleet (every get blocks on
-//! its shard). For latency measurement under offered load — bounded
-//! in-flight windows, queueing vs service split — see the open-loop
-//! driver in `twitter_replay` and `nemo_service::OpenLoopReplay`.
+//! Waiting for each completion before sending the next request
+//! (`try_get`/`try_put`) is the same path with the caller blocking. For
+//! latency measurement under offered load — arrival clock, queueing vs
+//! service split — see `twitter_replay` and
+//! `nemo_service::OpenLoopReplay`, which drive this same path.
 //!
 //! ```text
 //! cargo run --release --example concurrent_frontend [--smoke]
@@ -25,7 +28,7 @@
 use nemo_repro::core::NemoConfig;
 use nemo_repro::engine::CacheEngine as _;
 use nemo_repro::flash::{Geometry, Nanos};
-use nemo_repro::service::ShardedCacheBuilder;
+use nemo_repro::service::{CompletionKind, ShardedCacheBuilder};
 use nemo_repro::trace::{TraceConfig, TraceGenerator};
 
 const SHARDS: usize = 4;
@@ -46,12 +49,19 @@ fn main() {
     let cache = ShardedCacheBuilder::new(SHARDS).spawn(cfg.factory());
 
     let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0005));
-    for _ in 0..ops {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut hits = 0u64;
+    let mut count = |kind| hits += matches!(kind, CompletionKind::Get { hit: true, .. }) as u64;
+    for op in 0..ops {
         let r = gen.next_request();
-        if !cache.get(r.key, Nanos::ZERO).hit {
-            cache.put_and_forget(r.key, r.size, Nanos::ZERO);
-        }
+        cache.dispatch_get(r.key, r.size, Nanos::ZERO, op, &tx);
+        rx.try_iter().for_each(|c| count(c.kind));
     }
+    // Every queued request holds a sender: the channel closes once the
+    // workers have answered them all.
+    drop(tx);
+    rx.iter().for_each(|c| count(c.kind));
+    println!("{hits} of {ops} completions were hits");
 
     // finish() drains every shard first, so the WA below includes the
     // objects still buffered in each shard's in-memory SGs.

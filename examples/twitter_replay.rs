@@ -124,29 +124,4 @@ fn main() {
         FairyWrenConfig::log_op(latency_geometry(flash_mb), 5, 5).factory(),
         &trace_cfg,
     );
-
-    // Closed-loop cross-check: the same Nemo driven synchronously must
-    // closely agree on WA and miss ratio (scan pacing shifts which hot
-    // objects write-back retains, so the counters are near-identical
-    // rather than bit-identical; latency is not comparable at all — a
-    // blocking driver cannot observe queueing).
-    let closed = {
-        use nemo_repro::sim::{Replay, ReplayConfig};
-        let mut nemo = nemo_repro::core::Nemo::new(nemo_cfg(latency_geometry(flash_mb)));
-        let mut trace = TraceGenerator::new(trace_cfg.clone());
-        let r = Replay::new(ReplayConfig {
-            ops,
-            arrival_rate: RATE,
-            sample_every: (ops / 10).max(1),
-            warmup_ops: ops / 4,
-        })
-        .run(&mut nemo, &mut trace);
-        nemo.drain(r.sim_end);
-        nemo.stats()
-    };
-    println!(
-        "\nclosed-loop cross-check (nemo): WA {:.2}, miss {:.2}%",
-        closed.alwa(),
-        closed.miss_ratio() * 100.0
-    );
 }

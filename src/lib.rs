@@ -41,10 +41,8 @@ pub use nemo_flash as flash;
 pub use nemo_metrics as metrics;
 /// The memcached-text wire front-end.
 pub use nemo_proto as proto;
-/// The sharded concurrent front-end.
+/// The sharded concurrent front-end and the replay driver.
 pub use nemo_service as service;
-/// The replay harness.
-pub use nemo_sim as sim;
 /// Workload generation.
 pub use nemo_trace as trace;
 /// Deterministic PRNG/hash utilities.

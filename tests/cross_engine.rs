@@ -8,8 +8,7 @@ use nemo_repro::baselines::{
 };
 use nemo_repro::core::{Nemo, NemoConfig};
 use nemo_repro::engine::CacheEngine;
-use nemo_repro::flash::{LatencyModel, Nanos};
-use nemo_repro::sim::standard_geometry;
+use nemo_repro::flash::{standard_geometry, LatencyModel, Nanos};
 use nemo_repro::trace::{RequestKind, TraceConfig, TraceGenerator};
 
 const FLASH_MB: u32 = 24;

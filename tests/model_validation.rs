@@ -5,8 +5,7 @@ use nemo_repro::analytic::{nemo_wa, HierarchicalWaModel, PbfgCostModel};
 use nemo_repro::baselines::{FairyWren, FairyWrenConfig};
 use nemo_repro::core::{Nemo, NemoConfig};
 use nemo_repro::engine::CacheEngine;
-use nemo_repro::flash::Nanos;
-use nemo_repro::sim::standard_geometry;
+use nemo_repro::flash::{standard_geometry, Nanos};
 use nemo_repro::trace::{RequestKind, TraceConfig, TraceGenerator};
 
 const FLASH_MB: u32 = 32;

@@ -119,7 +119,7 @@ fn file_backed_device_matches_memory_device() {
 #[test]
 fn fairywren_and_kangaroo_share_migration_mechanics_but_differ_in_gc() {
     use nemo_repro::baselines::{FairyWren, FairyWrenConfig, Kangaroo, KangarooConfig};
-    use nemo_repro::sim::standard_geometry;
+    use nemo_repro::flash::standard_geometry;
     use nemo_repro::trace::{RequestKind, TraceConfig, TraceGenerator};
     let geometry = standard_geometry(24);
     let mut fw = FairyWren::new(FairyWrenConfig::log_op(geometry, 5, 5));
