@@ -384,12 +384,14 @@ impl<D: ZonedFlash> FairyWren<D> {
     fn flush_ready_hot_sets(&mut self, now: Nanos) -> Result<(), EngineError> {
         debug_assert!(!self.in_gc, "hot-set flush inside GC");
         let page_size = self.dev.geometry().page_size() as usize;
-        let ready: Vec<u64> = self
+        let mut ready: Vec<u64> = self
             .hot_staged_bytes
             .iter()
             .filter(|&(_, &b)| b >= page_size / 2)
             .map(|(&s, _)| s)
             .collect();
+        // Rewritten in set order, not the map's per-process order.
+        ready.sort_unstable();
         for hot in ready {
             let staged = self.hot_staging.remove(&hot).unwrap_or_default();
             self.hot_staged_bytes.remove(&hot);

@@ -230,12 +230,19 @@ impl HierLog {
         })
     }
 
-    /// Sets that may still have live objects in `zone`.
+    /// Sets that may still have live objects in `zone`, ascending: a GC
+    /// victim's sets migrate in this order, which must not be the hash
+    /// set's per-process one.
     pub fn sets_touching(&self, zone: u32) -> Vec<u64> {
-        self.zone_sets
+        let mut sets: Vec<u64> = self
+            .zone_sets
             .get(&zone)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        sets.sort_unstable();
+        sets
     }
 
     /// Removes and returns every live object bound for `set` (the whole

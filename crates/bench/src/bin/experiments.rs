@@ -10,14 +10,15 @@
 //!
 //! ids: fig4 fig5 fig6 fig8 fig12a fig12b fig13 fig14 fig15 fig16
 //!      fig17 fig18 fig19a fig19b table5 table6 motivation breakdown
-//!      read_cost sensitivity wave_sweep read_amplification appendix_a
+//!      read_cost sensitivity read_amplification appendix_a
 //!      ablation sharded openloop netload serve device_validation
 //!      faultload all
 //! ```
 //!
 //! `--smoke` shrinks the device and op counts so an experiment
-//! exercises its full code path in seconds (the CI smoke job runs the
-//! `wave_sweep` sweep and `device_validation` this way on every push).
+//! exercises its full code path in seconds (the CI smoke job runs
+//! `sharded`, `openloop`, `device_validation` and `faultload` this way
+//! on every push).
 //!
 //! `device_validation` replays the same trace on the modeled (in-memory
 //! and file-backed) and real-I/O backends: behavioural parity (hit
@@ -70,7 +71,7 @@ fn usage() -> ! {
          \x20                [--connect HOST:PORT] [--backend modeled|file|real] [--smoke] [--restart]\n\
          ids: fig4 fig5 fig6 fig8 fig12a fig12b fig13 fig14 fig15 fig16 fig17 fig18\n\
          \x20     fig19a fig19b table5 table6 motivation breakdown read_cost sensitivity\n\
-         \x20     wave_sweep read_amplification appendix_a ablation sharded openloop\n\
+         \x20     read_amplification appendix_a ablation sharded openloop\n\
          \x20     netload serve device_validation faultload all"
     );
     std::process::exit(2);
@@ -213,7 +214,6 @@ fn main() {
         "breakdown" => breakdown::all(scale),
         "read_cost" => breakdown::read_cost(scale),
         "sensitivity" => sensitivity::all(scale),
-        "wave_sweep" => sensitivity::wave_cap_sweep(scale),
         "table5" => overhead::table5(scale),
         "table6" => overhead::table6(scale),
         "read_amplification" => overhead::read_amplification(scale),

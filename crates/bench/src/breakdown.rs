@@ -203,63 +203,49 @@ pub fn ablation_hotness(scale: RunScale) {
     write_csv("ablation_hotness", &headers, &rows);
 }
 
-/// Read-cost breakdown of the get path: candidate set reads split into
-/// PBFG Bloom false positives vs stale-version reads (the counter the
-/// staged read path splits), young pool vs aged pool, staged+filtered
-/// vs the all-candidates burst.
+/// Read-cost breakdown of the get path: candidate set reads per get on
+/// the young pool against the aged pool, where updates have left stale
+/// copies behind, and what the reads that found nothing were.
 pub fn read_cost(scale: RunScale) {
-    println!("\n### Read-cost breakdown — staged waves + stale-version filter vs burst reads");
+    println!("\n### Read-cost breakdown — newest-first get walk, young vs aged pool");
     println!(
         "young = first quarter of the run (pool filling); aged = last quarter (steady-state \
          eviction, stale copies accumulated)"
     );
     let ops = scale.ops_for_fills(2.5);
     let quarter = ops / 4;
-    let mut rows = Vec::new();
-    for (label, staged) in [("staged+filter", true), ("burst (legacy)", false)] {
-        let mut cfg = scale.nemo_config();
-        if !staged {
-            cfg.disable_read_staging();
-        }
-        let mut nemo = nemo_core::Nemo::new(cfg);
-        let mut young = (0u64, 0u64); // (candidate_reads, gets) at 1/4 run
-        let mut at_three_quarters = (0u64, 0u64);
-        drive(&mut nemo, &mut scale.merged_trace(), ops, quarter.max(1), {
-            let young = &mut young;
-            let three = &mut at_three_quarters;
-            move |e, op| {
-                let s = e.stats();
-                if op <= quarter {
-                    *young = (s.candidate_reads, s.gets);
-                } else if op <= 3 * quarter {
-                    *three = (s.candidate_reads, s.gets);
-                }
-            }
-        });
-        let s = nemo.stats();
-        let r = nemo.report();
-        let per_get = |(c, g): (u64, u64)| if g == 0 { 0.0 } else { c as f64 / g as f64 };
-        let aged = (
-            s.candidate_reads - at_three_quarters.0,
-            s.gets - at_three_quarters.1,
-        );
-        rows.push(vec![
-            label.to_string(),
-            f2(per_get(young)),
-            f2(per_get(aged)),
-            r.bloom_fp_reads.to_string(),
-            r.stale_version_reads.to_string(),
-            r.candidates_per_get.quantile(0.99).to_string(),
-            f2((1.0 - s.miss_ratio()) * 100.0),
-            f2(s.alwa()),
-        ]);
-    }
+    let mut nemo = nemo_core::Nemo::new(scale.nemo_config());
+    // Cumulative (candidate_reads, gets) at each quarter of the run.
+    let mut marks = Vec::new();
+    drive(
+        &mut nemo,
+        &mut scale.merged_trace(),
+        ops,
+        quarter.max(1),
+        |e, _| {
+            let s = e.stats();
+            marks.push((s.candidate_reads, s.gets));
+        },
+    );
+    let s = nemo.stats();
+    let r = nemo.report();
+    let per_get = |(c, g): (u64, u64)| if g == 0 { 0.0 } else { c as f64 / g as f64 };
+    let young = marks[0];
+    let aged = (s.candidate_reads - marks[2].0, s.gets - marks[2].1);
+    let rows = vec![vec![
+        f2(per_get(young)),
+        f2(per_get(aged)),
+        r.bloom_fp_reads.to_string(),
+        r.index.capped_queries.to_string(),
+        r.candidates_per_get.quantile(0.99).to_string(),
+        f2((1.0 - s.miss_ratio()) * 100.0),
+        f2(s.alwa()),
+    ]];
     let headers = [
-        "read path",
         "young cand/get",
         "aged cand/get",
         "bloom FP reads",
-        "stale reads",
+        "capped gets",
         "cand p99",
         "hit %",
         "ALWA",

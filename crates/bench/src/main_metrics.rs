@@ -32,16 +32,15 @@
 //! baselines do their maintenance inline, which is exactly the
 //! fluctuation Fig. 15 exists to show.
 //!
-//! The *read* side of the tail is governed by the staged candidate
-//! path (`NemoConfig::read_wave_width` / `max_candidates` /
-//! `enable_stale_filter`): the PBFG candidate list is walked newest
-//! first, one wave at a time, and groups older than one that
-//! re-admitted the key are pruned by the supersede filter. Without it,
-//! updates leave stale copies across pooled SGs and per-get set reads
-//! grow from ~1 on a young pool to ~6+ at steady state — the late-run
-//! p99 drift the trend table's `cand/get` column makes visible (the
-//! paper's index keeps the candidate set small by construction, §4.3).
-//! The `sensitivity` experiment sweeps both knobs.
+//! The *read* side of the tail is governed by Nemo's get walk: index
+//! groups are visited newest first and candidate set pages read one at
+//! a time until the key is found, so the stale copies that updates
+//! leave across pooled SGs are never read and the groups behind the
+//! live copy never probed. Reading every candidate instead grows
+//! per-get set reads from ~1 on a young pool to ~6+ at steady state —
+//! the late-run p99 drift the trend table's `cand/get` column would
+//! make visible (the paper's index keeps the candidate set small by
+//! construction, §4.3).
 
 use crate::common::{drive, f2, f3, print_table, write_csv, RunScale};
 use nemo_engine::CacheEngine;
@@ -248,9 +247,9 @@ pub fn fig14(scale: RunScale) {
 /// closed-loop pacing cap of 8k, and 1.5x the 16k ceiling the run sat
 /// at before stale-version filtering. Two mechanisms buy the headroom:
 /// Nemo's write-back runs as paced background slices (PR 3), and the
-/// get path reads candidates in staged newest-first waves behind the
-/// supersede filter and candidate cap, so per-get set reads stay ~1
-/// instead of growing with the stale copies pooled SGs accumulate. What
+/// get path reads candidates newest first and stops at the first copy
+/// of the key, so per-get set reads stay ~1 instead of growing with
+/// the stale copies pooled SGs accumulate. What
 /// bounds the rate now is genuine device read capacity — push past it
 /// and the queueing columns, not a workaround, report the overload.
 pub const FIG15_RATE: f64 = 24_000.0;

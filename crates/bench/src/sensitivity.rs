@@ -2,7 +2,6 @@
 
 use crate::common::{drive, f2, print_table, write_csv, RunScale};
 use nemo_core::MemSg;
-use nemo_engine::CacheEngine;
 use nemo_trace::{TraceConfig, TraceGenerator, TwitterCluster};
 
 /// Figure 19a: cumulative request share served by the top-x % hottest
@@ -68,61 +67,8 @@ pub fn fig19b(scale: RunScale) {
     write_csv("fig19b", &headers, &rows);
 }
 
-/// Sensitivity of the staged get path: sweep the read-wave width and
-/// the newest-first candidate cap (with and without the supersede
-/// filter) and report the per-get read cost against hit ratio — the
-/// trade-off behind `NemoConfig::read_wave_width` / `max_candidates`.
-pub fn wave_cap_sweep(scale: RunScale) {
-    println!("\n### Sensitivity — read wave width x candidate cap (staged get path)");
-    println!(
-        "defaults: wave 1, cap 4, filter on; wave=all/cap=0/filter off is the legacy burst path"
-    );
-    let ops = scale.ops_for_fills(2.0);
-    let mut rows = Vec::new();
-    let variants: [(&str, u32, u32, bool); 7] = [
-        ("wave 1 cap 4 +filter", 1, 4, true),
-        ("wave 1 cap 4", 1, 4, false),
-        ("wave 1 cap 2 +filter", 1, 2, true),
-        ("wave 2 cap 4 +filter", 2, 4, true),
-        ("wave 2 cap 8 +filter", 2, 8, true),
-        ("wave 1 cap 0 +filter", 1, 0, true),
-        ("wave all cap 0", u32::MAX, 0, false),
-    ];
-    for (label, wave, cap, filter) in variants {
-        let mut cfg = scale.nemo_config();
-        cfg.read_wave_width = wave;
-        cfg.max_candidates = cap;
-        cfg.enable_stale_filter = filter;
-        let mut nemo = nemo_core::Nemo::new(cfg);
-        drive(&mut nemo, &mut scale.merged_trace(), ops, ops, |_, _| {});
-        let s = nemo.stats();
-        let r = nemo.report();
-        rows.push(vec![
-            label.to_string(),
-            f2(s.candidate_reads_per_get()),
-            r.candidates_per_get.quantile(0.99).to_string(),
-            r.bloom_fp_reads.to_string(),
-            r.stale_version_reads.to_string(),
-            f2((1.0 - s.miss_ratio()) * 100.0),
-            f2(s.read_bytes_per_get() / 1024.0),
-        ]);
-    }
-    let headers = [
-        "variant",
-        "cand reads/get",
-        "cand p99",
-        "bloom FP",
-        "stale reads",
-        "hit %",
-        "read KB/get",
-    ];
-    print_table("Wave x cap sweep", &headers, &rows);
-    write_csv("wave_cap_sweep", &headers, &rows);
-}
-
 /// Runs the sensitivity suite.
 pub fn all(scale: RunScale) {
     fig19a(scale);
     fig19b(scale);
-    wave_cap_sweep(scale);
 }

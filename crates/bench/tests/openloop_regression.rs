@@ -7,8 +7,8 @@
 //! behind the write-back read bursts inside `flush_front`, so the
 //! "latency trend" silently depended on the driver never offering real
 //! load. With the scan paced in bounded background slices (PR 3) *and*
-//! candidate reads staged behind the supersede filter (so aged-pool
-//! gets cost ~1 set read instead of one per stale copy), a rate 2.5x
+//! a get that stops at the first copy of its key (so aged-pool gets
+//! cost ~1 set read instead of one per stale copy), a rate 2.5x
 //! that cap must show no divergence — queueing near zero, p50 pinned at
 //! one flash read, candidate reads bounded, and no window drifting
 //! upward over the run.

@@ -1,7 +1,7 @@
 //! Binary serialization for warm-restart checkpoints.
 //!
 //! A checkpoint is a self-describing snapshot of the engine's in-memory
-//! state: `[8 B magic "NEMOCKP1"][4 B CRC32 over payload][payload]`. The
+//! state: `[8 B magic "NEMOCKP2"][4 B CRC32 over payload][payload]`. The
 //! payload is written and read with the little-endian primitives below;
 //! every structure serializes itself field-by-field (no reflection, no
 //! external dependencies), and the reader treats any truncation,
@@ -12,8 +12,9 @@
 use nemo_bloom::BloomFilter;
 use nemo_util::crc32::crc32;
 
-/// Checkpoint magic, versioned in the last byte.
-pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP1";
+/// Checkpoint magic, versioned in the last byte. Version 1 carried a
+/// per-group filter over admitted keys and three more fingerprint words.
+pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP2";
 
 const HEADER: usize = MAGIC.len() + 4;
 
@@ -40,10 +41,6 @@ impl Writer {
 
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     pub fn bytes(&mut self, v: &[u8]) {
@@ -133,10 +130,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// A `u32` length that must be plausible against the remaining bytes,
     /// so corrupt counts fail as corruption instead of huge allocations.
     pub fn len(&mut self, elem_bytes: usize) -> Result<usize, String> {
@@ -196,7 +189,6 @@ mod tests {
         w.u8(7);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.f64(0.001);
         let mut f = BloomFilter::for_items(10, 0.01);
         f.insert(42);
         w.filter_opt(Some(&f));
@@ -207,7 +199,6 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f64().unwrap(), 0.001);
         let back = r.filter_opt().unwrap().expect("present");
         assert!(back.contains(42));
         assert_eq!(back.hash_count(), f.hash_count());

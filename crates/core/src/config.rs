@@ -10,12 +10,13 @@ use nemo_flash::{Geometry, LatencyModel, ZonedFlash};
 /// false-positive rate, 50 % cached PBFGs, hotness tracked over the last
 /// 30 % of the cache, cooling every 10 % of cache written.
 ///
-/// Eighteen fields: geometry and latency model, six sizing values, the
-/// three Fig. 17 technique toggles, the eviction mode, the hotness
-/// window and cooling period, and four read-staging knobs. How flash is
-/// *read* is not configurable: every set-page read is one submitted
-/// batch whose queue depth is its own length, and a background eviction
-/// slice reads one victim page.
+/// Fourteen fields: geometry and latency model, six sizing values, the
+/// three Fig. 17 technique toggles, the eviction mode, and the hotness
+/// window and cooling period. How flash is *read* is not configurable: a
+/// get reads candidate set pages one at a time, newest first, until it
+/// finds the key (or has read four); every set-page read is one
+/// submitted batch whose queue depth is its own length, and a background
+/// eviction slice reads one victim page.
 #[derive(Debug, Clone)]
 pub struct NemoConfig {
     /// Device geometry. One SG occupies exactly one zone.
@@ -60,35 +61,6 @@ pub struct NemoConfig {
     /// candidates found by the scan are staged and re-admitted into the
     /// next flushed SG.
     pub background_eviction: bool,
-    /// Candidates read per *wave* on the get path. The PBFG candidate
-    /// list is sorted newest-first and read `read_wave_width` sets at a
-    /// time, stopping at the first wave that contains the key; older
-    /// waves are touched only on a miss of all newer ones. The default
-    /// of 1 makes a hit on the newest version cost exactly one set
-    /// read; `u32::MAX` restores the pre-staging behaviour of reading
-    /// every candidate in one parallel burst.
-    pub read_wave_width: u32,
-    /// Hard cap on PBFG candidates considered per get, newest first
-    /// (0 = unlimited). The backstop behind the supersede filter: even
-    /// when stale copies of a hot key pile up across pooled SGs, a get
-    /// touches at most this many data pages. Newer-than-the-live-copy
-    /// candidates are Bloom false positives (rate `bloom_fpr` each), so
-    /// a small cap is hit-safe.
-    pub max_candidates: u32,
-    /// Maintain the per-index-group supersede filter: a compact Bloom
-    /// filter over every key a group's SGs admitted, checked at query
-    /// time so groups older than one that re-admitted the key are
-    /// skipped outright (their copies are stale). The cutoff only fires
-    /// when the group *also* produced a PBFG candidate for the key, so
-    /// a supersede false positive alone cannot drop a live old copy.
-    pub enable_stale_filter: bool,
-    /// Target false-positive rate of the supersede filters. Because the
-    /// cutoff requires a same-group PBFG match as well, a false
-    /// positive here costs a hit only in conjunction with a PBFG false
-    /// positive (joint probability ≈ `supersede_fpr · group_sgs ·
-    /// bloom_fpr`), so a coarse ~6 bits/key filter keeps the miss-ratio
-    /// perturbation in the noise while staying compact.
-    pub supersede_fpr: f64,
 }
 
 impl NemoConfig {
@@ -109,10 +81,6 @@ impl NemoConfig {
             enable_p_flushing: true,
             enable_writeback: true,
             background_eviction: false,
-            read_wave_width: 1,
-            max_candidates: 4,
-            enable_stale_filter: true,
-            supersede_fpr: 0.05,
         }
     }
 
@@ -192,26 +160,6 @@ impl NemoConfig {
         }
     }
 
-    /// Keys one index group's supersede filter is sized for: the
-    /// expected object capacity of the group's SGs. Actual occupancy
-    /// runs below capacity (fill rate < 1), so the realized
-    /// false-positive rate sits at or under [`Self::supersede_fpr`].
-    pub fn supersede_keys_per_group(&self) -> u64 {
-        self.sgs_per_index_group() as u64
-            * self.sets_per_sg() as u64
-            * self.expected_objects_per_set as u64
-    }
-
-    /// Turns the staged read path back into the pre-staging behaviour —
-    /// every candidate read in one parallel burst, no supersede
-    /// filtering, no cap. The A/B baseline for the read-tail
-    /// experiments and regression tests.
-    pub fn disable_read_staging(&mut self) {
-        self.read_wave_width = u32::MAX;
-        self.max_candidates = 0;
-        self.enable_stale_filter = false;
-    }
-
     /// Zones reserved for the on-flash index pool.
     ///
     /// Each index group occupies `sets_per_sg` pages (one PBFG page per
@@ -250,14 +198,6 @@ impl NemoConfig {
             "hotness_window in [0,1]"
         );
         assert!(self.cooling_period > 0.0, "cooling_period must be positive");
-        assert!(
-            self.read_wave_width >= 1,
-            "read_wave_width must be positive"
-        );
-        assert!(
-            self.supersede_fpr > 0.0 && self.supersede_fpr < 1.0,
-            "supersede_fpr must be in (0,1)"
-        );
         assert!(
             self.filter_bytes() <= self.geometry.page_size(),
             "a set-level filter must fit in a page"
@@ -329,44 +269,6 @@ mod tests {
     fn bad_fpr_rejected() {
         let mut cfg = NemoConfig::small();
         cfg.bloom_fpr = 0.0;
-        cfg.validate();
-    }
-
-    #[test]
-    fn read_staging_defaults_and_off_switch() {
-        let mut cfg = NemoConfig::small();
-        assert_eq!(cfg.read_wave_width, 1, "newest-version hit = 1 set read");
-        assert!(cfg.max_candidates > 0);
-        assert!(cfg.enable_stale_filter);
-        cfg.validate();
-        cfg.disable_read_staging();
-        assert_eq!(cfg.read_wave_width, u32::MAX);
-        assert_eq!(cfg.max_candidates, 0);
-        assert!(!cfg.enable_stale_filter);
-        cfg.validate();
-        // Supersede sizing covers the group's object capacity.
-        let keys = cfg.supersede_keys_per_group();
-        assert_eq!(
-            keys,
-            cfg.sgs_per_index_group() as u64
-                * cfg.sets_per_sg() as u64
-                * cfg.expected_objects_per_set as u64
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "read_wave_width")]
-    fn zero_wave_width_rejected() {
-        let mut cfg = NemoConfig::small();
-        cfg.read_wave_width = 0;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "supersede_fpr")]
-    fn bad_supersede_fpr_rejected() {
-        let mut cfg = NemoConfig::small();
-        cfg.supersede_fpr = 1.0;
         cfg.validate();
     }
 }

@@ -19,9 +19,13 @@
 //! SGs. Each persisted group owns its share of the PBFG cache as a table
 //! indexed by set offset, so finding a cached page is an index, not a
 //! hash; a fetched page lands in the buffer the last eviction freed, and
-//! the candidate list in a buffer the caller hands back
-//! ([`PbfgIndex::recycle`]). A query whose pages are cached allocates
-//! nothing.
+//! the candidates in a buffer the caller owns. A query whose pages are
+//! cached allocates nothing.
+//!
+//! A query is a *walk* ([`GroupWalk`]): groups are visited newest first,
+//! one [`PbfgIndex::next_group`] step per group that has a candidate, and
+//! the caller stops stepping at the first copy of the key, which is the
+//! live one: the groups behind it are neither probed nor fetched.
 
 use nemo_bloom::{BloomFilter, ProbeTable};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
@@ -38,23 +42,19 @@ pub struct SgCandidate {
     pub zone: u32,
 }
 
-/// Outcome of a candidate query, including its I/O cost.
+/// One query's place in the newest-first walk over the index groups
+/// ([`PbfgIndex::walk`], [`PbfgIndex::next_group`]).
+///
+/// The cursor is an id bound, not a position: the building group counts
+/// as the id its seal will give it, and a group that retires between two
+/// steps (a zone quarantined in the middle of a get) is neither skipped
+/// over nor visited twice.
 #[derive(Debug, Clone)]
-pub struct CandidateQuery {
-    /// Candidate SGs, newest first. With the supersede filter enabled,
-    /// groups older than one that re-admitted the key contribute
-    /// nothing (their copies are stale); the list is further truncated
-    /// to the configured candidate cap
-    /// ([`IndexStats::capped_queries`] counts the truncations). The
-    /// vector is the index's own buffer: [`PbfgIndex::recycle`] it when
-    /// done, and the next query allocates nothing.
-    pub candidates: Vec<SgCandidate>,
-    /// PBFG pages fetched from flash to answer the query.
-    pub flash_reads: u32,
-    /// Bytes read from flash.
-    pub bytes_read: u64,
-    /// Completion time of the index fetches.
-    pub done_at: Nanos,
+pub struct GroupWalk {
+    set: u32,
+    probes: ProbeTable,
+    /// Every live group with an id at or above this has been visited.
+    visited_from: u64,
 }
 
 /// Index-cache and pool counters (Fig. 19b, §5.5).
@@ -67,11 +67,10 @@ pub struct IndexStats {
     pub cache_misses: u64,
     /// Pages written to the on-flash index pool.
     pub pool_pages_written: u64,
-    /// Queries whose group walk stopped early because a newer group's
-    /// supersede filter (plus a same-group PBFG match) marked the key
-    /// as rewritten — older groups were never probed.
+    /// Walks that stopped before the oldest live group: the key was
+    /// found (or the caller gave up), so older groups were never probed.
     pub superseded_cutoffs: u64,
-    /// Queries truncated by the newest-first candidate cap.
+    /// Walks the caller stopped because its read budget ran out.
     pub capped_queries: u64,
 }
 
@@ -97,9 +96,6 @@ struct PersistedGroup {
     /// Slot -> live SG, `None` once evicted.
     slots: Vec<Option<SgCandidate>>,
     live: u32,
-    /// Supersede filter: every key the group's SGs admitted. `None`
-    /// when stale-version filtering is disabled.
-    supersede: Option<BloomFilter>,
     /// The group's share of the PBFG cache: `cached[s]` holds the filter
     /// region of page `s` while it is resident. The table itself (one
     /// pointer pair per set offset) is not part of the modelled index
@@ -138,20 +134,11 @@ pub struct PbfgIndex {
     cache_spare: Option<Box<[u8]>>,
     /// One page, for index-pool fetches.
     page_buf: Vec<u8>,
-    /// The candidate list of the next query ([`Self::recycle`]).
-    candidate_buf: Vec<SgCandidate>,
     pool_zones: Vec<u32>,
     pool_open: usize,
     /// zone -> group ids with pages there (for ring recycling).
     zone_groups: HashMap<u32, Vec<u64>>,
     retired: HashMap<u64, bool>,
-    /// `(keys_per_group, fpr)` sizing of the supersede filters; `None`
-    /// disables stale-version filtering.
-    supersede_sizing: Option<(u64, f64)>,
-    /// Supersede filter of the still-building group.
-    building_supersede: Option<BloomFilter>,
-    /// Newest-first candidate cap per query (0 = unlimited).
-    max_candidates: u32,
     /// Transient-retry count since the engine last drained it (not
     /// checkpointed here; the engine folds it into [`EngineStats`]).
     device_retries: u64,
@@ -196,14 +183,10 @@ impl PbfgIndex {
             cache_fifo: VecDeque::new(),
             cache_spare: None,
             page_buf: vec![0; page_size as usize],
-            candidate_buf: Vec::new(),
             pool_zones,
             pool_open: 0,
             zone_groups: HashMap::new(),
             retired: HashMap::new(),
-            supersede_sizing: None,
-            building_supersede: None,
-            max_candidates: 0,
             device_retries: 0,
             stats: IndexStats::default(),
         }
@@ -230,27 +213,6 @@ impl PbfgIndex {
     /// since the last call (the engine folds it into its own stats).
     pub fn take_device_retries(&mut self) -> u64 {
         std::mem::take(&mut self.device_retries)
-    }
-
-    /// Enables stale-version filtering: each group keeps an in-memory
-    /// Bloom filter sized for `keys_per_group` admitted keys at `fpr`,
-    /// and [`Self::candidates`] stops its newest-first group walk at the
-    /// first group that both re-admitted the key (supersede filter) and
-    /// produced a PBFG candidate for it — everything older is stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys_per_group` is zero or `fpr` is not in `(0,1)`.
-    pub fn enable_supersede(&mut self, keys_per_group: u64, fpr: f64) {
-        assert!(keys_per_group > 0, "keys_per_group must be positive");
-        assert!(fpr > 0.0 && fpr < 1.0, "supersede fpr must be in (0,1)");
-        self.supersede_sizing = Some((keys_per_group, fpr));
-    }
-
-    /// Caps the candidates a query may return, newest first
-    /// (0 = unlimited).
-    pub fn set_max_candidates(&mut self, cap: u32) {
-        self.max_candidates = cap;
     }
 
     /// Index counters.
@@ -314,10 +276,8 @@ impl PbfgIndex {
     }
 
     /// Adds a flushed SG's filters; seals and persists the group when it
-    /// reaches `sgs_per_group`. `keys` are the SG's admitted keys,
-    /// recorded in the group's supersede filter when stale-version
-    /// filtering is enabled (pass `&[]` to skip). Returns flash bytes
-    /// written (0 until a group seals) and the completion time.
+    /// reaches `sgs_per_group`. Returns flash bytes written (0 until a
+    /// group seals) and the completion time.
     ///
     /// # Errors
     ///
@@ -338,7 +298,6 @@ impl PbfgIndex {
         seq: u64,
         zone: u32,
         filters: &[BloomFilter],
-        keys: &[u64],
         now: Nanos,
     ) -> Result<(u64, Nanos), FlashError> {
         assert_eq!(
@@ -349,14 +308,6 @@ impl PbfgIndex {
         let (mut wrote, mut done) = (0, now);
         if self.building.len() as u32 >= self.sgs_per_group {
             (wrote, done) = self.persist_building(dev, now)?;
-        }
-        if let Some((keys_per_group, fpr)) = self.supersede_sizing {
-            let filter = self
-                .building_supersede
-                .get_or_insert_with(|| BloomFilter::for_items(keys_per_group, fpr));
-            for &k in keys {
-                filter.insert(k);
-            }
         }
         let slot = self.building.len();
         for (set, f) in filters.iter().enumerate() {
@@ -413,7 +364,6 @@ impl PbfgIndex {
             base,
             slots,
             live,
-            supersede: self.building_supersede.take(),
             cached: vec![None; self.sets_per_sg as usize],
         });
         Ok((bytes.len() as u64, done))
@@ -493,88 +443,83 @@ impl PbfgIndex {
         }
     }
 
-    /// Queries live PBFGs for `key` at set offset `set`, fetching
-    /// uncached PBFG pages from the index pool.
+    /// Starts a newest-first walk for `key` at set offset `set`. Nothing
+    /// is probed until the first [`Self::next_group`].
+    pub fn walk(&self, set: u32, key: u64) -> GroupWalk {
+        GroupWalk {
+            set,
+            probes: ProbeTable::new(key, self.filter_bytes as usize, self.hashes),
+            visited_from: u64::MAX,
+        }
+    }
+
+    /// Advances `walk` to the next group that has a candidate for its key
+    /// and leaves that group's candidates in `out`, newest first: the
+    /// building group, then the persisted groups in reverse flush order.
+    /// `out` comes back empty once every live group has been visited.
+    /// Returns the PBFG pages fetched from the index pool and the
+    /// completion time of the last fetch (`now` if there was none).
     ///
-    /// The walk runs newest-first (building group, then persisted groups
-    /// in reverse flush order) and, with stale-version filtering
-    /// enabled, stops at the first group that both re-admitted the key
-    /// (supersede filter hit) and produced a PBFG candidate for it:
-    /// every older copy of the key is stale, so older groups are
-    /// neither probed nor fetched. The surviving list is truncated to
-    /// the newest [`Self::set_max_candidates`] entries.
+    /// An uncached PBFG page is fetched from the index pool at `now` —
+    /// the completion time of whatever the caller did last — and each
+    /// further fetch of the same step when the one before it completes:
+    /// a fetch is only issued once the walk knows it needs it.
     ///
     /// # Errors
     ///
     /// Returns the device error if an index-pool page read fails
     /// permanently (transient errors are retried internally). The index
-    /// is left consistent; the query simply could not be answered.
-    pub fn candidates<D: ZonedFlash>(
+    /// is left consistent and the walk where it was; the query simply
+    /// could not be answered.
+    pub fn next_group<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
-        set: u32,
-        key: u64,
+        walk: &mut GroupWalk,
+        out: &mut Vec<SgCandidate>,
         now: Nanos,
-    ) -> Result<CandidateQuery, FlashError> {
+    ) -> Result<(u32, Nanos), FlashError> {
         let row = self.row_bytes();
-        let mut probes = ProbeTable::new(key, self.filter_bytes as usize, self.hashes);
-        let mut out = std::mem::take(&mut self.candidate_buf);
+        let set = walk.set;
+        let (mut fetched, mut done) = (0, now);
         out.clear();
         // Building group (newest): filters are in memory — one
         // in-memory PBFG access for the whole group.
-        if self.building_live > 0 {
-            self.stats.cache_hits += 1;
-            let pbfg = &self.building_bits[set as usize * row..][..row];
-            let slots = &self.building;
-            probes.matches_in(pbfg, slots.len(), |slot| out.extend(slots[slot]));
-        }
-        // Stale cutoff after the building group: a supersede hit alone
-        // could be a false positive of the coarse filter, so it must be
-        // corroborated by an actual candidate before older groups are
-        // declared stale.
-        let mut superseded = !out.is_empty()
-            && self
-                .building_supersede
-                .as_ref()
-                .is_some_and(|f| f.contains_probes(probes.probe_set()));
-        let mut flash_reads = 0u32;
-        let mut done = now;
-        for gi in (0..self.groups.len()).rev() {
-            if superseded {
-                self.stats.superseded_cutoffs += 1;
-                break;
+        if walk.visited_from > self.next_group_id {
+            walk.visited_from = self.next_group_id;
+            if self.building_live > 0 {
+                self.stats.cache_hits += 1;
+                let pbfg = &self.building_bits[set as usize * row..][..row];
+                let slots = &self.building;
+                walk.probes
+                    .matches_in(pbfg, slots.len(), |slot| out.extend(slots[slot]));
             }
+        }
+        // Found by id once per step: groups retire between steps (a
+        // quarantine), never inside one.
+        let mut gi = self.groups.partition_point(|g| g.id < walk.visited_from);
+        while out.is_empty() && gi > 0 {
+            gi -= 1;
             let g = &self.groups[gi];
             let fetch = g.cached[set as usize].is_none();
             if fetch {
                 self.stats.cache_misses += 1;
                 let addr = PageAddr::new(g.base.zone, g.base.page + set);
                 let page = &mut self.page_buf;
-                let fetched = retry_transient(&mut self.device_retries, |attempt| {
-                    dev.read_pages_into(addr, 1, page, backoff(now, attempt))
-                });
-                match fetched {
-                    Ok(t) => done = done.max(t),
-                    Err(e) => {
-                        self.candidate_buf = out;
-                        return Err(e);
-                    }
-                }
-                flash_reads += 1;
+                done = retry_transient(&mut self.device_retries, |attempt| {
+                    dev.read_pages_into(addr, 1, page, backoff(done, attempt))
+                })?;
+                fetched += 1;
             } else {
                 self.stats.cache_hits += 1;
             }
+            walk.visited_from = g.id;
             let pbfg: &[u8] = g.cached[set as usize]
                 .as_deref()
                 .unwrap_or(&self.page_buf[..row]);
             // The page still carries the bits of evicted SGs; the slot
             // directory masks them.
-            let found = out.len();
-            probes.matches_in(pbfg, g.slots.len(), |slot| out.extend(g.slots[slot]));
-            superseded = out.len() > found
-                && g.supersede
-                    .as_ref()
-                    .is_some_and(|f| f.contains_probes(probes.probe_set()));
+            walk.probes
+                .matches_in(pbfg, g.slots.len(), |slot| out.extend(g.slots[slot]));
             if fetch {
                 self.cache_fetched(gi, set);
             }
@@ -582,22 +527,21 @@ impl PbfgIndex {
         // One seq per SG, so the unstable sort has one possible outcome
         // (and, unlike the stable one, never allocates).
         out.sort_unstable_by_key(|c| std::cmp::Reverse(c.seq));
-        if self.max_candidates > 0 && out.len() > self.max_candidates as usize {
-            out.truncate(self.max_candidates as usize);
-            self.stats.capped_queries += 1;
-        }
-        Ok(CandidateQuery {
-            candidates: out,
-            flash_reads,
-            bytes_read: flash_reads as u64 * self.page_size as u64,
-            done_at: done,
-        })
+        Ok((fetched, done))
     }
 
-    /// Takes back the candidate list of a finished query: the next query
-    /// fills the same buffer.
-    pub fn recycle(&mut self, candidates: Vec<SgCandidate>) {
-        self.candidate_buf = candidates;
+    /// Counts a walk the caller is done with: as cut off if it stopped
+    /// before the oldest live group, and as capped if what stopped it
+    /// was the caller's read budget (`capped`), not a hit.
+    pub fn finish_walk(&mut self, walk: &GroupWalk, capped: bool) {
+        if self
+            .groups
+            .front()
+            .is_some_and(|oldest| oldest.id < walk.visited_from)
+        {
+            self.stats.superseded_cutoffs += 1;
+        }
+        self.stats.capped_queries += u64::from(capped);
     }
 
     /// Resident bytes of the PBFG cache.
@@ -608,21 +552,6 @@ impl PbfgIndex {
     /// Modelled bytes of the building group's in-memory filters.
     pub fn buffer_bytes(&self) -> u64 {
         self.building_live as u64 * self.sets_per_sg as u64 * self.filter_bytes as u64
-    }
-
-    /// Resident bytes of the supersede filters (building + per group).
-    pub fn supersede_bytes(&self) -> u64 {
-        let building = self
-            .building_supersede
-            .as_ref()
-            .map_or(0, |f| f.serialized_len() as u64);
-        building
-            + self
-                .groups
-                .iter()
-                .filter_map(|g| g.supersede.as_ref())
-                .map(|f| f.serialized_len() as u64)
-                .sum::<u64>()
     }
 
     /// Number of live persisted groups.
@@ -639,7 +568,7 @@ impl PbfgIndex {
     }
 
     /// Serializes the full index state (building group, persisted group
-    /// directory, supersede filters, pool-ring position and counters) for
+    /// directory, pool-ring position and counters) for
     /// a warm-restart checkpoint. The PBFG *cache* is deliberately not
     /// checkpointed: it restarts cold and refills from the on-flash pool,
     /// which only costs reads. Hash maps are emitted in sorted order so
@@ -647,15 +576,6 @@ impl PbfgIndex {
     pub(crate) fn checkpoint_encode(&self, w: &mut crate::checkpoint::Writer) {
         w.u64(self.next_group_id);
         w.u32(self.pool_open as u32);
-        w.u32(self.max_candidates);
-        match self.supersede_sizing {
-            Some((keys, fpr)) => {
-                w.u8(1);
-                w.u64(keys);
-                w.f64(fpr);
-            }
-            None => w.u8(0),
-        }
         w.u64(self.stats.cache_hits);
         w.u64(self.stats.cache_misses);
         w.u64(self.stats.pool_pages_written);
@@ -678,7 +598,6 @@ impl PbfgIndex {
                 None => w.u8(0),
             }
         }
-        w.filter_opt(self.building_supersede.as_ref());
         w.u32(self.groups.len() as u32);
         for g in &self.groups {
             w.u64(g.id);
@@ -695,7 +614,6 @@ impl PbfgIndex {
                     None => w.u8(0),
                 }
             }
-            w.filter_opt(g.supersede.as_ref());
         }
         let mut zones: Vec<u32> = self.zone_groups.keys().copied().collect();
         zones.sort_unstable();
@@ -745,10 +663,6 @@ impl PbfgIndex {
             return Err(format!("checkpoint corrupt: pool_open {pool_open}"));
         }
         idx.pool_open = pool_open;
-        idx.max_candidates = r.u32()?;
-        if r.u8()? != 0 {
-            idx.supersede_sizing = Some((r.u64()?, r.f64()?));
-        }
         idx.stats = IndexStats {
             cache_hits: r.u64()?,
             cache_misses: r.u64()?,
@@ -783,7 +697,6 @@ impl PbfgIndex {
                 idx.building.push(None);
             }
         }
-        idx.building_supersede = r.filter_opt()?;
         let groups = r.len(1)?;
         for _ in 0..groups {
             let id = r.u64()?;
@@ -812,13 +725,11 @@ impl PbfgIndex {
                     slots.push(None);
                 }
             }
-            let supersede = r.filter_opt()?;
             idx.groups.push_back(PersistedGroup {
                 id,
                 base,
                 slots,
                 live,
-                supersede,
                 cached: vec![None; sets_per_sg as usize],
             });
         }
@@ -870,22 +781,43 @@ mod tests {
         fs
     }
 
+    /// Walks to exhaustion: every candidate, newest first, and the pool
+    /// pages fetched on the way.
+    fn drain<D: ZonedFlash>(
+        idx: &mut PbfgIndex,
+        d: &mut D,
+        set: u32,
+        key: u64,
+    ) -> (Vec<SgCandidate>, u32) {
+        let mut walk = idx.walk(set, key);
+        let (mut all, mut group, mut fetched) = (Vec::new(), Vec::new(), 0);
+        loop {
+            let step = idx.next_group(d, &mut walk, &mut group, Nanos::ZERO);
+            fetched += step.unwrap().0;
+            if group.is_empty() {
+                return (all, fetched);
+            }
+            all.append(&mut group);
+        }
+    }
+
+    /// One step of a walk: the seqs it yields and the pool pages it
+    /// fetches.
+    fn step(idx: &mut PbfgIndex, d: &mut SimFlash, walk: &mut GroupWalk) -> (Vec<u64>, u32) {
+        let mut group = Vec::new();
+        let (fetched, _) = idx.next_group(d, walk, &mut group, Nanos::ZERO).unwrap();
+        (group.iter().map(|c| c.seq).collect(), fetched)
+    }
+
     #[test]
     fn building_group_answers_from_memory() {
         let mut d = dev();
         let mut idx = index();
-        idx.add_sg(
-            &mut d,
-            1,
-            10,
-            &filters_with_keys(&[8, 16]),
-            &[],
-            Nanos::ZERO,
-        )
-        .unwrap();
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        assert_eq!(q.candidates, vec![SgCandidate { seq: 1, zone: 10 }]);
-        assert_eq!(q.flash_reads, 0);
+        idx.add_sg(&mut d, 1, 10, &filters_with_keys(&[8, 16]), Nanos::ZERO)
+            .unwrap();
+        let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
+        assert_eq!(found, vec![SgCandidate { seq: 1, zone: 10 }]);
+        assert_eq!(fetched, 0);
     }
 
     #[test]
@@ -894,15 +826,9 @@ mod tests {
         let mut idx = index();
         let mut wrote = 0;
         for seq in 0..3u64 {
+            let filters = filters_with_keys(&[seq * SETS as u64]);
             let (b, _) = idx
-                .add_sg(
-                    &mut d,
-                    seq,
-                    10 + seq as u32,
-                    &filters_with_keys(&[seq * SETS as u64]),
-                    &[],
-                    Nanos::ZERO,
-                )
+                .add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
                 .unwrap();
             wrote += b;
         }
@@ -917,22 +843,16 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         for seq in 0..3u64 {
-            idx.add_sg(
-                &mut d,
-                seq,
-                10 + seq as u32,
-                &filters_with_keys(&[seq + 8]), // keys 8,9,10 -> sets 0,1,2
-                &[],
-                Nanos::ZERO,
-            )
-            .unwrap();
+            // keys 8,9,10 -> sets 0,1,2
+            let filters = filters_with_keys(&[seq + 8]);
+            idx.add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
+                .unwrap();
         }
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        assert!(q.candidates.contains(&SgCandidate { seq: 0, zone: 10 }));
-        assert_eq!(q.flash_reads, 1, "first access fetches the PBFG page");
+        let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
+        assert!(found.contains(&SgCandidate { seq: 0, zone: 10 }));
+        assert_eq!(fetched, 1, "first access fetches the PBFG page");
         // Second access: cached.
-        let q2 = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        assert_eq!(q2.flash_reads, 0);
+        assert_eq!(drain(&mut idx, &mut d, 0, 8).1, 0);
         assert!(idx.stats().cache_hits > 0);
     }
 
@@ -942,13 +862,11 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(0);
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), &[], Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), Nanos::ZERO)
                 .unwrap();
         }
-        let q1 = idx.candidates(&mut d, 1, 1, Nanos::ZERO).unwrap();
-        let q2 = idx.candidates(&mut d, 1, 1, Nanos::ZERO).unwrap();
-        assert_eq!(q1.flash_reads, 1);
-        assert_eq!(q2.flash_reads, 1, "nothing can be cached");
+        assert_eq!(drain(&mut idx, &mut d, 1, 1).1, 1);
+        assert_eq!(drain(&mut idx, &mut d, 1, 1).1, 1, "nothing can be cached");
         assert!((idx.stats().miss_ratio() - 1.0).abs() < 1e-9);
     }
 
@@ -958,22 +876,15 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         for seq in 0..3u64 {
-            idx.add_sg(
-                &mut d,
-                seq,
-                10 + seq as u32,
-                &filters_with_keys(&[8]),
-                &[],
-                Nanos::ZERO,
-            )
-            .unwrap();
+            let filters = filters_with_keys(&[8]);
+            idx.add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
+                .unwrap();
         }
         for seq in 0..3u64 {
             idx.on_evict(seq);
         }
         assert_eq!(idx.group_count(), 0, "group retires with its SGs");
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        assert!(q.candidates.is_empty());
+        assert!(drain(&mut idx, &mut d, 0, 8).0.is_empty());
     }
 
     #[test]
@@ -987,14 +898,12 @@ mod tests {
                 seq,
                 seq as u32,
                 &filters_with_keys(&[8]),
-                &[],
                 Nanos::ZERO,
             )
             .unwrap();
         }
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![9, 7, 4]);
+        let mut walk = idx.walk(0, 8);
+        assert_eq!(step(&mut idx, &mut d, &mut walk).0, vec![9, 7, 4]);
     }
 
     #[test]
@@ -1007,7 +916,7 @@ mod tests {
         let mut seq = 0u64;
         for _ in 0..8 {
             for _ in 0..3 {
-                idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), &[], Nanos::ZERO)
+                idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), Nanos::ZERO)
                     .unwrap();
                 seq += 1;
             }
@@ -1019,101 +928,117 @@ mod tests {
         assert!(idx.group_count() <= 2);
     }
 
-    #[test]
-    fn supersede_cutoff_skips_older_groups() {
-        let mut d = dev();
+    /// Two sealed groups (seqs 0..3 and 3..6) and one building SG
+    /// (seq 6), each SG holding the keys `keys(seq)` gives it.
+    fn three_generations(d: &mut SimFlash, keys: impl Fn(u64) -> Vec<u64>) -> PbfgIndex {
         let mut idx = index();
-        idx.enable_supersede(12, 0.02);
-        // Older group (seqs 0..3) admits key 8 in seq 0; newer group
-        // (seqs 3..6) re-admits key 8 in seq 5.
-        for seq in 0..3u64 {
-            let keys: &[u64] = if seq == 0 { &[8] } else { &[seq + 16] };
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
+        for seq in 0..7u64 {
+            idx.add_sg(d, seq, 10, &filters_with_keys(&keys(seq)), Nanos::ZERO)
                 .unwrap();
         }
-        for seq in 3..6u64 {
-            let keys: &[u64] = if seq == 5 { &[8] } else { &[seq + 32] };
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
-                .unwrap();
-        }
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![5], "older group's stale copy must be dropped");
-        assert_eq!(
-            q.flash_reads, 1,
-            "the superseded older group must not even be fetched"
-        );
-        assert_eq!(idx.stats().superseded_cutoffs, 1);
+        assert_eq!(idx.group_count(), 2);
+        idx
     }
 
     #[test]
-    fn supersede_needs_candidate_corroboration() {
+    fn a_walk_stopped_at_the_newest_copy_fetches_nothing_older() {
         let mut d = dev();
-        let mut idx = index();
-        idx.enable_supersede(12, 0.02);
-        // Key 8 lives only in the OLDER group; the newer group admits
-        // other keys. Its supersede filter alone (even if it false-
-        // positived) may not veto the older copy without a same-group
-        // PBFG candidate.
-        for seq in 0..3u64 {
-            let keys: &[u64] = if seq == 0 { &[8] } else { &[seq + 16] };
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
-                .unwrap();
-        }
-        for seq in 3..6u64 {
-            let keys: &[u64] = &[seq + 32];
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(keys), keys, Nanos::ZERO)
-                .unwrap();
-        }
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
+        // Key 8 admitted by seq 0 (oldest group) and again by seq 5.
+        let mut idx = three_generations(&mut d, |seq| match seq {
+            0 | 5 => vec![8],
+            _ => vec![seq + 16],
+        });
+        let mut walk = idx.walk(0, 8);
+        // The building group is in memory; the older group is not fetched.
+        assert_eq!(step(&mut idx, &mut d, &mut walk), (vec![5], 1));
+        // The caller found the key in seq 5 and stops here.
+        idx.finish_walk(&walk, false);
+        let stats = idx.stats();
+        assert_eq!((stats.superseded_cutoffs, stats.cache_misses), (1, 1));
+        // Had it gone on, the stale copy would have come next.
+        assert_eq!(step(&mut idx, &mut d, &mut walk), (vec![0], 1));
+        assert_eq!(step(&mut idx, &mut d, &mut walk), (vec![], 0));
+        idx.finish_walk(&walk, false);
         assert_eq!(
-            q.candidates,
-            vec![SgCandidate { seq: 0, zone: 10 }],
-            "the live old copy must survive"
+            idx.stats().superseded_cutoffs,
+            1,
+            "a drained walk cut nothing"
         );
+    }
+
+    #[test]
+    fn a_step_passes_over_groups_without_a_candidate() {
+        // Key 8 lives only in the oldest group: one step walks through
+        // the building group and the newer group to reach it.
+        let only_oldest = |seq| if seq == 0 { vec![8] } else { vec![seq + 32] };
+        let mut d = dev();
+        let mut idx = three_generations(&mut d, only_oldest);
+        let mut walk = idx.walk(0, 8);
+        assert_eq!(step(&mut idx, &mut d, &mut walk), (vec![0], 2));
+        idx.finish_walk(&walk, false);
         assert_eq!(idx.stats().superseded_cutoffs, 0);
-        assert!(idx.supersede_bytes() > 0, "filters must be accounted");
+
+        // On a device with latencies, the second fetch is issued when
+        // the first completes, not beside it.
+        let geometry = Geometry::new(512, 8, 16, 2);
+        let mut d = SimFlash::with_latency(geometry, LatencyModel::default());
+        let mut idx = three_generations(&mut d, only_oldest);
+        let mut walk = idx.walk(0, 8);
+        let (_, done) = idx
+            .next_group(&mut d, &mut walk, &mut Vec::new(), Nanos::ZERO)
+            .unwrap();
+        let idle = Nanos(done.0 * 10);
+        let one = d
+            .read_pages_into(PageAddr::new(0, 0), 1, &mut [0u8; 512], idle)
+            .unwrap();
+        assert!(one > idle && done.0 >= 2 * (one.0 - idle.0));
     }
 
     #[test]
-    fn building_supersede_cuts_off_persisted_groups() {
+    fn a_hit_in_the_building_group_touches_no_flash() {
         let mut d = dev();
-        let mut idx = index();
-        idx.enable_supersede(12, 0.02);
-        // Persisted group holds key 8; the building group re-admits it.
-        for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), &[8], Nanos::ZERO)
-                .unwrap();
-        }
-        idx.add_sg(&mut d, 3, 11, &filters_with_keys(&[8]), &[8], Nanos::ZERO)
-            .unwrap();
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![3], "persisted stale copies skipped entirely");
-        assert_eq!(q.flash_reads, 0, "no index-pool fetch needed");
-        assert_eq!(idx.stats().superseded_cutoffs, 1);
+        // Every generation holds key 8; the building SG has the live one.
+        let mut idx = three_generations(&mut d, |_| vec![8]);
+        let mut walk = idx.walk(0, 8);
+        assert_eq!(step(&mut idx, &mut d, &mut walk), (vec![6], 0));
+        idx.finish_walk(&walk, true);
+        let stats = idx.stats();
+        assert_eq!((stats.superseded_cutoffs, stats.capped_queries), (1, 1));
     }
 
     #[test]
     fn candidate_cap_keeps_newest() {
+        // The index has no cap of its own: a caller that stops after n
+        // candidates has seen the n newest, whatever the group borders.
         let mut d = dev();
-        let mut idx = index();
-        idx.set_max_candidates(2);
-        for seq in [4u64, 9, 7] {
-            idx.add_sg(
-                &mut d,
-                seq,
-                seq as u32,
-                &filters_with_keys(&[8]),
-                &[],
-                Nanos::ZERO,
-            )
-            .unwrap();
+        let mut idx = three_generations(&mut d, |_| vec![8]);
+        let mut walk = idx.walk(0, 8);
+        let mut first_four = Vec::new();
+        while first_four.len() < 4 {
+            first_four.extend(step(&mut idx, &mut d, &mut walk).0);
         }
-        let q = idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
-        let seqs: Vec<u64> = q.candidates.iter().map(|c| c.seq).collect();
-        assert_eq!(seqs, vec![9, 7], "cap keeps the newest candidates");
-        assert_eq!(idx.stats().capped_queries, 1);
+        assert_eq!(first_four, vec![6, 5, 4, 3]);
+    }
+
+    #[test]
+    fn a_group_retired_mid_walk_is_neither_skipped_nor_revisited() {
+        // The newer sealed group (seqs 3..6) retires under the walk, as
+        // a quarantine retires it: once just after the walk visited it,
+        // once just before.
+        for (retire_after, want) in [(2, vec![6, 5, 4, 3, 2, 1, 0]), (1, vec![6, 2, 1, 0])] {
+            let mut d = dev();
+            let mut idx = three_generations(&mut d, |_| vec![8]);
+            let mut walk = idx.walk(0, 8);
+            let mut seen = Vec::new();
+            for steps in 1..=4 {
+                seen.extend(step(&mut idx, &mut d, &mut walk).0);
+                if steps == retire_after {
+                    (3..6).for_each(|seq| idx.on_evict(seq));
+                    assert_eq!(idx.group_count(), 1);
+                }
+            }
+            assert_eq!(seen, want);
+        }
     }
 
     #[test]
@@ -1121,17 +1046,17 @@ mod tests {
         let mut d = dev();
         let mut idx = index();
         idx.set_cache_capacity(64);
-        idx.add_sg(&mut d, 0, 10, &filters_with_keys(&[8]), &[], Nanos::ZERO)
+        idx.add_sg(&mut d, 0, 10, &filters_with_keys(&[8]), Nanos::ZERO)
             .unwrap();
         // Building: always "recently active".
         assert!(idx.is_recently_active(0, 0));
         for seq in 1..3u64 {
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), &[], Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), Nanos::ZERO)
                 .unwrap();
         }
         // Persisted but not yet cached.
         assert!(!idx.is_recently_active(0, 0));
-        idx.candidates(&mut d, 0, 8, Nanos::ZERO).unwrap();
+        drain(&mut idx, &mut d, 0, 8);
         assert!(idx.is_recently_active(0, 0), "fetch populates the cache");
     }
 
@@ -1145,12 +1070,10 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         let add = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
-            let keys = [seq + 8];
-            idx.add_sg(d, seq, 10, &filters_with_keys(&keys), &keys, Nanos::ZERO)
+            idx.add_sg(d, seq, 10, &filters_with_keys(&[seq + 8]), Nanos::ZERO)
         };
         let finds = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
-            let q = idx.candidates(d, seq as u32 % SETS, seq + 8, Nanos::ZERO);
-            q.unwrap().candidates == vec![SgCandidate { seq, zone: 10 }]
+            drain(idx, d, seq as u32 % SETS, seq + 8).0 == vec![SgCandidate { seq, zone: 10 }]
         };
         add(&mut idx, &mut d, 0).unwrap();
         add(&mut idx, &mut d, 1).unwrap();
@@ -1186,7 +1109,7 @@ mod tests {
         assert_eq!(idx.live_seqs(), vec![0, 2]);
     }
 
-    /// The query against a reference that keeps one `BloomFilter` per
+    /// The walk against a reference that keeps one `BloomFilter` per
     /// (SG, set), answers with `BloomFilter::contains` and models the
     /// PBFG cache as a set of page names.
     mod differential {
@@ -1209,7 +1132,6 @@ mod tests {
             id: u64,
             /// Slot -> live SG and its filters, one per set.
             slots: Vec<Option<(SgCandidate, Vec<BloomFilter>)>>,
-            supersede: Option<BloomFilter>,
         }
 
         impl RefGroup {
@@ -1217,24 +1139,23 @@ mod tests {
                 self.slots.iter().flatten()
             }
 
-            /// Appends the group's candidates for `key`; whether the
-            /// group also supersedes everything older.
+            /// Appends the group's candidates for `key`, newest first;
+            /// whether it had any.
             fn query(&self, set: u32, key: u64, out: &mut Vec<SgCandidate>) -> bool {
-                let found = out.len();
-                out.extend(
-                    self.live()
-                        .filter(|(_, f)| f[set as usize].contains(key))
-                        .map(|(c, _)| *c),
-                );
-                out.len() > found && self.supersede.as_ref().is_some_and(|f| f.contains(key))
+                let mut found: Vec<SgCandidate> = self
+                    .live()
+                    .filter(|(_, f)| f[set as usize].contains(key))
+                    .map(|(c, _)| *c)
+                    .collect();
+                found.sort_by_key(|c| std::cmp::Reverse(c.seq));
+                out.extend_from_slice(&found);
+                !found.is_empty()
             }
         }
 
         #[derive(Default)]
         struct Reference {
             group_sgs: usize,
-            supersede: Option<(u64, f64)>,
-            max_candidates: usize,
             building: RefGroup,
             groups: Vec<RefGroup>,
             /// The PBFG cache as the parent kept it: names of resident
@@ -1249,19 +1170,7 @@ mod tests {
             /// Buffers the SG; when that seals the group, the pool pages
             /// it must have appended: filter by filter, a dead slot as
             /// zeros.
-            fn add_sg(
-                &mut self,
-                sg: SgCandidate,
-                filters: Vec<BloomFilter>,
-                keys: &[u64],
-            ) -> Option<Vec<u8>> {
-                if let Some((n, fpr)) = self.supersede {
-                    let f = self
-                        .building
-                        .supersede
-                        .get_or_insert_with(|| BloomFilter::for_items(n, fpr));
-                    keys.iter().for_each(|&k| f.insert(k));
-                }
+            fn add_sg(&mut self, sg: SgCandidate, filters: Vec<BloomFilter>) -> Option<Vec<u8>> {
                 let fb = filters[0].serialized_len();
                 self.building.slots.push(Some((sg, filters)));
                 if self.building.slots.len() < self.group_sgs {
@@ -1310,20 +1219,23 @@ mod tests {
                 }
             }
 
-            /// Candidates and index-pool pages fetched.
-            fn candidates(&mut self, set: u32, key: u64) -> (Vec<SgCandidate>, u32) {
+            /// The walk, left once `stop_after` groups have yielded
+            /// candidates: those, newest first, and the index-pool pages
+            /// fetched.
+            fn walk(&mut self, set: u32, key: u64, stop_after: usize) -> (Vec<SgCandidate>, u32) {
                 let mut out = Vec::new();
-                let mut superseded = false;
+                let mut yielded = 0;
                 if self.building.live().next().is_some() {
                     self.stats.cache_hits += 1;
-                    superseded = self.building.query(set, key, &mut out);
+                    yielded += usize::from(self.building.query(set, key, &mut out));
                 }
                 let mut fetched = 0;
+                let mut unvisited = self.groups.len();
                 for g in self.groups.iter().rev() {
-                    if superseded {
-                        self.stats.superseded_cutoffs += 1;
+                    if yielded >= stop_after {
                         break;
                     }
+                    unvisited -= 1;
                     let page = (g.id, set);
                     if self.resident.contains(&page) {
                         self.stats.cache_hits += 1;
@@ -1335,7 +1247,7 @@ mod tests {
                             self.fifo.push_back(page);
                         }
                     }
-                    superseded = g.query(set, key, &mut out);
+                    yielded += usize::from(g.query(set, key, &mut out));
                     // (Eviction after the probe, as the index does it;
                     // the order cannot matter to a model without bytes.)
                     while self.resident.len() > self.capacity {
@@ -1345,11 +1257,7 @@ mod tests {
                         self.resident.remove(&old);
                     }
                 }
-                out.sort_by_key(|c| std::cmp::Reverse(c.seq));
-                if self.max_candidates > 0 && out.len() > self.max_candidates {
-                    out.truncate(self.max_candidates);
-                    self.stats.capped_queries += 1;
-                }
+                self.stats.superseded_cutoffs += u64::from(unvisited > 0);
                 (out, fetched)
             }
 
@@ -1360,9 +1268,10 @@ mod tests {
         }
 
         /// One random interleaving of `add_sg`, `on_evict`,
-        /// `set_cache_capacity` and `candidates` on both sides, with a
-        /// checkpoint round trip of the index at op `checkpoint_at`.
-        fn run(group_sgs: u32, supersede: bool, cap: u32, seed: u64, checkpoint_at: Option<u64>) {
+        /// `set_cache_capacity` and walks (drained, or left after a few
+        /// groups) on both sides, with a checkpoint round trip of the
+        /// index at op `checkpoint_at`.
+        fn run(group_sgs: u32, seed: u64, checkpoint_at: Option<u64>) {
             let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
             // A filter size the group fits a page with, and a hash
             // count from none-to-spare (k = 1 has no second probe).
@@ -1380,15 +1289,8 @@ mod tests {
             let mut idx = PbfgIndex::new(pool.clone(), SETS, PAGE, fb, hashes, group_sgs);
             let mut reference = Reference {
                 group_sgs: group_sgs as usize,
-                max_candidates: cap as usize,
                 ..Reference::default()
             };
-            idx.set_max_candidates(cap);
-            if supersede {
-                let sizing = (group_sgs as u64 * 24, 0.05);
-                idx.enable_supersede(sizing.0, sizing.1);
-                reference.supersede = Some(sizing);
-            }
             // SGs live at most `max_live` flushes: at most seven live
             // groups in a pool of sixteen.
             let max_live = (group_sgs as usize * 5).max(8);
@@ -1432,21 +1334,14 @@ mod tests {
                         .map(|_| BloomFilter::with_geometry(fb as u64 * 8, hashes))
                         .collect();
                     // From sparse to saturated filters.
-                    let keys: Vec<u64> = (0..rng.next_below(4 * fb as u64 / 8 + 2))
-                        .map(|_| rng.next_below(KEYS))
-                        .collect();
-                    for &k in &keys {
+                    for _ in 0..rng.next_below(4 * fb as u64 / 8 + 2) {
+                        let k = rng.next_below(KEYS);
                         filters[(k % SETS as u64) as usize].insert(k);
                     }
-                    let keys: &[u64] = if supersede && rng.chance(0.9) {
-                        &keys
-                    } else {
-                        &[]
-                    };
                     let (wrote, _) = idx
-                        .add_sg(&mut dev, sg.seq, sg.zone, &filters, keys, Nanos::ZERO)
+                        .add_sg(&mut dev, sg.seq, sg.zone, &filters, Nanos::ZERO)
                         .unwrap();
-                    let sealed = reference.add_sg(sg, filters, keys);
+                    let sealed = reference.add_sg(sg, filters);
                     assert_eq!(wrote, sealed.as_ref().map_or(0, |pages| pages.len() as u64));
                     if let Some(want) = sealed {
                         let base = idx.groups.back().expect("just sealed").base;
@@ -1474,14 +1369,28 @@ mod tests {
                 } else {
                     let set = rng.next_below(SETS as u64) as u32;
                     let key = rng.next_below(KEYS + KEYS / 4);
-                    let q = idx.candidates(&mut dev, set, key, Nanos::ZERO).unwrap();
-                    let (want, fetched) = reference.candidates(set, key);
-                    assert_eq!(q.candidates, want, "op {op}: set {set}, key {key}");
-                    assert_eq!(q.flash_reads, fetched, "op {op}");
-                    assert_eq!(q.bytes_read, fetched as u64 * PAGE as u64);
-                    if rng.chance(0.8) {
-                        idx.recycle(q.candidates);
+                    // Drained to exhaustion, or left as a get leaves it.
+                    let stop_after = if rng.chance(0.5) {
+                        usize::MAX
+                    } else {
+                        1 + rng.next_below(3) as usize
+                    };
+                    let capped = rng.chance(0.1);
+                    let mut walk = idx.walk(set, key);
+                    let (mut got, mut group, mut got_fetched) = (Vec::new(), Vec::new(), 0);
+                    for _ in 0..stop_after {
+                        let step = idx.next_group(&mut dev, &mut walk, &mut group, Nanos::ZERO);
+                        got_fetched += step.unwrap().0;
+                        if group.is_empty() {
+                            break;
+                        }
+                        got.extend_from_slice(&group);
                     }
+                    idx.finish_walk(&walk, capped);
+                    let (want, fetched) = reference.walk(set, key, stop_after);
+                    reference.stats.capped_queries += u64::from(capped);
+                    assert_eq!(got, want, "op {op}: set {set}, key {key}");
+                    assert_eq!(got_fetched, fetched, "op {op}");
                 }
                 assert_eq!(idx.stats(), reference.stats, "op {op}");
                 assert_eq!(idx.group_count(), reference.groups.len());
@@ -1506,16 +1415,10 @@ mod tests {
         }
 
         #[test]
-        fn every_group_size_supersede_and_cap() {
+        fn every_group_size() {
             for (i, &group_sgs) in GROUP_SIZES.iter().enumerate() {
-                for supersede in [false, true] {
-                    for cap in [0, 4] {
-                        for seed in 0..3u64 {
-                            let seed =
-                                seed * 100 + i as u64 * 4 + cap as u64 + u64::from(supersede);
-                            run(group_sgs, supersede, cap, seed, None);
-                        }
-                    }
+                for seed in 0..12u64 {
+                    run(group_sgs, seed * 100 + i as u64, None);
                 }
             }
         }
@@ -1526,8 +1429,8 @@ mod tests {
                 // Late enough that groups have sealed and another is
                 // part built.
                 let at = 2 * group_sgs as u64 + 60 + i as u64;
-                run(group_sgs, true, 4, 40 + i as u64, Some(at));
-                run(group_sgs, false, 0, 50 + i as u64, Some(at / 2));
+                run(group_sgs, 40 + i as u64, Some(at));
+                run(group_sgs, 50 + i as u64, Some(at / 2));
             }
         }
 
@@ -1537,14 +1440,11 @@ mod tests {
             #[test]
             fn random_interleavings_match_the_reference(
                 group in 0usize..GROUP_SIZES.len(),
-                supersede in any::<bool>(),
-                capped in any::<bool>(),
                 seed in any::<u64>(),
                 checkpoint_at in 0u64..1000,
             ) {
                 // Past the run's last op means no checkpoint.
-                let cap = if capped { 4 } else { 0 };
-                run(GROUP_SIZES[group], supersede, cap, seed, Some(checkpoint_at));
+                run(GROUP_SIZES[group], seed, Some(checkpoint_at));
             }
         }
 
@@ -1557,13 +1457,10 @@ mod tests {
             #[ignore = "deep generative sweep; run via the scheduled CI job"]
             fn random_interleavings_match_the_reference_deep(
                 group in 0usize..GROUP_SIZES.len(),
-                supersede in any::<bool>(),
-                capped in any::<bool>(),
                 seed in any::<u64>(),
                 checkpoint_at in 0u64..1000,
             ) {
-                let cap = if capped { 4 } else { 0 };
-                run(GROUP_SIZES[group], supersede, cap, seed, Some(checkpoint_at));
+                run(GROUP_SIZES[group], seed, Some(checkpoint_at));
             }
         }
     }

@@ -30,7 +30,7 @@ pub struct EngineStats {
     pub flash_bytes_read: u64,
     /// Data pages read on the lookup path (candidate sets / object
     /// pages; index-structure reads excluded). Per-get this is the
-    /// "candidate set-reads" cost Nemo's staged read path bounds.
+    /// "candidate set-reads" cost Nemo's newest-first get walk bounds.
     pub candidate_reads: u64,
     /// Objects evicted (dropped from the cache).
     pub evicted_objects: u64,
@@ -88,8 +88,8 @@ impl EngineStats {
     }
 
     /// Mean candidate data-page reads per get — the per-lookup set-read
-    /// cost (Fig. 15's late-run driver for Nemo before stale-version
-    /// filtering).
+    /// cost (what drove Nemo's late-run drift in Fig. 15 while a get
+    /// read every candidate).
     pub fn candidate_reads_per_get(&self) -> f64 {
         if self.gets == 0 {
             0.0

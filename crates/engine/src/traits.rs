@@ -71,8 +71,7 @@ pub struct GetOutcome {
     /// Data-page reads among [`Self::flash_reads`]: candidate set /
     /// object pages only, index-structure fetches excluded. For engines
     /// with exact or fully in-memory indexes this equals `flash_reads`;
-    /// for Nemo it is the candidate-wave cost the staged read path
-    /// bounds.
+    /// for Nemo it is the candidate pages its newest-first walk read.
     pub set_reads: u32,
 }
 

@@ -39,8 +39,8 @@ pub struct LatencyWindow {
     pub get_ops: u64,
     /// Candidate data-page (set) reads those lookups issued, summed —
     /// divide by [`Self::get_ops`] (or call
-    /// [`Self::set_reads_per_get`]) for the per-get read cost the
-    /// staged Nemo read path is designed to bound.
+    /// [`Self::set_reads_per_get`]) for the per-get read cost Nemo's
+    /// newest-first get walk bounds.
     pub set_reads: u64,
 }
 

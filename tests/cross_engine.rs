@@ -82,6 +82,21 @@ fn all_engines_complete_the_workload() {
 }
 
 #[test]
+fn two_runs_in_one_process_give_equal_stats() {
+    // Every `HashMap` in a process hashes with keys of its own, so two
+    // engines built here iterate theirs in different orders. Kangaroo
+    // and FairyWREN once migrated a GC victim's sets in that order.
+    for (first, second) in engines().into_iter().zip(engines()) {
+        let stats = [first, second].map(|mut engine| {
+            drive(engine.as_mut(), OPS);
+            engine.drain(Nanos::ZERO);
+            (engine.name(), engine.stats())
+        });
+        assert_eq!(stats[0], stats[1]);
+    }
+}
+
+#[test]
 fn wa_ordering_matches_figure_12a() {
     let mut results = std::collections::HashMap::new();
     for mut engine in engines() {
@@ -111,7 +126,7 @@ fn memory_ordering_matches_table_6() {
     // Log's exact index dwarfs everything (>100 bits); Nemo and the
     // hierarchical designs stay within a few tens of bits.
     assert!(results["log"] > 100.0, "log {}", results["log"]);
-    assert!(results["nemo"] < 40.0, "nemo {}", results["nemo"]);
+    assert!(results["nemo"] < 25.0, "nemo {}", results["nemo"]);
     assert!(results["fairywren"] < 40.0, "fw {}", results["fairywren"]);
     assert!(
         results["nemo"] < results["log"] / 4.0,
