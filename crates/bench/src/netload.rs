@@ -91,6 +91,10 @@ struct Sample {
     service_ns: u64,
     is_get: bool,
     hit: bool,
+    /// The reply was not one this request can have (`SERVER_ERROR`, a
+    /// `STORED` where `VALUE`/`END` was due): the server refused it or
+    /// answered out of order.
+    unexpected: bool,
 }
 
 /// Renders `key` as its canonical decimal wire form (which
@@ -282,13 +286,14 @@ fn reader_loop(
                         },
                     };
                     let done_ns = epoch.elapsed().as_nanos() as u64;
-                    let finish = |hit: bool| {
+                    let finish = |hit: bool, unexpected: bool| {
                         let _ = samples.send(Sample {
                             seq: cur.seq,
                             queue_ns: cur.send_ns.saturating_sub(cur.arrival_ns),
                             service_ns: done_ns.saturating_sub(cur.send_ns),
                             is_get: cur.is_get,
                             hit,
+                            unexpected,
                         });
                     };
                     match resp {
@@ -299,12 +304,12 @@ fn reader_loop(
                             if !saw_value {
                                 let _ = fill_tx.send((cur.key, cur.size));
                             }
-                            finish(saw_value);
+                            finish(saw_value, false);
                         }
-                        Response::Stored if !cur.is_get => finish(true),
+                        Response::Stored if !cur.is_get => finish(true, false),
                         other => {
                             eprintln!("netload: unexpected response {other:?}");
-                            finish(false);
+                            finish(false, true);
                         }
                     }
                 }
@@ -350,6 +355,8 @@ struct Collected {
     gets: u64,
     hits: u64,
     done: u64,
+    /// Requests answered with a reply they cannot have.
+    unexpected: u64,
 }
 
 /// One trend window's accumulators (mirrors the in-process open-loop
@@ -384,6 +391,7 @@ fn collector(
         gets: 0,
         hits: 0,
         done: 0,
+        unexpected: 0,
     };
     let finalize = |acc: &WindowAccum, i: usize| LatencyWindow {
         ops: window_end(i),
@@ -402,6 +410,7 @@ fn collector(
     };
     for s in rx {
         out.done += 1;
+        out.unexpected += s.unexpected as u64;
         if s.is_get {
             out.gets += 1;
             out.hits += s.hit as u64;
@@ -555,6 +564,10 @@ fn print_netload_report(c: &Collected, ops: u64, elapsed: f64, smoke: bool) {
         c.gets,
     );
     assert_eq!(c.done, ops, "every scheduled request must be answered");
+    assert_eq!(
+        c.unexpected, 0,
+        "every request must get a reply of its own kind, in request order"
+    );
     if !smoke {
         assert!(
             rps >= 16_000.0,
@@ -743,7 +756,8 @@ mod tests {
             backend: DeviceBackend::Modeled,
         };
         // Assertion-free beyond netload's own invariants (every request
-        // answered); smoke mode skips the throughput gate.
+        // answered, each with a reply of its kind); smoke mode skips the
+        // throughput gate.
         netload(scale, opts);
     }
 }

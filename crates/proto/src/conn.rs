@@ -1,15 +1,16 @@
-//! Per-connection protocol loop: read, parse a pipelined wave,
-//! dispatch, collect completions, write one batched response.
+//! Per-connection protocol loop: read, parse a pipelined wave into one
+//! batch per shard, dispatch the batches, collect one reply per shard,
+//! write one batched response.
 
 use crate::parser::{parse_command, Command, Limits, ParseOutcome};
 use crate::store::{map_key, synth_value, MetaStore};
 use crate::wire::encode_value;
 use nemo_flash::Nanos;
 use nemo_metrics::ProtoStats;
-use nemo_service::{Completion, CompletionKind, Dispatcher};
-use std::collections::{HashMap, VecDeque};
+use nemo_service::{CompletionKind, Dispatcher, Wave};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -71,26 +72,63 @@ pub(crate) struct ConnShared {
     pub shutdown: Arc<AtomicBool>,
 }
 
+/// Where one engine operation of the current wave went: its request is
+/// number `idx` of `waves[shard]`, and so is its completion once the
+/// shard has answered.
+#[derive(Clone, Copy)]
+struct Slot {
+    shard: usize,
+    idx: usize,
+}
+
+/// One requested key of a `get`: its wire bytes as a range of the read
+/// buffer, its engine key, and its lookup.
+struct GetKey {
+    wire: Range<usize>,
+    engine_key: u64,
+    slot: Slot,
+}
+
 /// An in-order response slot for one parsed command. Engine-bound
-/// commands hold the dispatch seqs their rendering waits on;
-/// everything else is pre-rendered.
+/// commands point at the operations their rendering reads; everything
+/// else is pre-rendered.
 enum PendingReply {
     /// Response bytes known at parse time (version, protocol errors).
-    Immediate(Vec<u8>),
-    /// A `get`/`gets`: one engine lookup per key, rendered as `VALUE`
-    /// blocks plus `END` once every key's completion arrived.
-    Get {
-        /// `(wire key bytes, engine key, dispatch seq)` per key.
-        keys: Vec<(Vec<u8>, u64, u64)>,
-        cas: bool,
-    },
-    /// A `set`: `STORED` (unless `noreply`) once its completion
-    /// arrived.
-    Set { seq: u64, noreply: bool },
+    Immediate(&'static str),
+    /// A `get`/`gets`: one engine lookup per key — `keys` is its range
+    /// of the wave's key list — rendered as `VALUE` blocks plus `END`.
+    Get { keys: Range<usize>, cas: bool },
+    /// A `set`: `STORED` unless `noreply`.
+    Set { slot: Slot, noreply: bool },
+}
+
+/// The wave of the shard `engine_key` routes to, and the slot its next
+/// request will take.
+fn next_slot<'w>(
+    waves: &'w mut [Option<Box<Wave>>],
+    dispatcher: &Dispatcher,
+    engine_key: u64,
+) -> (&'w mut Wave, Slot) {
+    let shard = dispatcher.shard_of(engine_key);
+    let wave = waves[shard].as_mut().expect("no wave is in flight");
+    let idx = wave.len();
+    (wave, Slot { shard, idx })
+}
+
+/// The position of `part` inside `buf`, which it was sliced from.
+fn range_in(buf: &[u8], part: &[u8]) -> Range<usize> {
+    let start = part.as_ptr() as usize - buf.as_ptr() as usize;
+    start..start + part.len()
 }
 
 /// Runs one connection to completion. Returns the connection's
 /// protocol counters.
+///
+/// Every buffer below lives as long as the connection and is reused
+/// wave after wave, so in steady state a request costs no allocation:
+/// its key stays in the read buffer (drained only after the wave is
+/// rendered), its engine operation is one entry of a per-shard
+/// [`Wave`], and its value is synthesized into one scratch buffer.
 pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoStats {
     let mut ps = ProtoStats {
         connections: 1,
@@ -99,10 +137,14 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = vec![0u8; 16 * 1024];
     let mut out: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut pending: VecDeque<PendingReply> = VecDeque::new();
-    let (tx, rx) = channel::<Completion>();
-    let mut received: HashMap<u64, Completion> = HashMap::new();
-    let mut next_seq: u64 = 0;
+    let mut value: Vec<u8> = Vec::new();
+    let mut pending: Vec<PendingReply> = Vec::new();
+    let mut get_keys: Vec<GetKey> = Vec::new();
+    // One wave per shard; `None` while the shard holds it.
+    let mut waves: Vec<Option<Box<Wave>>> = (0..shared.dispatcher.shards())
+        .map(|_| Some(Box::default()))
+        .collect();
+    let (tx, rx) = channel::<Box<Wave>>();
 
     'conn: loop {
         match stream.read(&mut chunk) {
@@ -123,13 +165,11 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
             Err(_) => break 'conn,
         }
 
-        // Parse-and-dispatch one pipelined wave: every complete frame
-        // currently buffered is dispatched before any completion is
-        // awaited, so this connection's whole wave is in flight across
-        // the shards at once, overlapping other connections' service.
+        // Parse one pipelined wave: every complete frame currently
+        // buffered becomes an entry of its shard's wave, stamped in
+        // request order.
         let mut off = 0;
         let mut closing = false;
-        let mut fatal = false;
         // A miss rendered below may only collect metadata that predates
         // this wave: a `set` dispatched after the lookup (later in this
         // wave, or on another connection) owns whatever it recorded.
@@ -143,20 +183,23 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                     match cmd {
                         Command::Get { keys, cas } => {
                             ps.get_cmds += 1;
-                            let mut slots = Vec::with_capacity(keys.count());
+                            let first = get_keys.len();
                             for key in keys.iter() {
                                 ps.get_keys += 1;
                                 let engine_key = map_key(key);
-                                next_seq += 1;
-                                shared.dispatcher.dispatch_lookup(
+                                let (wave, slot) =
+                                    next_slot(&mut waves, &shared.dispatcher, engine_key);
+                                wave.push_lookup(engine_key, shared.clock.now());
+                                get_keys.push(GetKey {
+                                    wire: range_in(&buf, key),
                                     engine_key,
-                                    shared.clock.now(),
-                                    next_seq,
-                                    &tx,
-                                );
-                                slots.push((key.to_vec(), engine_key, next_seq));
+                                    slot,
+                                });
                             }
-                            pending.push_back(PendingReply::Get { keys: slots, cas });
+                            pending.push(PendingReply::Get {
+                                keys: first..get_keys.len(),
+                                cas,
+                            });
                         }
                         Command::Set(set) => {
                             ps.set_cmds += 1;
@@ -169,23 +212,22 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                             shared
                                 .meta
                                 .insert(engine_key, set.flags, set.data.len() as u32);
-                            next_seq += 1;
-                            shared.dispatcher.dispatch_put(
+                            let (wave, slot) =
+                                next_slot(&mut waves, &shared.dispatcher, engine_key);
+                            wave.push_put(
                                 engine_key,
                                 (set.key.len() + set.data.len()) as u32,
                                 shared.clock.now(),
-                                next_seq,
-                                &tx,
                             );
-                            pending.push_back(PendingReply::Set {
-                                seq: next_seq,
+                            pending.push(PendingReply::Set {
+                                slot,
                                 noreply: set.noreply,
                             });
                         }
                         Command::Version => {
                             let line =
                                 concat!("VERSION nemo-proto ", env!("CARGO_PKG_VERSION"), "\r\n");
-                            pending.push_back(PendingReply::Immediate(line.into()));
+                            pending.push(PendingReply::Immediate(line));
                         }
                         Command::Quit => {
                             closing = true;
@@ -196,92 +238,104 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                 ParseOutcome::Error(err, consumed) => {
                     off += consumed;
                     ps.protocol_errors += 1;
-                    pending.push_back(PendingReply::Immediate(err.reply().into()));
+                    pending.push(PendingReply::Immediate(err.reply()));
                 }
                 ParseOutcome::Fatal(err) => {
                     ps.fatal_errors += 1;
-                    pending.push_back(PendingReply::Immediate(err.reply().into()));
+                    pending.push(PendingReply::Immediate(err.reply()));
                     closing = true;
-                    fatal = true;
                     break;
                 }
             }
         }
-        buf.drain(..off);
-        if fatal {
-            // The stream is no longer delimitable; whatever is left in
-            // the buffer is unparseable.
-            buf.clear();
-        }
 
-        // Render the wave's responses in request order, waiting for
-        // completions as needed, then flush with one write.
+        // Dispatch: one command per shard the wave touches, so the whole
+        // wave is in flight across the shards at once, overlapping other
+        // connections' service; then one reply per shard, in whatever
+        // order the shards finish.
+        let mut in_flight = 0;
+        for (shard, slot) in waves.iter_mut().enumerate() {
+            match slot.take() {
+                Some(wave) if !wave.is_empty() => {
+                    shared.dispatcher.dispatch_wave(shard, wave, &tx);
+                    in_flight += 1;
+                }
+                idle => *slot = idle,
+            }
+        }
+        for _ in 0..in_flight {
+            // A worker answers every wave it accepts, dead engine or not.
+            let wave = rx.recv().expect("this handler holds a reply sender");
+            let shard = wave.shard();
+            waves[shard] = Some(wave);
+        }
+        let completion = |slot: Slot| {
+            let wave = waves[slot.shard].as_ref().expect("every wave is back");
+            wave.done()[slot.idx].kind
+        };
+
+        // Render the wave's responses in request order and flush them
+        // with one write.
         out.clear();
         for reply in pending.drain(..) {
             match reply {
-                PendingReply::Immediate(bytes) => out.extend_from_slice(&bytes),
+                PendingReply::Immediate(bytes) => out.extend_from_slice(bytes.as_bytes()),
                 PendingReply::Get { keys, cas } => {
-                    // Collect every key's completion before rendering:
-                    // if any shard refused its key, the whole command is
-                    // answered with one SERVER_ERROR line (memcached has
-                    // no per-key error syntax inside a VALUE stream),
-                    // and the seq bookkeeping stays consistent either
-                    // way.
-                    let completions: Vec<(Vec<u8>, u64, Completion)> = keys
-                        .into_iter()
-                        .map(|(wire_key, engine_key, seq)| {
-                            (wire_key, engine_key, wait_for(seq, &rx, &mut received))
-                        })
-                        .collect();
-                    if completions
+                    // If any shard refused its key, the whole command is
+                    // answered with one SERVER_ERROR line: memcached has
+                    // no per-key error syntax inside a VALUE stream.
+                    let keys = &get_keys[keys];
+                    if keys
                         .iter()
-                        .any(|(_, _, c)| matches!(c.kind, CompletionKind::Unavailable { .. }))
+                        .any(|k| matches!(completion(k.slot), CompletionKind::Unavailable { .. }))
                     {
                         ps.server_errors += 1;
                         out.extend_from_slice(b"SERVER_ERROR shard unavailable\r\n");
                         continue;
                     }
-                    for (wire_key, engine_key, c) in completions {
-                        let hit = matches!(c.kind, CompletionKind::Get { hit: true, .. });
-                        if hit {
-                            ps.wire_hits += 1;
-                            // A hit with no metadata cannot happen through
-                            // this front-end (meta precedes the put), but
-                            // degrade to an empty value rather than lie
-                            // about presence.
-                            let meta = shared.meta.get(engine_key).unwrap_or(crate::ObjMeta {
-                                flags: 0,
-                                vlen: 0,
-                                cas: 0,
-                            });
-                            let mut data = Vec::with_capacity(meta.vlen as usize);
-                            synth_value(&mut data, engine_key, meta.vlen as usize);
-                            encode_value(
-                                &mut out,
-                                &wire_key,
-                                meta.flags,
-                                cas.then_some(meta.cas),
-                                &data,
-                            );
-                        } else {
-                            ps.wire_misses += 1;
-                            shared.meta.forget(engine_key, cas_floor);
+                    for key in keys {
+                        let hit =
+                            matches!(completion(key.slot), CompletionKind::Get { hit: true, .. });
+                        // An engine hit whose metadata is gone is a miss
+                        // on the wire: the object was not `set` through
+                        // this server (a pre-seeded or reopened fleet),
+                        // or another connection's miss collected the
+                        // entry first; its flags and length are unknown
+                        // either way.
+                        match hit.then(|| shared.meta.get(key.engine_key)).flatten() {
+                            Some(meta) => {
+                                ps.wire_hits += 1;
+                                value.clear();
+                                synth_value(&mut value, key.engine_key, meta.vlen as usize);
+                                encode_value(
+                                    &mut out,
+                                    &buf[key.wire.clone()],
+                                    meta.flags,
+                                    cas.then_some(meta.cas),
+                                    &value,
+                                );
+                            }
+                            None => {
+                                ps.wire_misses += 1;
+                                if !hit {
+                                    shared.meta.forget(key.engine_key, cas_floor);
+                                }
+                            }
                         }
                     }
                     out.extend_from_slice(b"END\r\n");
                 }
-                PendingReply::Set { seq, noreply } => {
-                    let c = wait_for(seq, &rx, &mut received);
-                    let refused = matches!(c.kind, CompletionKind::Unavailable { .. });
+                PendingReply::Set { slot, noreply } => {
+                    let refused = matches!(completion(slot), CompletionKind::Unavailable { .. });
                     if refused {
                         ps.server_errors += 1;
                     }
                     if !noreply {
-                        if refused {
-                            out.extend_from_slice(b"SERVER_ERROR shard unavailable\r\n");
+                        out.extend_from_slice(if refused {
+                            b"SERVER_ERROR shard unavailable\r\n".as_slice()
                         } else {
-                            out.extend_from_slice(b"STORED\r\n");
-                        }
+                            b"STORED\r\n"
+                        });
                     }
                 }
             }
@@ -295,30 +349,17 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
         if closing {
             break 'conn;
         }
+        // The keys rendered above were ranges of `buf`: consume the
+        // wave's bytes only now.
+        buf.drain(..off);
+        get_keys.clear();
+        for wave in waves.iter_mut().flatten() {
+            wave.clear();
+        }
     }
-    // Every dispatched operation was awaited before its wave's reply
-    // was written, so nothing is in flight here: shard workers hold no
-    // state for this connection and the reply channel can simply drop.
+    // Every wave was awaited before its reply was written, so nothing is
+    // in flight here: shard workers hold no state for this connection
+    // and the reply channel can simply drop.
     ps.connections_closed = 1;
     ps
-}
-
-/// Blocks until the completion for `seq` arrives. Completions from
-/// different shards arrive in arbitrary order; stragglers park in
-/// `received` until their turn.
-fn wait_for(
-    seq: u64,
-    rx: &std::sync::mpsc::Receiver<Completion>,
-    received: &mut HashMap<u64, Completion>,
-) -> Completion {
-    if let Some(c) = received.remove(&seq) {
-        return c;
-    }
-    loop {
-        let c = rx.recv().expect("shard worker alive");
-        if c.seq == seq {
-            return c;
-        }
-        received.insert(c.seq, c);
-    }
 }

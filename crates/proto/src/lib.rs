@@ -13,9 +13,10 @@
 //!   splits trivial — and property-testable.
 //! - **Connections** (`conn`, internal): a bounded pool of worker
 //!   threads, one connection served at a time. Each read's worth of
-//!   pipelined commands is dispatched to the shard fleet *before* any
-//!   completion is awaited, then responses are written back in request
-//!   order as one batched write.
+//!   pipelined commands is parsed into one [`nemo_service::Wave`] per
+//!   shard and dispatched as one command per shard; one reply per
+//!   shard later, responses are written back in request order as one
+//!   batched write.
 //! - **Serving** ([`server`]): accept loop + worker pool with layered
 //!   backpressure (accept queue → shard command queues → TCP flow
 //!   control) and graceful drain on shutdown.

@@ -8,9 +8,11 @@
 //! hit can be answered with a correctly framed `VALUE` block. The value
 //! bytes themselves are synthesized deterministically from the key;
 //! the engine, not this table, remains the source of truth for
-//! presence: a hit with no metadata (never expected in practice)
-//! answers with a zero-length value, and metadata of evicted objects is
-//! garbage-collected when the engine reports the miss.
+//! presence: a hit with no metadata (an object the server never saw
+//! `set`, or an entry another connection's miss collected first) is
+//! answered as a miss, since its flags and length are unknown, and
+//! metadata of evicted objects is garbage-collected when the engine
+//! reports the miss.
 
 use nemo_service::shard_of;
 use std::collections::HashMap;
@@ -151,9 +153,26 @@ impl MetaStore {
 /// `key` — what the server returns in `VALUE` blocks. Clients never
 /// validate payload contents (the engines store placements, not bytes),
 /// but a deterministic pattern keeps responses reproducible for tests.
+///
+/// Byte `i` is `pattern[i % 8] + i / 8` (wrapping) over the key's eight
+/// little-endian bytes. One step writes a whole repeat of the pattern:
+/// the eight byte-wise sums are one `u64` addition with the carries
+/// between bytes cut (add the low seven bits of every byte, then put
+/// the top bits back with an xor).
 pub fn synth_value(out: &mut Vec<u8>, key: u64, len: usize) {
-    let pattern = key.to_le_bytes();
-    out.extend((0..len).map(|i| pattern[i % 8].wrapping_add((i / 8) as u8)));
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let word = |step: u64| ((key & LOW7) + (step & LOW7)) ^ ((key ^ step) & !LOW7);
+    let start = out.len();
+    out.resize(start + len, 0);
+    let mut repeats = out[start..].chunks_exact_mut(8);
+    // `i / 8` in every byte; wraps with the bytes it is added to.
+    let mut step: u64 = 0;
+    for repeat in &mut repeats {
+        repeat.copy_from_slice(&word(step).to_le_bytes());
+        step = step.wrapping_add(0x0101_0101_0101_0101);
+    }
+    let tail = repeats.into_remainder();
+    tail.copy_from_slice(&word(step).to_le_bytes()[..tail.len()]);
 }
 
 #[cfg(test)]
@@ -192,6 +211,33 @@ mod tests {
         store.forget(7, store.cas_floor());
         assert!(store.get(7).is_none());
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn synth_value_matches_the_byte_formula() {
+        for key in [
+            0,
+            99,
+            0x0102_0304_0506_0708,
+            u64::MAX - 3,
+            0xfffe_fdfc_fbfa_f9f8,
+        ] {
+            let pattern = key.to_le_bytes();
+            for len in 0..=67 {
+                let mut out = vec![0xaa, 0xbb, 0xcc];
+                synth_value(&mut out, key, len);
+                let expect: Vec<u8> = (0..len)
+                    .map(|i| pattern[i % 8].wrapping_add((i / 8) as u8))
+                    .collect();
+                assert_eq!(&out[..3], [0xaa, 0xbb, 0xcc], "key {key} len {len}");
+                assert_eq!(&out[3..], expect, "key {key} len {len}");
+            }
+        }
+        // The step counter wraps with the byte it is added to.
+        let mut long = Vec::new();
+        synth_value(&mut long, 7, 8 * 300);
+        assert_eq!(long[8 * 256], 7);
+        assert_eq!(long[8 * 299], 7u8.wrapping_add(43));
     }
 
     #[test]

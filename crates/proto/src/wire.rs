@@ -7,6 +7,7 @@
 //! which the property tests assert.
 
 use crate::parser::{Command, Limits, SetCmd};
+use std::io::Write;
 
 /// Appends a canonical `get`/`gets` request.
 pub fn encode_get<'a>(out: &mut Vec<u8>, keys: impl IntoIterator<Item = &'a [u8]>, cas: bool) {
@@ -22,12 +23,15 @@ pub fn encode_get<'a>(out: &mut Vec<u8>, keys: impl IntoIterator<Item = &'a [u8]
 pub fn encode_set(out: &mut Vec<u8>, cmd: &SetCmd<'_>) {
     out.extend_from_slice(b"set ");
     out.extend_from_slice(cmd.key);
-    let mut header = format!(" {} {} {}", cmd.flags, cmd.exptime, cmd.data.len());
-    if cmd.noreply {
-        header.push_str(" noreply");
-    }
-    out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(b"\r\n");
+    let noreply = if cmd.noreply { " noreply" } else { "" };
+    write!(
+        out,
+        " {} {} {}{noreply}\r\n",
+        cmd.flags,
+        cmd.exptime,
+        cmd.data.len()
+    )
+    .expect("writing to a Vec cannot fail");
     out.extend_from_slice(cmd.data);
     out.extend_from_slice(b"\r\n");
 }
@@ -48,9 +52,10 @@ pub fn encode_value(out: &mut Vec<u8>, key: &[u8], flags: u32, cas: Option<u64>,
     out.extend_from_slice(b"VALUE ");
     out.extend_from_slice(key);
     match cas {
-        Some(cas) => out.extend_from_slice(format!(" {flags} {} {cas}\r\n", data.len()).as_bytes()),
-        None => out.extend_from_slice(format!(" {flags} {}\r\n", data.len()).as_bytes()),
+        Some(cas) => write!(out, " {flags} {} {cas}\r\n", data.len()),
+        None => write!(out, " {flags} {}\r\n", data.len()),
     }
+    .expect("writing to a Vec cannot fail");
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
 }

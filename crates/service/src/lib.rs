@@ -30,7 +30,11 @@
 //! background maintenance, and answers with exactly one [`Completion`]
 //! on the caller's reply channel — even when the engine fails fatally
 //! or panics serving it ([`CompletionKind::Unavailable`]), so nobody
-//! waits on a request a dead shard accepted.
+//! waits on a request a dead shard accepted. A caller holding many
+//! requests at once (the wire front-end, with a pipelined wave parsed)
+//! sends each shard's share as one [`Wave`]
+//! ([`Dispatcher::dispatch_wave`]): the same per-request routine in the
+//! worker, one command and one reply per shard instead of per request.
 //!
 //! * Waiting for each completion before sending the next request is the
 //!   special case [`ShardedCache::try_get`]/[`ShardedCache::try_put`]
@@ -94,5 +98,5 @@ pub use restart::checkpoint_fleet;
 pub use routing::shard_of;
 pub use sharded::{
     Completion, CompletionKind, Dispatcher, ShardHealth, ShardedCache, ShardedCacheBuilder,
-    ShardedReport,
+    ShardedReport, Wave,
 };

@@ -78,7 +78,8 @@ pub enum CompletionKind {
 }
 
 /// Completion record of one request, sent on the reply channel passed
-/// to the `dispatch_*` call that issued it. Every dispatched request is
+/// to the `dispatch_*` call that issued it — or, for a request of a
+/// [`Wave`], left in [`Wave::done`]. Every dispatched request is
 /// answered with exactly one.
 ///
 /// All times are virtual: `arrival ≤ start ≤ done`. Queueing delay is
@@ -86,7 +87,8 @@ pub enum CompletionKind {
 /// window), service time is `done - start`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    /// Caller-chosen sequence number (e.g. the global op index).
+    /// Caller-chosen sequence number (e.g. the global op index); for a
+    /// request of a [`Wave`], its index in the wave.
     pub seq: u64,
     /// Arrival time of the request.
     pub arrival: Nanos,
@@ -108,6 +110,17 @@ impl Completion {
     pub fn service(&self) -> u64 {
         self.done.saturating_sub(self.start).0
     }
+
+    /// The answer of dead shard `shard` to a request it will not serve.
+    fn refused(seq: u64, arrival: Nanos, shard: usize) -> Self {
+        Self {
+            seq,
+            arrival,
+            start: arrival,
+            done: arrival,
+            kind: CompletionKind::Unavailable { shard },
+        }
+    }
 }
 
 /// The three requests a shard serves.
@@ -124,16 +137,119 @@ enum Op {
     Put { size: u32 },
 }
 
+/// One request as a worker sees it: what to do, to which key, arriving
+/// when.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    key: u64,
+    op: Op,
+    arrival: Nanos,
+}
+
+/// A batch of requests for one shard, dispatched as a single command
+/// ([`Dispatcher::dispatch_wave`]) and handed back as a single reply
+/// with one [`Completion`] per request in [`Self::done`]. The worker
+/// runs the requests in push order through the same routine as the
+/// one-at-a-time `dispatch_*` calls, so a wave is exactly its requests
+/// sent back to back — minus a channel send, a wake-up and a reply per
+/// request. The buffers keep their capacity across
+/// [`Self::clear`], so a caller that reuses its waves (the wire
+/// front-end keeps one per shard per connection) allocates nothing in
+/// steady state.
+///
+/// # Examples
+///
+/// ```
+/// use nemo_baselines::LogCacheConfig;
+/// use nemo_flash::Nanos;
+/// use nemo_service::{CompletionKind, ShardedCacheBuilder, Wave};
+/// use std::sync::mpsc::channel;
+///
+/// let cache = ShardedCacheBuilder::new(2).spawn(LogCacheConfig::small().factory());
+/// let dispatcher = cache.dispatcher();
+/// let (tx, rx) = channel();
+/// let mut wave = Box::new(Wave::default());
+/// let shard = dispatcher.shard_of(7);
+/// wave.push_put(7, 200, Nanos::ZERO);
+/// wave.push_lookup(7, Nanos::ZERO);
+/// dispatcher.dispatch_wave(shard, wave, &tx);
+/// let wave = rx.recv().unwrap();
+/// assert_eq!(wave.shard(), shard);
+/// assert_eq!(wave.done()[0].kind, CompletionKind::Put);
+/// assert!(matches!(wave.done()[1].kind, CompletionKind::Get { hit: true, .. }));
+/// ```
+#[derive(Debug, Default)]
+pub struct Wave {
+    shard: usize,
+    ops: Vec<Request>,
+    done: Vec<Completion>,
+}
+
+impl Wave {
+    /// Appends a lookup without demand fill; see
+    /// [`Dispatcher::dispatch_lookup`].
+    pub fn push_lookup(&mut self, key: u64, arrival: Nanos) {
+        self.push(key, Op::Lookup, arrival);
+    }
+
+    /// Appends a lookup with demand fill; see
+    /// [`Dispatcher::dispatch_get`].
+    pub fn push_get(&mut self, key: u64, fill_size: u32, arrival: Nanos) {
+        self.push(key, Op::Get { fill_size }, arrival);
+    }
+
+    /// Appends an insert; see [`Dispatcher::dispatch_put`].
+    pub fn push_put(&mut self, key: u64, size: u32, arrival: Nanos) {
+        self.push(key, Op::Put { size }, arrival);
+    }
+
+    fn push(&mut self, key: u64, op: Op, arrival: Nanos) {
+        self.ops.push(Request { key, op, arrival });
+    }
+
+    /// Number of requests pushed since the last [`Self::clear`].
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether no request has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// The shard that answered this wave.
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// The completions of an answered wave, one per request in push
+    /// order; [`Completion::seq`] is the request's index in the wave.
+    /// Empty until the wave comes back on its reply channel.
+    pub fn done(&self) -> &[Completion] {
+        &self.done
+    }
+
+    /// Empties the wave for reuse, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.done.clear();
+    }
+}
+
 /// What a shard worker receives: requests, which are all answered with
-/// a [`Completion`], and three fleet-control commands whose reply
-/// channel a dead shard simply drops.
+/// a [`Completion`] (a wave's inside the wave it hands back), and three
+/// fleet-control commands whose reply channel a dead shard simply drops.
 enum Command {
     Op {
-        key: u64,
-        op: Op,
-        arrival: Nanos,
+        request: Request,
         seq: u64,
         reply: Sender<Completion>,
+    },
+    /// Boxed so the enum stays the size of `Op`: every command, waves or
+    /// not, is copied through the shard's queue.
+    Wave {
+        wave: Box<Wave>,
+        reply: Sender<Box<Wave>>,
     },
     Drain {
         now: Nanos,
@@ -352,20 +468,18 @@ fn run_worker<E: CacheEngine>(
 /// [`CompletionKind::Unavailable`]; a control command's reply channel is
 /// dropped.
 fn refuse_command(cmd: Command, shard: usize) {
-    if let Command::Op {
-        arrival,
-        seq,
-        reply,
-        ..
-    } = cmd
-    {
-        let _ = reply.send(Completion {
+    match cmd {
+        Command::Op {
+            request,
             seq,
-            arrival,
-            start: arrival,
-            done: arrival,
-            kind: CompletionKind::Unavailable { shard },
-        });
+            reply,
+        } => {
+            let _ = reply.send(Completion::refused(seq, request.arrival, shard));
+        }
+        Command::Wave { wave, reply } => answer_wave(wave, reply, |request, seq| {
+            Completion::refused(seq, request.arrival, shard)
+        }),
+        Command::Drain { .. } | Command::Stats { .. } | Command::Memory { .. } => {}
     }
 }
 
@@ -386,31 +500,75 @@ fn apply_command<E: CacheEngine>(
     // engine transition already happened, so that is harmless.
     match cmd {
         Command::Op {
-            key,
-            op,
-            arrival,
+            request,
             seq,
             reply,
         } => {
-            let start = window.admit(arrival);
-            // A fatal error and a panic end the same way: the request is
-            // refused and the engine is not called again.
-            let served = guarded(|| serve(engine, key, op, start)).and_then(Result::ok);
-            let (done, kind) = served.unwrap_or((start, CompletionKind::Unavailable { shard }));
-            window.complete(done);
-            let _ = reply.send(Completion {
-                seq,
-                arrival,
-                start,
-                done,
-                kind,
+            let (completion, alive) = run_op(engine, window, shard, request, seq);
+            let _ = reply.send(completion);
+            alive
+        }
+        Command::Wave { wave, reply } => {
+            let mut alive = true;
+            answer_wave(wave, reply, |request, seq| {
+                // The request that kills the engine is refused, and so
+                // is every one behind it in the wave.
+                if !alive {
+                    return Completion::refused(seq, request.arrival, shard);
+                }
+                let (completion, survived) = run_op(engine, window, shard, request, seq);
+                alive = survived;
+                completion
             });
-            served.is_some()
+            alive
         }
         Command::Drain { now, reply } => answer(reply, guarded(|| engine.drain(now))),
         Command::Stats { reply } => answer(reply, guarded(|| engine.stats())),
         Command::Memory { reply } => answer(reply, guarded(|| engine.memory())),
     }
+}
+
+/// Admits one request through the window and serves it; `false` means
+/// the engine died doing it. The one routine behind a lone
+/// [`Command::Op`] and every request of a [`Command::Wave`].
+fn run_op<E: CacheEngine>(
+    engine: &mut E,
+    window: &mut InflightWindow,
+    shard: usize,
+    Request { key, op, arrival }: Request,
+    seq: u64,
+) -> (Completion, bool) {
+    let start = window.admit(arrival);
+    // A fatal error and a panic end the same way: the request is
+    // refused and the engine is not called again.
+    let served = guarded(|| serve(engine, key, op, start)).and_then(Result::ok);
+    let (done, kind) = served.unwrap_or((start, CompletionKind::Unavailable { shard }));
+    window.complete(done);
+    let completion = Completion {
+        seq,
+        arrival,
+        start,
+        done,
+        kind,
+    };
+    (completion, served.is_some())
+}
+
+/// Completes every request of `wave` in push order with
+/// `complete(request, seq)` and hands the wave back on `reply`.
+fn answer_wave(
+    mut wave: Box<Wave>,
+    reply: Sender<Box<Wave>>,
+    mut complete: impl FnMut(Request, u64) -> Completion,
+) {
+    let Wave { ops, done, .. } = &mut *wave;
+    done.clear();
+    done.extend(
+        (0..)
+            .zip(ops.iter())
+            .map(|(seq, &request)| complete(request, seq)),
+    );
+    let _ = reply.send(wave);
 }
 
 /// Sends a control command's answer if the engine survived producing it.
@@ -462,7 +620,9 @@ fn serve<E: CacheEngine>(
 ///
 /// Every `dispatch_*` call routes by key hash, sends without waiting for
 /// the result, and is answered with exactly one [`Completion`] on the
-/// `reply` channel it was given. Sends block when the owning shard's
+/// `reply` channel it was given; [`Self::dispatch_wave`] does the same
+/// for a caller-built batch of one shard's requests at the price of one
+/// command and one reply. Sends block when the owning shard's
 /// bounded command queue is full, which is the service backpressure a
 /// connection handler wants: an overloaded shard stalls its connections
 /// instead of buffering unboundedly.
@@ -502,15 +662,35 @@ impl Dispatcher {
 
     fn dispatch(&self, key: u64, op: Op, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
         let cmd = Command::Op {
-            key,
-            op,
-            arrival,
+            request: Request { key, op, arrival },
             seq,
             reply: reply.clone(),
         };
         self.senders[self.shard_of(key)]
             .send(cmd)
             .expect("shard worker alive");
+    }
+
+    /// Dispatches every request of `wave` to `shard` as one command. The
+    /// worker runs them in push order, each exactly as the `dispatch_*`
+    /// call of its kind would (admission, service, one background
+    /// slice), and sends the wave back on `reply` once, with one
+    /// [`Completion`] per request in [`Wave::done`] — also when the
+    /// engine dies part-way (the rest of the wave completes
+    /// [`CompletionKind::Unavailable`]) or had died before (all of it
+    /// does). Routing is the caller's: every key pushed must satisfy
+    /// `shard_of(key) == shard`.
+    pub fn dispatch_wave(&self, shard: usize, mut wave: Box<Wave>, reply: &Sender<Box<Wave>>) {
+        debug_assert!(
+            wave.ops.iter().all(|r| self.shard_of(r.key) == shard),
+            "a wave holds keys of one shard"
+        );
+        wave.shard = shard;
+        let cmd = Command::Wave {
+            wave,
+            reply: reply.clone(),
+        };
+        self.senders[shard].send(cmd).expect("shard worker alive");
     }
 
     /// Dispatches a lookup *without* demand fill: the worker admits it
@@ -958,6 +1138,16 @@ mod tests {
         assert_eq!(cache.stats().puts, 400);
     }
 
+    #[test]
+    fn command_is_no_larger_than_a_lone_op() {
+        // Every command is copied through the shard's queue; the wave
+        // arm is boxed so the one-at-a-time path pays nothing for it.
+        // 48 = key + op + arrival + seq + a 16-byte `Sender`, the enum's
+        // tag in `Op`'s spare values — the size before waves existed.
+        assert_eq!(std::mem::size_of::<Command>(), 48);
+        assert!(std::mem::size_of::<(Box<Wave>, Sender<Box<Wave>>)>() <= 24);
+    }
+
     /// An engine whose gets always panic, killing its shard.
     #[derive(Default)]
     struct Bomb {
@@ -1019,6 +1209,45 @@ mod tests {
         let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
         assert!(matches!(c.kind, CompletionKind::Unavailable { shard } if shard == dead));
         assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
+    }
+
+    #[test]
+    fn wave_whose_engine_panics_is_answered_whole_and_the_next_is_refused() {
+        let cache = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
+        let dispatcher = cache.dispatcher();
+        let dead = dispatcher.shard_of(7);
+        let (tx, rx) = channel();
+        let mut wave = Box::new(Wave::default());
+        wave.push_put(7, 100, Nanos(1));
+        wave.push_put(7, 100, Nanos(2));
+        wave.push_lookup(7, Nanos(3)); // the bomb
+        wave.push_put(7, 100, Nanos(4));
+        wave.push_get(7, 100, Nanos(5));
+        dispatcher.dispatch_wave(dead, wave, &tx);
+        let mut wave = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("a wave whose engine panicked is still answered");
+        let refused = CompletionKind::Unavailable { shard: dead };
+        let kinds: Vec<_> = wave.done().iter().map(|c| c.kind).collect();
+        let put = CompletionKind::Put;
+        assert_eq!(kinds, [put, put, refused, refused, refused]);
+        for (i, c) in wave.done().iter().enumerate() {
+            assert_eq!((c.seq, c.arrival), (i as u64, Nanos(i as u64 + 1)));
+        }
+        // The shard is dead now: the next wave is refused whole, the
+        // put the engine would have served included.
+        wave.clear();
+        wave.push_put(7, 100, Nanos(6));
+        wave.push_lookup(7, Nanos(7));
+        dispatcher.dispatch_wave(dead, wave, &tx);
+        let wave = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        assert_eq!(wave.shard(), dead);
+        let kinds: Vec<_> = wave.done().iter().map(|c| c.kind).collect();
+        assert_eq!(kinds, [refused, refused]);
+        assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
+        drop(dispatcher);
+        let report = cache.finish(Nanos::ZERO);
+        assert_eq!(report.engines[dead].puts, 2, "nothing ran past the bomb");
     }
 
     #[test]

@@ -6,8 +6,9 @@ use nemo_baselines::{FairyWrenConfig, KangarooConfig, LogCacheConfig, SetCacheCo
 use nemo_core::NemoConfig;
 use nemo_engine::{CacheEngine, EngineStats, MemoryBreakdown};
 use nemo_flash::{Geometry, LatencyModel, Nanos};
-use nemo_service::ShardedCacheBuilder;
+use nemo_service::{Completion, CompletionKind, ShardedCache, ShardedCacheBuilder};
 use nemo_trace::{RequestKind, TraceConfig, TraceGenerator};
+use std::sync::mpsc::channel;
 
 /// Per-shard device size. Each shard owns a full-size independent device
 /// (the examples and Appendix A partition the same way); tiny per-shard
@@ -30,46 +31,61 @@ fn trace() -> TraceGenerator {
     ))
 }
 
-/// Demand-fill through a boxed sharded front-end.
-fn drive(cache: &mut dyn CacheEngine, ops: u64) {
+/// One engine's row of the comparison: name, drained counters, memory.
+type Row = (String, EngineStats, MemoryBreakdown);
+
+/// Demand-fills `ops` trace requests through `cache` without waiting on
+/// any of them (`determinism.rs::waiting_per_op_equals_collecting_at_the_end`
+/// is the licence: the counters cannot tell), then drains and reads it.
+fn drive<E: CacheEngine + 'static>(cache: ShardedCache<E>, ops: u64) -> Row {
     let mut gen = trace();
-    for _ in 0..ops {
+    let (tx, rx) = channel();
+    let mut answered = 0;
+    let mut check = |c: Completion| {
+        let refused = matches!(c.kind, CompletionKind::Unavailable { .. });
+        assert!(!refused, "{}: op {} was refused", cache.name(), c.seq);
+        answered += 1;
+    };
+    for op in 0..ops {
         let r = gen.next_request();
         match r.kind {
-            RequestKind::Get => {
-                if !cache.get(r.key, Nanos::ZERO).hit {
-                    cache.put(r.key, r.size, Nanos::ZERO);
-                }
-            }
-            RequestKind::Put => {
-                cache.put(r.key, r.size, Nanos::ZERO);
-            }
+            RequestKind::Get => cache.dispatch_get(r.key, r.size, Nanos::ZERO, op, &tx),
+            RequestKind::Put => cache.dispatch_put(r.key, r.size, Nanos::ZERO, op, &tx),
         }
+        // Pick up what has been answered so far, so the reply channel
+        // never holds more than the shard queues' worth.
+        rx.try_iter().for_each(&mut check);
     }
+    drop(tx);
+    rx.iter().for_each(&mut check);
+    assert_eq!(answered, ops, "every op is answered");
+    cache.drain(Nanos::ZERO);
+    (cache.name().to_string(), cache.stats(), cache.memory())
 }
 
-/// The five engines, each already sharded behind the front-end. The
-/// front-end implements `CacheEngine`, so the fleet boxes like any
-/// single engine.
-fn sharded_fleet() -> Vec<Box<dyn CacheEngine>> {
+/// The five engines, each sharded behind the front-end and driven with
+/// the same trace.
+fn sharded_fleet(ops: u64) -> Vec<Row> {
     let geometry = geometry();
     let mut nemo_cfg = NemoConfig::new(geometry);
     nemo_cfg.flush_threshold = 4;
     nemo_cfg.expected_objects_per_set = 16;
     nemo_cfg.index_group_sgs = 8;
+    let fleet = ShardedCacheBuilder::new(SHARDS);
     vec![
-        Box::new(ShardedCacheBuilder::new(SHARDS).spawn(nemo_cfg.factory())),
-        Box::new(
-            ShardedCacheBuilder::new(SHARDS).spawn(
+        drive(fleet.clone().spawn(nemo_cfg.factory()), ops),
+        drive(
+            fleet.clone().spawn(
                 LogCacheConfig {
                     geometry,
                     latency: LatencyModel::default(),
                 }
                 .factory(),
             ),
+            ops,
         ),
-        Box::new(
-            ShardedCacheBuilder::new(SHARDS).spawn(
+        drive(
+            fleet.clone().spawn(
                 SetCacheConfig {
                     geometry,
                     latency: LatencyModel::default(),
@@ -78,13 +94,16 @@ fn sharded_fleet() -> Vec<Box<dyn CacheEngine>> {
                 }
                 .factory(),
             ),
+            ops,
         ),
-        Box::new(
-            ShardedCacheBuilder::new(SHARDS)
+        drive(
+            fleet
+                .clone()
                 .spawn(FairyWrenConfig::log_op(geometry, 5, 5).factory()),
+            ops,
         ),
-        Box::new(
-            ShardedCacheBuilder::new(SHARDS).spawn(
+        drive(
+            fleet.spawn(
                 KangarooConfig {
                     geometry,
                     latency: LatencyModel::default(),
@@ -93,18 +112,14 @@ fn sharded_fleet() -> Vec<Box<dyn CacheEngine>> {
                 }
                 .factory(),
             ),
+            ops,
         ),
     ]
 }
 
 #[test]
 fn all_five_engines_run_sharded() {
-    let mut results: Vec<(String, EngineStats, MemoryBreakdown)> = Vec::new();
-    for mut cache in sharded_fleet() {
-        drive(cache.as_mut(), OPS);
-        cache.drain(Nanos::ZERO);
-        results.push((cache.name().to_string(), cache.stats(), cache.memory()));
-    }
+    let results = sharded_fleet(OPS);
     let names: Vec<&str> = results.iter().map(|(n, _, _)| n.as_str()).collect();
     assert_eq!(names, ["nemo", "log", "set", "fairywren", "kangaroo"]);
     for (name, stats, memory) in &results {
@@ -148,7 +163,7 @@ fn sharded_shards_split_the_load() {
     let cache = ShardedCacheBuilder::new(SHARDS).spawn(nemo_cfg.factory());
     let mut gen = trace();
     // Balance shows up long before steady state; keep this test quick.
-    let (tx, _completions) = std::sync::mpsc::channel();
+    let (tx, _completions) = channel();
     for op in 0..300_000 {
         let r = gen.next_request();
         cache.dispatch_get(r.key, r.size, Nanos::ZERO, op, &tx);
