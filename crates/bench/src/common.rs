@@ -89,18 +89,6 @@ impl RunScale {
         cfg
     }
 
-    /// The scaled Nemo configuration with *deferred* eviction: the
-    /// write-back scan runs as paced background slices between requests
-    /// instead of a read burst inside the flush. This is the
-    /// configuration the open-loop latency experiments (Fig. 15) use —
-    /// it stands in for the dedicated background threads the paper's
-    /// implementation runs inside CacheLib.
-    pub fn nemo_background_config(&self) -> NemoConfig {
-        let mut cfg = self.nemo_config();
-        cfg.background_eviction = true;
-        cfg
-    }
-
     /// Log-structured baseline.
     pub fn log(&self) -> LogCache {
         LogCache::new(self.log_config())

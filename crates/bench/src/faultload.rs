@@ -1,7 +1,8 @@
 //! Availability under injected device faults: the `experiments
 //! faultload` scenario.
 //!
-//! A sharded Nemo fleet runs an open-loop demand-fill replay while every
+//! A sharded Nemo fleet runs an open-loop demand-fill replay
+//! ([`OpenLoopReplay`], like every other fleet experiment) while every
 //! shard's simulated device sits behind a seeded
 //! [`FaultyFlash`] executing a scripted
 //! schedule — a burst of transient read EIOs, the progressive permanent
@@ -13,8 +14,9 @@
 //!   or typed refusal, never a hang — and ≥ 99.9 % of requests are
 //!   *serviced* (the fleet quarantines around faults instead of dying).
 //! * **Zero worker deaths**: transient errors and a permanently failed
-//!   zone are absorbed by retry and quarantine; no shard reports
-//!   [`ShardHealth::Dead`].
+//!   zone are absorbed by retry and quarantine; no request is refused,
+//!   which a shard does only once it is
+//!   [`nemo_service::ShardHealth::Dead`].
 //! * **Recovery**: after a transient fault window closes, the hit ratio
 //!   converges back to within two points of a fault-free control run.
 //! * **Determinism**: the same seed replays the same faults — a repeat
@@ -23,10 +25,13 @@
 use crate::common::{f2, print_table, write_csv, RunScale};
 use nemo_engine::EngineStats;
 use nemo_flash::{FaultPlan, FaultyFlash, Nanos, SimFlash, ZoneId};
-use nemo_service::{Completion, CompletionKind, ShardHealth, ShardedCacheBuilder};
-use nemo_trace::{RequestKind, TraceGenerator};
-use std::sync::mpsc::{channel, Receiver};
-use std::thread;
+use nemo_metrics::LatencyWindow;
+use nemo_service::{OpenLoopConfig, OpenLoopReplay};
+use nemo_trace::TraceGenerator;
+
+/// Arrival rate of every faultload run (req/s of virtual time): one
+/// request per 15 625 ns.
+const RATE: f64 = 64_000.0;
 
 /// The scripted fault schedules the scenario sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,33 +79,15 @@ impl FaultScenario {
     }
 }
 
-/// Per-window outcome counts of one faultload run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct FaultWindow {
-    gets: u64,
-    hits: u64,
-    refused: u64,
-    done: u64,
-}
-
-impl FaultWindow {
-    fn hit_ratio(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.gets as f64
-        }
-    }
-}
-
 /// Everything one faultload run produces.
 #[derive(Debug)]
 struct FaultRun {
-    windows: Vec<FaultWindow>,
+    windows: Vec<LatencyWindow>,
     stats: EngineStats,
-    health: Vec<ShardHealth>,
     dispatched: u64,
     answered: u64,
+    /// Requests completed unavailable. A shard refuses only the request
+    /// that killed it and every one after, so 0 means no shard died.
     refused: u64,
     /// Fewest device ops any shard's device observed — the index space
     /// fault windows are calibrated in.
@@ -120,29 +107,8 @@ impl FaultRun {
 
     /// Hit ratio of the final window — the post-fault recovery point.
     fn final_hit_ratio(&self) -> f64 {
-        self.windows.last().map_or(0.0, FaultWindow::hit_ratio)
+        self.windows.last().map_or(0.0, LatencyWindow::hit_ratio)
     }
-}
-
-/// Folds completions into per-window outcome counts.
-fn fault_reactor(rx: Receiver<Completion>, ops: u64, sample_every: u64) -> Vec<FaultWindow> {
-    let count = ops.div_ceil(sample_every) as usize;
-    let mut windows = vec![FaultWindow::default(); count];
-    for c in rx {
-        let w = &mut windows[((c.seq - 1) / sample_every) as usize];
-        w.done += 1;
-        match c.kind {
-            CompletionKind::Get { hit, .. } => {
-                w.gets += 1;
-                if hit {
-                    w.hits += 1;
-                }
-            }
-            CompletionKind::Put => {}
-            CompletionKind::Unavailable { .. } => w.refused += 1,
-        }
-    }
-    windows
 }
 
 /// One open-loop demand-fill replay of `ops` requests against a sharded
@@ -162,39 +128,25 @@ fn run_scenario(
         let plan = scenario.plan(seed ^ shard as u64, window, zone_count);
         FaultyFlash::new(SimFlash::with_latency(geom, latency), plan)
     });
-    let cache = ShardedCacheBuilder::new(shards).spawn(factory);
-    let sample_every = (ops / 12).max(1);
-    let (tx, rx) = channel::<Completion>();
-    let reactor = thread::Builder::new()
-        .name("faultload-reactor".into())
-        .spawn(move || fault_reactor(rx, ops, sample_every))
-        .expect("spawn faultload reactor");
+    let mut replay = OpenLoopConfig::new(ops, RATE);
+    replay.shards = shards;
+    replay.sample_every = (ops / 12).max(1);
     let mut trace = TraceGenerator::new(scale.trace_config());
-    let gap = 15_625u64; // 64k req/s of virtual time
-    for op in 1..=ops {
-        let arrival = Nanos(gap * op);
-        let r = trace.next_request();
-        match r.kind {
-            RequestKind::Get => cache.dispatch_get(r.key, r.size, arrival, op, &tx),
-            RequestKind::Put => cache.dispatch_put(r.key, r.size, arrival, op, &tx),
-        }
-    }
-    drop(tx);
-    let windows = reactor.join().expect("faultload reactor panicked");
-    let health = cache.fleet_health();
-    let report = cache.finish(Nanos(gap * ops));
-    let answered: u64 = windows.iter().map(|w| w.done).sum();
-    let refused: u64 = windows.iter().map(|w| w.refused).sum();
-    let min_device_ops = report
+    let r = OpenLoopReplay::new(replay).run(factory, &mut trace);
+    // The replay returns once every request is answered, so the last
+    // window ends at the last request answered.
+    let answered = r.windows.last().map_or(0, |w| w.ops);
+    let refused = r.windows.iter().map(|w| w.refused).sum();
+    let min_device_ops = r
+        .report
         .engines
         .iter()
         .map(|e| e.device().ops_observed())
         .min()
         .unwrap_or(0);
     FaultRun {
-        windows,
-        stats: report.stats,
-        health,
+        windows: r.windows,
+        stats: r.report.stats,
         dispatched: ops,
         answered,
         refused,
@@ -247,11 +199,11 @@ pub fn faultload(scale: RunScale, shards: usize, smoke: bool) {
         );
         // Zero worker deaths: retry + quarantine absorb everything the
         // schedules throw, including the permanently failed zone.
-        assert!(
-            run.health.iter().all(|h| *h != ShardHealth::Dead),
-            "{}: a shard died: {:?}",
-            scenario.label(),
-            run.health
+        assert_eq!(
+            run.refused,
+            0,
+            "{}: a shard died and refused requests",
+            scenario.label()
         );
         // Recovery: once a *transient* window closes, the hit ratio
         // reconverges to the control run. (Zone death retires capacity
@@ -310,7 +262,7 @@ fn scenario_row(scenario: FaultScenario, run: &FaultRun, baseline: &FaultRun) ->
     let mid = run
         .windows
         .get(run.windows.len() / 2)
-        .map_or(0.0, FaultWindow::hit_ratio);
+        .map_or(0.0, LatencyWindow::hit_ratio);
     vec![
         scenario.label().to_string(),
         f2(run.availability() * 100.0),
@@ -346,7 +298,7 @@ mod tests {
         let run = run_scenario(&scale, FaultScenario::BurstEio, 1, ops, window);
         assert_eq!(run.answered, run.dispatched);
         assert!(run.stats.fault_induced_misses > 0, "burst left no trace");
-        assert!(run.health.iter().all(|h| *h != ShardHealth::Dead));
+        assert_eq!(run.refused, 0, "no shard may die");
         let gap = (run.final_hit_ratio() - base.final_hit_ratio()).abs();
         assert!(gap <= 0.02, "no recovery: gap {gap:.4}");
     }
@@ -360,7 +312,7 @@ mod tests {
         let run = run_scenario(&scale, FaultScenario::ZoneDeath, 1, ops, window);
         assert_eq!(run.answered, run.dispatched);
         assert!(run.stats.quarantined_zones > 0, "zone never quarantined");
-        assert!(run.health.iter().all(|h| *h != ShardHealth::Dead));
+        assert_eq!(run.refused, 0, "no shard may die");
     }
 
     #[test]

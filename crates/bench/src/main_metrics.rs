@@ -26,11 +26,11 @@
 //!   service time yet terrible queueing (FairyWREN during GC bursts),
 //!   and conflating them is how tail regressions hide.
 //!
-//! Nemo runs with `background_eviction` enabled — its write-back scan
-//! is spread over bounded background slices between requests, standing
-//! in for the paper's dedicated flush/write-back threads — while the
-//! baselines do their maintenance inline, which is exactly the
-//! fluctuation Fig. 15 exists to show.
+//! The fleet's shard workers run one background slice after every
+//! request, so Nemo's write-back scan is spread over bounded slices
+//! between requests, standing in for the paper's dedicated
+//! flush/write-back threads — while the baselines do their maintenance
+//! inline, which is exactly the fluctuation Fig. 15 exists to show.
 //!
 //! The *read* side of the tail is governed by Nemo's get walk: index
 //! groups are visited newest first and candidate set pages read one at
@@ -290,12 +290,8 @@ pub fn fig15(scale: RunScale) {
     let mut cfg = OpenLoopConfig::new(ops, FIG15_RATE);
     cfg.inflight = 64;
     let trace_cfg = scale.trace_config();
-    let (nemo_row, nemo_windows) = fig15_run(
-        "nemo",
-        &cfg,
-        scale.nemo_background_config().factory(),
-        &trace_cfg,
-    );
+    let (nemo_row, nemo_windows) =
+        fig15_run("nemo", &cfg, scale.nemo_config().factory(), &trace_cfg);
     let (fw_row, fw_windows) = fig15_run(
         "fairywren",
         &cfg,

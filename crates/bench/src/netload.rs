@@ -369,6 +369,7 @@ struct WindowAccum {
     service: LatencyHistogram,
     done_ops: u64,
     get_ops: u64,
+    hits: u64,
 }
 
 fn collector(
@@ -406,6 +407,8 @@ fn collector(
         service_p99: acc.service.p99(),
         service_p9999: acc.service.p9999(),
         get_ops: acc.get_ops,
+        hits: acc.hits,
+        refused: 0,
         set_reads: 0,
     };
     for s in rx {
@@ -420,6 +423,7 @@ fn collector(
         acc.done_ops += 1;
         if s.is_get {
             acc.get_ops += 1;
+            acc.hits += s.hit as u64;
             let (q, v) = (s.queue_ns, s.service_ns);
             acc.total.record(q + v);
             acc.queue.record(q);
@@ -618,7 +622,7 @@ pub fn netload(scale: RunScale, opts: NetloadOpts) {
                 .inflight(32)
                 .spawn(
                     scale
-                        .nemo_background_config()
+                        .nemo_config()
                         .factory_on(opts.backend.device_factory("netload")),
                 );
             let server = Server::start(
@@ -679,7 +683,7 @@ pub fn serve(
         .inflight(32)
         .spawn(
             scale
-                .nemo_background_config()
+                .nemo_config()
                 .factory_on(backend.device_factory("serve")),
         );
     let server = Server::start(

@@ -5,6 +5,10 @@
 //! Every shard owns a full `RunScale`-sized device, so a fleet of `N`
 //! shards models an `N`× larger deployment; the trace catalog is scaled
 //! to keep the same ~6× cache pressure over the *aggregate* capacity.
+//! The shard workers run one background slice after every request, so
+//! Nemo's eviction scan is paced here; only the final drain's back-to-back
+//! flushes may finish one in a batch, as every flush does in the
+//! lone-engine figure loops.
 
 use crate::common::{f2, print_table, write_csv, RunScale, MERGED_WSS_MB};
 use nemo_engine::CacheEngine;
@@ -138,10 +142,10 @@ where
 /// requests arrive at `rate` req/s of virtual time (aggregate across
 /// `shards`), at most `inflight` operations outstanding per shard, and
 /// read latency is reported split into queueing delay (admission wait)
-/// and service time. Nemo runs with deferred background eviction — the
-/// paced write-back scan that replaces the old arrival-pacing
-/// workaround; the baselines do their maintenance inline, which is
-/// exactly the tail-latency difference Fig. 15 is about.
+/// and service time. The shard workers pace Nemo's write-back scan in
+/// background slices between requests — what replaces the old
+/// arrival-pacing workaround; the baselines do their maintenance inline,
+/// which is exactly the tail-latency difference Fig. 15 is about.
 pub fn openloop_comparison(scale: RunScale, shards: usize, rate: f64, inflight: usize) {
     // Latency experiments use enterprise-class die parallelism, like
     // Fig. 15 (WA experiments keep 8 dies; see `RunScale::dies`).
@@ -160,12 +164,7 @@ pub fn openloop_comparison(scale: RunScale, shards: usize, rate: f64, inflight: 
         c
     };
     let mut rows = vec![
-        run_openloop(
-            "Nemo",
-            &mk_cfg(),
-            scale.nemo_background_config().factory(),
-            &trace_cfg,
-        ),
+        run_openloop("Nemo", &mk_cfg(), scale.nemo_config().factory(), &trace_cfg),
         run_openloop("Log", &mk_cfg(), scale.log_config().factory(), &trace_cfg),
         run_openloop(
             "FW",

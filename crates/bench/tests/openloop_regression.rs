@@ -1,6 +1,7 @@
-//! Regression coverage for the Fig. 15 path: the open-loop driver with
-//! Nemo's deferred background eviction must hold flash-scale read
-//! latency at arrival rates *above* the old closed-loop pacing cap.
+//! Regression coverage for the Fig. 15 path: the open-loop driver, whose
+//! shard workers pace Nemo's eviction scan one slice per request, must
+//! hold flash-scale read latency at arrival rates *above* the old
+//! closed-loop pacing cap.
 //!
 //! The pre-open-loop `fig15` paced arrivals at 8k req/s with a comment
 //! admitting the workaround: any faster and foreground reads queued
@@ -38,7 +39,7 @@ fn fig15_path_holds_above_old_pacing_cap() {
     cfg.sample_every = (ops / 12).max(1);
     cfg.warmup_ops = ops / 4;
     let mut trace = TraceGenerator::new(scale.trace_config());
-    let r = OpenLoopReplay::new(cfg).run(scale.nemo_background_config().factory(), &mut trace);
+    let r = OpenLoopReplay::new(cfg).run(scale.nemo_config().factory(), &mut trace);
 
     // Sanity: the run actually exercised steady-state eviction with the
     // paced scan, never the synchronous burst fallback.

@@ -10,13 +10,15 @@ use nemo_flash::{Geometry, LatencyModel, ZonedFlash};
 /// false-positive rate, 50 % cached PBFGs, hotness tracked over the last
 /// 30 % of the cache, cooling every 10 % of cache written.
 ///
-/// Fourteen fields: geometry and latency model, six sizing values, the
-/// three Fig. 17 technique toggles, the eviction mode, and the hotness
-/// window and cooling period. How flash is *read* is not configurable: a
-/// get reads candidate set pages one at a time, newest first, until it
-/// finds the key (or has read four); every set-page read is one
-/// submitted batch whose queue depth is its own length, and a background
-/// eviction slice reads one victim page.
+/// Thirteen fields the engine reads: geometry and latency model, six
+/// sizing values, the three Fig. 17 technique toggles, and the hotness
+/// window and cooling period. A fourteenth, `background_eviction`, is
+/// read by nothing. How flash is *read* is not configurable: a get reads
+/// candidate set pages one at a time, newest first, until it finds the
+/// key (or has read four); every set-page read is one submitted batch
+/// whose queue depth is its own length. Neither is how eviction runs: a
+/// [`crate::Nemo::background_slice`] reads one victim page, and a flush
+/// that finds no free zone reads the rest of the victim as one batch.
 #[derive(Debug, Clone)]
 pub struct NemoConfig {
     /// Device geometry. One SG occupies exactly one zone.
@@ -49,17 +51,13 @@ pub struct NemoConfig {
     pub enable_p_flushing: bool,
     /// Technique W: hotness-aware writeback on eviction.
     pub enable_writeback: bool,
-    /// Run the eviction/write-back scan as deferred background work
-    /// instead of a read burst inside the flush.
+    /// Unused: nothing reads it, and any value behaves the same.
     ///
-    /// Inline mode (the default) reads every hot set of the eviction
-    /// victim at flush time — a burst of up to one page read per set that
-    /// foreground gets then queue behind. With deferral the engine starts
-    /// the scan as soon as the last free zone is consumed and advances it
-    /// one bounded [`crate::Nemo::background_slice`] at a time; the paper
-    /// gets the same effect from dedicated background threads. Write-back
-    /// candidates found by the scan are staged and re-admitted into the
-    /// next flushed SG.
+    /// Eviction has one path. The scan of the oldest SG starts when a
+    /// flush consumes the last free zone; a driver that calls
+    /// [`crate::Nemo::background_slice`] paces it one victim page at a
+    /// time, and otherwise the next flush finishes it in one batch. The
+    /// field stays only for callers that still assign it.
     pub background_eviction: bool,
 }
 

@@ -14,9 +14,9 @@ use nemo_flash::{
 use nemo_metrics::CountHistogram;
 use std::collections::VecDeque;
 
-/// Victim page reads per [`Nemo::background_slice`] of a deferred
-/// eviction scan: bounds how much flash traffic one slice may add ahead
-/// of a foreground request.
+/// Victim page reads per [`Nemo::background_slice`] of an eviction scan:
+/// bounds how much flash traffic one slice may add ahead of a foreground
+/// request.
 const SCAN_READS_PER_SLICE: usize = 1;
 
 /// Set pages one get reads before it gives up. Candidates are tried
@@ -33,9 +33,11 @@ struct FlashSg {
     objects: u64,
 }
 
-/// An in-progress deferred eviction scan ([`NemoConfig::background_eviction`]):
-/// the victim SG's sets are read a bounded slice at a time, collecting
-/// write-back candidates, instead of in one burst at flush time.
+/// The in-progress eviction scan of the oldest on-flash SG, started when
+/// a flush consumes the last free zone. It collects write-back
+/// candidates from the victim's hot sets: one page per
+/// [`Nemo::background_slice`] when a driver paces it, and whatever is
+/// left as one batch when a flush finds no free zone.
 #[derive(Debug)]
 struct EvictScan {
     victim: FlashSg,
@@ -84,12 +86,11 @@ pub struct NemoReport {
     /// Distribution of the candidates the index walk handed out per get
     /// that consulted the PBFG index (memory hits excluded).
     pub candidates_per_get: CountHistogram,
-    /// Background slices executed for deferred eviction scans
-    /// ([`NemoConfig::background_eviction`]).
+    /// [`Nemo::background_slice`] calls that advanced an eviction scan.
     pub scan_slices: u64,
-    /// Deferred scans that a flush had to finish synchronously because no
-    /// free zone was left — the burst fallback. A well-paced run keeps
-    /// this at (or near) zero.
+    /// Eviction scans a flush finished itself, as one read batch, because
+    /// no free zone was left. A driver that never slices gets one per
+    /// eviction; a well-paced one keeps this at (or near) zero.
     pub forced_scan_finishes: u64,
     /// PBFG cache hits/misses and pool writes.
     pub index: crate::index::IndexStats,
@@ -194,15 +195,13 @@ pub struct Nemo<D: ZonedFlash = SimFlash> {
     stall_count: u32,
     /// Sacrifice count attributed to the current front SG.
     front_sacrifices: u64,
-    /// Write-back count attributed to the current front SG (set during
-    /// eviction just before the front is flushed).
+    /// On-flash SGs, oldest (the next eviction victim) first.
     pool: VecDeque<FlashSg>,
     free_zones: VecDeque<u32>,
-    pool_capacity: usize,
-    /// In-progress deferred eviction scan (background mode only).
+    /// In-progress eviction scan of the pool front.
     scan: Option<EvictScan>,
     /// Write-back candidates from a completed scan, awaiting the next
-    /// flush (background mode only).
+    /// flush.
     staged_writebacks: Vec<(u32, u64, u32)>,
     index: PbfgIndex,
     tracker: HotnessTracker,
@@ -254,7 +253,6 @@ impl<D: ZonedFlash> Nemo<D> {
         );
         let index_zones: Vec<u32> = (0..cfg.index_zones()).collect();
         let data_zones: VecDeque<u32> = (cfg.index_zones()..cfg.geometry.zone_count()).collect();
-        let pool_capacity = data_zones.len();
         let index = PbfgIndex::new(
             index_zones,
             cfg.sets_per_sg(),
@@ -275,7 +273,6 @@ impl<D: ZonedFlash> Nemo<D> {
             front_sacrifices: 0,
             pool: VecDeque::new(),
             free_zones: data_zones,
-            pool_capacity,
             scan: None,
             staged_writebacks: Vec::new(),
             index,
@@ -349,9 +346,10 @@ impl<D: ZonedFlash> Nemo<D> {
         MemSg::set_index_of(key, self.cfg.sets_per_sg())
     }
 
-    /// Flushes the front SG: evict the oldest on-flash SG if the pool is
-    /// full (with write-back into the sealed front), then append the front
-    /// SG and its filters to flash.
+    /// Flushes the front SG: finish the eviction scan of the oldest
+    /// on-flash SG if no zone is free yet, re-admit its write-backs into
+    /// the sealed front, then append the front SG and its filters to
+    /// flash.
     ///
     /// A zone whose append fails permanently is quarantined and the flush
     /// moves on to the next free zone, evicting further SGs if it must.
@@ -362,20 +360,13 @@ impl<D: ZonedFlash> Nemo<D> {
     /// index pool itself fails permanently.
     fn flush_front(&mut self, now: Nanos) -> Result<(), EngineError> {
         let mut front = self.queue.pop_front().expect("queue never empty");
-        let mut writebacks = 0u64;
-        if self.cfg.background_eviction {
-            // Deferred mode: the scan of the oldest SG (started when the
-            // last free zone was consumed) normally completed in paced
-            // background slices long before this flush; only if it did
-            // not — no free zone yet — finish it synchronously, which is
-            // exactly the inline read burst this mode exists to avoid.
-            if self.free_zones.is_empty() {
-                self.force_finish_scan(now);
-            }
-            writebacks = self.apply_staged_writebacks(&mut front);
-        } else if self.pool.len() >= self.pool_capacity {
-            writebacks = self.evict_oldest(&mut front, now);
+        // The scan of the oldest SG started when the last free zone was
+        // consumed; a driver that paces it has usually finished it by
+        // now. If nobody did, the flush finishes it in one batch.
+        if self.free_zones.is_empty() {
+            self.force_finish_scan(now);
         }
+        let mut writebacks = self.apply_staged_writebacks(&mut front);
         let psz = self.cfg.geometry.page_size() as usize;
         let sets = self.cfg.sets_per_sg();
         let (zone, flushed_bytes) = loop {
@@ -389,14 +380,8 @@ impl<D: ZonedFlash> Nemo<D> {
                         FlashError::io_permanent("no usable data zones remain"),
                     ));
                 }
-                if self.cfg.background_eviction {
-                    self.force_finish_scan(now);
-                    if self.free_zones.is_empty() && self.scan.is_none() {
-                        writebacks += self.evict_oldest(&mut front, now);
-                    }
-                } else {
-                    writebacks += self.evict_oldest(&mut front, now);
-                }
+                self.force_finish_scan(now);
+                writebacks += self.apply_staged_writebacks(&mut front);
                 continue;
             };
             // Serialize the whole SG: one page per set, full zone append.
@@ -421,7 +406,6 @@ impl<D: ZonedFlash> Nemo<D> {
                     // Permanent append failure: this zone is bad. Take it
                     // out of rotation and try the next free zone.
                     self.stats.quarantined_zones += 1;
-                    self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
                 }
             }
         };
@@ -483,17 +467,17 @@ impl<D: ZonedFlash> Nemo<D> {
                 .cool_with(|seq, set| index.is_recently_active(seq, set));
         }
 
-        // Deferred mode: if this flush consumed the last free zone, start
-        // scanning the oldest SG now so paced background slices can
-        // reclaim its zone before the next flush needs one.
+        // If this flush consumed the last free zone, start scanning the
+        // oldest SG now so a driver's paced slices can reclaim its zone
+        // before the next flush needs one.
         self.maybe_start_scan();
         Ok(())
     }
 
-    /// Starts a deferred eviction scan of the oldest on-flash SG when the
-    /// device is out of free zones and no scan is running.
+    /// Starts an eviction scan of the oldest on-flash SG when the device
+    /// is out of free zones and no scan is running.
     fn maybe_start_scan(&mut self) {
-        if !self.cfg.background_eviction || self.scan.is_some() || !self.free_zones.is_empty() {
+        if self.scan.is_some() || !self.free_zones.is_empty() {
             return;
         }
         if let Some(&victim) = self.pool.front() {
@@ -505,23 +489,24 @@ impl<D: ZonedFlash> Nemo<D> {
         }
     }
 
-    /// Synchronously completes (starting it if necessary) the deferred
-    /// eviction scan — the burst fallback a flush uses when background
-    /// slices have not yet freed a zone.
+    /// Completes the eviction scan (starting it if necessary), reading
+    /// whatever is left of the victim as one batch — what a flush does
+    /// when no driver's slices have freed a zone yet.
     fn force_finish_scan(&mut self, now: Nanos) {
         self.maybe_start_scan();
-        if self.scan.is_some() {
-            self.report.forced_scan_finishes += 1;
-        }
-        while self.scan.is_some() {
-            self.background_slice(now);
-        }
+        let Some(mut scan) = self.scan.take() else {
+            return;
+        };
+        self.report.forced_scan_finishes += 1;
+        self.scan_victim(&mut scan, usize::MAX, now);
+        self.finish_scan(scan, now);
     }
 
-    /// Advances a deferred eviction scan by one bounded slice at `now`:
-    /// at most one victim page read, skipping cold sets for free.
-    /// Completes the eviction (zone reset, index/tracker cleanup) when
-    /// the last set has been examined.
+    /// Advances the eviction scan by one bounded slice at `now`: at most
+    /// one victim page read, skipping cold sets for free. Completes the
+    /// eviction (zone reset, index/tracker cleanup) when the last set has
+    /// been examined. Calling this is optional: a flush that finds no
+    /// free zone finishes the scan itself.
     pub fn background_slice(&mut self, now: Nanos) {
         let Some(mut scan) = self.scan.take() else {
             return;
@@ -540,8 +525,8 @@ impl<D: ZonedFlash> Nemo<D> {
         self.scan.is_some()
     }
 
-    /// Completes a deferred eviction: stages the scan's write-back
-    /// candidates for the next flush, then reclaims the victim zone.
+    /// Completes an eviction: stages the scan's write-back candidates for
+    /// the next front SG flushed, then reclaims the victim zone.
     /// Every victim object is counted evicted here; staged objects that
     /// get re-admitted at flush time are credited back.
     fn finish_scan(&mut self, scan: EvictScan, now: Nanos) {
@@ -565,10 +550,7 @@ impl<D: ZonedFlash> Nemo<D> {
             dev.reset_zone(ZoneId(zone), backoff(now, attempt))
         }) {
             Ok(_) => self.free_zones.push_back(zone),
-            Err(_) => {
-                self.stats.quarantined_zones += 1;
-                self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
-            }
+            Err(_) => self.stats.quarantined_zones += 1,
         }
     }
 
@@ -590,7 +572,6 @@ impl<D: ZonedFlash> Nemo<D> {
         }
         self.free_zones.retain(|&z| z != zone);
         self.stats.quarantined_zones += 1;
-        self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
     }
 
     /// The engine's one data-page read: reads the set pages at `addrs`
@@ -645,9 +626,9 @@ impl<D: ZonedFlash> Nemo<D> {
         (done, submitted.is_err())
     }
 
-    /// Re-admits the staged write-back candidates of a completed deferred
-    /// scan into the sealed front SG about to be flushed. Returns the
-    /// number re-admitted.
+    /// Re-admits the staged write-back candidates of completed scans into
+    /// the sealed front SG about to be flushed. Returns the number
+    /// re-admitted.
     fn apply_staged_writebacks(&mut self, target: &mut MemSg) -> u64 {
         let staged = std::mem::take(&mut self.staged_writebacks);
         let writebacks = self.readmit_writebacks(staged, target);
@@ -661,8 +642,8 @@ impl<D: ZonedFlash> Nemo<D> {
     /// walks the sets from `scan.next_set`, skipping (for free) those
     /// that fail the hotness-mask or PBFG-recency gate — the gates touch
     /// no flash — then reads the passing pages as one batch and stages
-    /// their hot objects in set order. The paced background slices and
-    /// the inline burst differ only in `budget`.
+    /// their hot objects in set order. A paced slice and a flush's
+    /// finish differ only in `budget`.
     fn scan_victim(&mut self, scan: &mut EvictScan, budget: usize, now: Nanos) {
         let sets = self.cfg.sets_per_sg();
         if !self.cfg.enable_writeback {
@@ -700,6 +681,11 @@ impl<D: ZonedFlash> Nemo<D> {
     /// Re-admits write-back candidates into `target` (the sealed front SG
     /// about to be flushed), skipping any key with a newer buffered
     /// version. Returns the number re-admitted.
+    ///
+    /// Only buffered versions are checked. A candidate updated and
+    /// flushed after the victim was written is re-admitted stale, and
+    /// the newest-first get walk then finds it before the live copy
+    /// (ARCHITECTURE, "Known limitations").
     fn readmit_writebacks(&mut self, staged: Vec<(u32, u64, u32)>, target: &mut MemSg) -> u64 {
         let mut writebacks = 0u64;
         for (set, key, size) in staged {
@@ -712,25 +698,6 @@ impl<D: ZonedFlash> Nemo<D> {
                 writebacks += 1;
             }
         }
-        writebacks
-    }
-
-    /// Evicts the oldest on-flash SG, writing hot objects back into the
-    /// sealed front SG. Returns the number of written-back objects.
-    fn evict_oldest(&mut self, target: &mut MemSg, now: Nanos) -> u64 {
-        let victim = self.pool.pop_front().expect("pool is full");
-        let mut scan = EvictScan {
-            victim,
-            next_set: 0,
-            staged: Vec::new(),
-        };
-        self.scan_victim(&mut scan, usize::MAX, now);
-        let writebacks = self.readmit_writebacks(scan.staged, target);
-        self.tracker.untrack(victim.seq);
-        self.index.on_evict(victim.seq);
-        self.reclaim_or_quarantine(victim.zone, now);
-        self.stats.evicted_objects += victim.objects.saturating_sub(writebacks);
-        self.report.writeback_objects += writebacks;
         writebacks
     }
 
@@ -1056,7 +1023,6 @@ impl<D: ZonedFlash> Nemo<D> {
 
     /// Assembles an engine from restored state (the warm-restore core).
     fn from_restored(cfg: NemoConfig, dev: D, st: Restored) -> Self {
-        let pool_capacity = cfg.data_zones() as usize;
         let cooling_threshold = (cfg.geometry.total_bytes() as f64 * cfg.cooling_period) as u64;
         let mut index = st.index;
         let cap = (index.persisted_pages() as f64 * cfg.cached_pbfg_ratio).round() as usize;
@@ -1068,7 +1034,6 @@ impl<D: ZonedFlash> Nemo<D> {
             front_sacrifices: st.front_sacrifices,
             pool: st.pool,
             free_zones: st.free_zones,
-            pool_capacity,
             scan: st.scan,
             staged_writebacks: st.staged_writebacks,
             index,
@@ -1178,7 +1143,6 @@ impl<D: ZonedFlash> Nemo<D> {
             {
                 self.page_buf = buf;
                 self.stats.quarantined_zones += 1;
-                self.pool_capacity = self.pool_capacity.saturating_sub(1).max(1);
                 return;
             }
         }
@@ -1489,12 +1453,13 @@ mod tests {
         // The device counts submitted pages on its own; the engine
         // counts candidate reads and read bytes. They must reconcile
         // with PBFG fetches as the only blocking page reads.
-        for background in [false, true] {
-            let mut cfg = small_cfg();
-            cfg.background_eviction = background;
+        // Unsliced, flushes finish every scan in one batch; paced, the
+        // scans read one page per slice.
+        for slices_per_op in [0, 2] {
+            let cfg = small_cfg();
             let psz = cfg.geometry.page_size() as u64;
             let mut n = Nemo::new(cfg);
-            churn_with_slices(&mut n, 150_000, 0.0004, 2);
+            churn_with_slices(&mut n, 150_000, 0.0004, slices_per_op);
             let (s, index) = (n.stats(), n.report().index);
             let scan_reads = s.flash_bytes_read / psz - index.cache_misses - s.candidate_reads;
             assert!(scan_reads > 0, "eviction scans must have read pages");
@@ -1535,8 +1500,8 @@ mod tests {
             let dev = SimFlash::with_latency(cfg.geometry, cfg.latency);
             Nemo::with_device(cfg, FaultyFlash::new(dev, plan))
         };
-        // Control: find an inline eviction that reads a multi-page batch
-        // and writes something back. The scan's reads are the first
+        // Control: find an eviction the flush finishes with a multi-page
+        // batch and that writes something back. The scan's reads are the first
         // device ops of the put that triggers it.
         let mut control = engine(FaultPlan::new(1));
         let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
@@ -1651,7 +1616,7 @@ mod tests {
         churn(&mut n, 200_000, 0.0004);
         let s = n.stats();
         assert!(s.evicted_objects > 0, "pool must have wrapped");
-        assert!(n.pool_len() <= n.pool_capacity);
+        assert!(n.pool_len() <= n.cfg.data_zones() as usize);
         // Device-level writes equal app-level writes (DLWA = 1).
         assert_eq!(s.nand_bytes_written, s.flash_bytes_written);
     }
@@ -1745,15 +1710,9 @@ mod tests {
         }
     }
 
-    fn background_cfg() -> NemoConfig {
-        let mut cfg = small_cfg();
-        cfg.background_eviction = true;
-        cfg
-    }
-
     #[test]
-    fn deferred_eviction_paces_writeback_reads() {
-        let mut n = Nemo::new(background_cfg());
+    fn paced_slices_read_the_victim_one_page_at_a_time() {
+        let mut n = Nemo::new(small_cfg());
         churn_with_slices(&mut n, 150_000, 0.0004, 2);
         let r = n.report();
         assert!(r.scan_slices > 0, "background slices must have run");
@@ -1761,6 +1720,9 @@ mod tests {
             r.forced_scan_finishes, 0,
             "paced slices should reclaim zones before any flush is starved"
         );
+        // Gets read one candidate page at a time and so does every slice:
+        // nothing ever had two pages in flight.
+        assert_eq!(n.stats().device.inflight_hwm, 1);
         assert!(
             r.writeback_objects > 0,
             "staged write-back should re-admit hot objects"
@@ -1768,18 +1730,20 @@ mod tests {
         let wa = n.stats().alwa();
         assert!(
             (0.8..3.0).contains(&wa),
-            "deferred mode must keep Nemo's WA character, got {wa}"
+            "paced eviction must keep Nemo's WA character, got {wa}"
         );
     }
 
     #[test]
-    fn deferred_eviction_falls_back_to_burst_without_slices() {
-        // Nobody drives background_slice: every flush must force-finish
-        // the scan itself and the cache still works.
-        let mut n = Nemo::new(background_cfg());
+    fn unsliced_eviction_is_finished_by_the_flush_in_one_batch() {
+        // Nobody drives background_slice: every flush must finish the
+        // scan itself, in one multi-page batch, and the cache still works.
+        let mut n = Nemo::new(small_cfg());
         churn(&mut n, 150_000, 0.0004);
         let r = n.report();
-        assert!(r.forced_scan_finishes > 0, "burst fallback must engage");
+        assert_eq!(r.scan_slices, 0);
+        assert!(r.forced_scan_finishes > 0, "flushes must finish the scans");
+        assert!(n.stats().device.inflight_hwm > 1, "one batch per scan");
         assert!(n.stats().evicted_objects > 0, "pool must have wrapped");
         assert!(n.stats().alwa() < 3.0);
     }
@@ -1787,7 +1751,7 @@ mod tests {
     #[test]
     fn deferred_eviction_is_deterministic() {
         let run = || {
-            let mut n = Nemo::new(background_cfg());
+            let mut n = Nemo::new(small_cfg());
             churn_with_slices(&mut n, 80_000, 0.0004, 1);
             n.drain(Nanos::ZERO);
             n.stats()
@@ -1797,7 +1761,7 @@ mod tests {
 
     #[test]
     fn deferred_mode_preserves_read_your_write() {
-        let mut n = Nemo::new(background_cfg());
+        let mut n = Nemo::new(small_cfg());
         let reqs: Vec<_> = SyntheticInsertTrace::paper_synthetic(1)
             .take(2000)
             .collect();
@@ -1994,7 +1958,7 @@ mod tests {
 
     #[test]
     fn warm_restore_preserves_deferred_scan_state() {
-        let mut n = Nemo::new(background_cfg());
+        let mut n = Nemo::new(small_cfg());
         let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
         let mut ops = 0u64;
         // Drive (pacing one slice per op) until a scan is mid-flight.
@@ -2012,7 +1976,7 @@ mod tests {
         let before = n.stats();
         let ckpt = n.checkpoint_bytes();
         let dev = n.into_device();
-        let (mut warm, rec) = Nemo::recover(background_cfg(), dev, Some(&ckpt));
+        let (mut warm, rec) = Nemo::recover(small_cfg(), dev, Some(&ckpt));
         assert_eq!(rec.mode, RecoveryMode::Warm);
         assert_eq!(warm.stats(), before);
         assert!(

@@ -37,6 +37,11 @@ pub struct LatencyWindow {
     pub service_p9999: u64,
     /// Lookups completed in this window.
     pub get_ops: u64,
+    /// Those of the lookups that hit.
+    pub hits: u64,
+    /// Requests of this window refused instead of served (their shard was
+    /// dead); they count in neither `get_ops` nor the percentiles.
+    pub refused: u64,
     /// Candidate data-page (set) reads those lookups issued, summed —
     /// divide by [`Self::get_ops`] (or call
     /// [`Self::set_reads_per_get`]) for the per-get read cost Nemo's
@@ -45,6 +50,15 @@ pub struct LatencyWindow {
 }
 
 impl LatencyWindow {
+    /// Hit ratio of the window's lookups (0 when it saw none).
+    pub fn hit_ratio(&self) -> f64 {
+        if self.get_ops == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.get_ops as f64
+        }
+    }
+
     /// Mean candidate set reads per lookup over the window (0 when the
     /// window saw no lookups).
     pub fn set_reads_per_get(&self) -> f64 {

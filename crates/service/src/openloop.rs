@@ -18,8 +18,9 @@
 //! interleaves with service instead of bursting), and reports every
 //! operation's [`Completion`] on a reply channel. The dispatching thread
 //! itself folds those completions into per-window and aggregate
-//! histograms — whatever has arrived between two sends, the rest after
-//! the last — keeping **queueing delay** (admission wait,
+//! histograms, plus per-window hit and refusal counts (a dead shard's
+//! `Unavailable` answers) — whatever has arrived between two sends, the
+//! rest after the last — keeping **queueing delay** (admission wait,
 //! `start - arrival`) separate from **service time** (`done - start`):
 //! percentiles of a sum are not sums of percentiles, so both are
 //! recorded independently alongside the total. A run is `shards + 1`
@@ -196,6 +197,8 @@ struct WindowAccum {
     service: LatencyHistogram,
     done_ops: u64,
     get_ops: u64,
+    hits: u64,
+    refused: u64,
     set_reads: u64,
 }
 
@@ -214,6 +217,8 @@ impl WindowAccum {
             service_p99: self.service.p99(),
             service_p9999: self.service.p9999(),
             get_ops: self.get_ops,
+            hits: self.hits,
+            refused: self.refused,
             set_reads: self.set_reads,
         }
     }
@@ -259,18 +264,23 @@ impl<'a> Fold<'a> {
         let i = ((c.seq - 1) / every) as usize;
         let acc = self.accums[i].get_or_insert_with(Default::default);
         acc.done_ops += 1;
-        if let CompletionKind::Get { set_reads, .. } = c.kind {
-            let (q, s) = (c.queueing(), c.service());
-            acc.total.record(q + s);
-            acc.queue.record(q);
-            acc.service.record(s);
-            acc.get_ops += 1;
-            acc.set_reads += set_reads as u64;
-            if c.seq > self.cfg.warmup_ops {
-                self.total.record(q + s);
-                self.queue.record(q);
-                self.service.record(s);
+        match c.kind {
+            CompletionKind::Get { hit, set_reads, .. } => {
+                let (q, s) = (c.queueing(), c.service());
+                acc.total.record(q + s);
+                acc.queue.record(q);
+                acc.service.record(s);
+                acc.get_ops += 1;
+                acc.hits += u64::from(hit);
+                acc.set_reads += set_reads as u64;
+                if c.seq > self.cfg.warmup_ops {
+                    self.total.record(q + s);
+                    self.queue.record(q);
+                    self.service.record(s);
+                }
             }
+            CompletionKind::Put => {}
+            CompletionKind::Unavailable { .. } => acc.refused += 1,
         }
         let window_end = ((i as u64 + 1) * every).min(self.cfg.ops);
         if acc.done_ops == window_end - i as u64 * every {

@@ -1,4 +1,11 @@
 //! The sharded front-end: worker threads owning one engine each.
+//!
+//! A worker runs one bounded background slice after every request it
+//! serves, so the driver — not an engine option — decides how deferred
+//! maintenance runs: in a fleet, Nemo's eviction scan reads its victim
+//! one page per request (only a drain's back-to-back flushes may finish
+//! one); a loop that owns a lone engine and never slices leaves every
+//! scan for the next flush to finish in one batch.
 
 use crate::routing::shard_of;
 use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};

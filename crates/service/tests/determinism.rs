@@ -208,9 +208,7 @@ fn openloop_runs_are_bit_identical() {
         cfg.inflight = 8;
         cfg.sample_every = 20_000;
         cfg.warmup_ops = 30_000;
-        let mut bg = nemo_config();
-        bg.background_eviction = true;
-        let r = OpenLoopReplay::new(cfg).run(bg.factory(), &mut trace());
+        let r = OpenLoopReplay::new(cfg).run(nemo_config().factory(), &mut trace());
         (
             r.report.stats,
             r.windows,

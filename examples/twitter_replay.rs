@@ -8,9 +8,9 @@
 //! Requests arrive at a fixed virtual-time rate whether or not the
 //! system keeps up (`nemo_service::OpenLoopReplay`), so a system that
 //! falls behind shows *queueing delay*, not a conveniently longer run.
-//! Nemo runs with deferred background eviction: its write-back scan is
-//! paced in bounded slices between requests, the role the paper's
-//! dedicated background threads play, instead of bursting at flush time.
+//! The open-loop driver's shard workers pace Nemo's write-back scan in
+//! bounded slices between requests, the role the paper's dedicated
+//! background threads play, instead of leaving it to the flush.
 //!
 //! ```text
 //! cargo run --release --example twitter_replay [flash_mb] [ops] [--smoke]
@@ -48,7 +48,6 @@ fn nemo_cfg(geometry: Geometry) -> NemoConfig {
     let mut cfg = NemoConfig::new(geometry);
     cfg.flush_threshold = 4;
     cfg.expected_objects_per_set = 16;
-    cfg.background_eviction = true;
     cfg
 }
 
