@@ -1,6 +1,6 @@
 //! Per-connection protocol loop: read, parse a pipelined wave into one
-//! batch per shard, dispatch the batches, collect one reply per shard,
-//! write one batched response.
+//! batch per shard, run the batches on this thread, write one batched
+//! response.
 
 use crate::parser::{parse_command, Command, Limits, ParseOutcome};
 use crate::store::{map_key, synth_value, MetaStore};
@@ -12,7 +12,6 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,7 +73,7 @@ pub(crate) struct ConnShared {
 
 /// Where one engine operation of the current wave went: its request is
 /// number `idx` of `waves[shard]`, and so is its completion once the
-/// shard has answered.
+/// wave has run.
 #[derive(Clone, Copy)]
 struct Slot {
     shard: usize,
@@ -98,19 +97,28 @@ enum PendingReply {
     /// A `get`/`gets`: one engine lookup per key — `keys` is its range
     /// of the wave's key list — rendered as `VALUE` blocks plus `END`.
     Get { keys: Range<usize>, cas: bool },
-    /// A `set`: `STORED` unless `noreply`.
-    Set { slot: Slot, noreply: bool },
+    /// A `set`: `STORED` unless `noreply`. Its metadata is recorded as
+    /// it is rendered, once its put has run and only if the shard served
+    /// it, so a reply rendered before it — an earlier `get` of the same
+    /// key in this wave — still reads the version that get found.
+    Set {
+        slot: Slot,
+        engine_key: u64,
+        flags: u32,
+        vlen: u32,
+        noreply: bool,
+    },
 }
 
 /// The wave of the shard `engine_key` routes to, and the slot its next
 /// request will take.
 fn next_slot<'w>(
-    waves: &'w mut [Option<Box<Wave>>],
+    waves: &'w mut [Wave],
     dispatcher: &Dispatcher,
     engine_key: u64,
 ) -> (&'w mut Wave, Slot) {
     let shard = dispatcher.shard_of(engine_key);
-    let wave = waves[shard].as_mut().expect("no wave is in flight");
+    let wave = &mut waves[shard];
     let idx = wave.len();
     (wave, Slot { shard, idx })
 }
@@ -140,11 +148,9 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
     let mut value: Vec<u8> = Vec::new();
     let mut pending: Vec<PendingReply> = Vec::new();
     let mut get_keys: Vec<GetKey> = Vec::new();
-    // One wave per shard; `None` while the shard holds it.
-    let mut waves: Vec<Option<Box<Wave>>> = (0..shared.dispatcher.shards())
-        .map(|_| Some(Box::default()))
+    let mut waves: Vec<Wave> = (0..shared.dispatcher.shards())
+        .map(|_| Wave::default())
         .collect();
-    let (tx, rx) = channel::<Box<Wave>>();
 
     'conn: loop {
         match stream.read(&mut chunk) {
@@ -171,8 +177,9 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
         let mut off = 0;
         let mut closing = false;
         // A miss rendered below may only collect metadata that predates
-        // this wave: a `set` dispatched after the lookup (later in this
-        // wave, or on another connection) owns whatever it recorded.
+        // this wave: a `set` whose put ran after the lookup (later in
+        // this wave, or on another connection) records its entry after
+        // that put, with a cas above this floor.
         let cas_floor = shared.meta.cas_floor();
         loop {
             match parse_command(&buf[off..], &shared.limits) {
@@ -207,11 +214,6 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                                 ps.noreply_sets += 1;
                             }
                             let engine_key = map_key(set.key);
-                            // Meta goes in before the engine put is
-                            // dispatched so any later hit finds it.
-                            shared
-                                .meta
-                                .insert(engine_key, set.flags, set.data.len() as u32);
                             let (wave, slot) =
                                 next_slot(&mut waves, &shared.dispatcher, engine_key);
                             wave.push_put(
@@ -221,6 +223,9 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                             );
                             pending.push(PendingReply::Set {
                                 slot,
+                                engine_key,
+                                flags: set.flags,
+                                vlen: set.data.len() as u32,
                                 noreply: set.noreply,
                             });
                         }
@@ -249,30 +254,15 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
             }
         }
 
-        // Dispatch: one command per shard the wave touches, so the whole
-        // wave is in flight across the shards at once, overlapping other
-        // connections' service; then one reply per shard, in whatever
-        // order the shards finish.
-        let mut in_flight = 0;
-        for (shard, slot) in waves.iter_mut().enumerate() {
-            match slot.take() {
-                Some(wave) if !wave.is_empty() => {
-                    shared.dispatcher.dispatch_wave(shard, wave, &tx);
-                    in_flight += 1;
-                }
-                idle => *slot = idle,
+        // Run each shard's share of the wave on this thread, one shard
+        // after the other, with that shard locked: no message, no
+        // wake-up. Every request is answered, dead engine or not.
+        for (shard, wave) in waves.iter_mut().enumerate() {
+            if !wave.is_empty() {
+                shared.dispatcher.run_wave(shard, wave);
             }
         }
-        for _ in 0..in_flight {
-            // A worker answers every wave it accepts, dead engine or not.
-            let wave = rx.recv().expect("this handler holds a reply sender");
-            let shard = wave.shard();
-            waves[shard] = Some(wave);
-        }
-        let completion = |slot: Slot| {
-            let wave = waves[slot.shard].as_ref().expect("every wave is back");
-            wave.done()[slot.idx].kind
-        };
+        let completion = |slot: Slot| waves[slot.shard].done()[slot.idx].kind;
 
         // Render the wave's responses in request order and flush them
         // with one write.
@@ -299,9 +289,9 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                         // An engine hit whose metadata is gone is a miss
                         // on the wire: the object was not `set` through
                         // this server (a pre-seeded or reopened fleet),
-                        // or another connection's miss collected the
-                        // entry first; its flags and length are unknown
-                        // either way.
+                        // or the `set` that stored it has not rendered
+                        // its reply yet; its flags and length are
+                        // unknown either way.
                         match hit.then(|| shared.meta.get(key.engine_key)).flatten() {
                             Some(meta) => {
                                 ps.wire_hits += 1;
@@ -325,10 +315,18 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
                     }
                     out.extend_from_slice(b"END\r\n");
                 }
-                PendingReply::Set { slot, noreply } => {
+                PendingReply::Set {
+                    slot,
+                    engine_key,
+                    flags,
+                    vlen,
+                    noreply,
+                } => {
                     let refused = matches!(completion(slot), CompletionKind::Unavailable { .. });
                     if refused {
                         ps.server_errors += 1;
+                    } else {
+                        shared.meta.insert(engine_key, flags, vlen);
                     }
                     if !noreply {
                         out.extend_from_slice(if refused {
@@ -353,13 +351,12 @@ pub(crate) fn handle_conn(mut stream: TcpStream, shared: &ConnShared) -> ProtoSt
         // wave's bytes only now.
         buf.drain(..off);
         get_keys.clear();
-        for wave in waves.iter_mut().flatten() {
+        for wave in &mut waves {
             wave.clear();
         }
     }
-    // Every wave was awaited before its reply was written, so nothing is
-    // in flight here: shard workers hold no state for this connection
-    // and the reply channel can simply drop.
+    // Every wave ran to completion before its reply was written, so no
+    // shard holds anything of this connection's.
     ps.connections_closed = 1;
     ps
 }

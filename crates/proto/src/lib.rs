@@ -14,12 +14,13 @@
 //! - **Connections** (`conn`, internal): a bounded pool of worker
 //!   threads, one connection served at a time. Each read's worth of
 //!   pipelined commands is parsed into one [`nemo_service::Wave`] per
-//!   shard and dispatched as one command per shard; one reply per
-//!   shard later, responses are written back in request order as one
-//!   batched write.
+//!   shard, and the connection's own thread runs each wave under that
+//!   shard's lock ([`nemo_service::Dispatcher::run_wave`]) — no
+//!   message to a shard worker, no wake-up; responses are written back
+//!   in request order as one batched write.
 //! - **Serving** ([`server`]): accept loop + worker pool with layered
-//!   backpressure (accept queue → shard command queues → TCP flow
-//!   control) and graceful drain on shutdown.
+//!   backpressure (accept queue → a handler busy serving its wave → TCP
+//!   flow control) and graceful drain on shutdown.
 //! - **Keys and values** ([`store`]): the engines are placement
 //!   simulators keyed by `u64`, so the wire layer maps byte-string keys
 //!   (canonical-decimal or FNV-1a) and keeps flags/length/cas metadata

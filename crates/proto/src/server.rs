@@ -5,11 +5,11 @@
 //! Threading model: the accept thread hands each accepted stream to a
 //! `sync_channel` whose receivers are `conn_workers` long-lived worker
 //! threads; each worker runs one connection at a time to completion
-//! (`conn.rs`). Backpressure is therefore layered: a full accept
-//! queue delays new connections, and a full shard command queue blocks
-//! the dispatching connection handler (`Dispatcher`'s blocking send),
-//! which in turn stops reading from its socket and lets TCP flow
-//! control push back on the client.
+//! (`conn.rs`), running each wave's engine work itself under the shard
+//! locks. Backpressure is therefore layered: a full accept queue delays
+//! new connections, and a handler busy with a wave — or waiting for a
+//! shard lock another thread holds — does not read its socket, which
+//! lets TCP flow control push back on the client.
 
 use crate::conn::{handle_conn, ClockMode, ConnShared, ServerClock};
 use crate::parser::Limits;

@@ -9,10 +9,16 @@
 //! bytes themselves are synthesized deterministically from the key;
 //! the engine, not this table, remains the source of truth for
 //! presence: a hit with no metadata (an object the server never saw
-//! `set`, or an entry another connection's miss collected first) is
-//! answered as a miss, since its flags and length are unknown, and
-//! metadata of evicted objects is garbage-collected when the engine
-//! reports the miss.
+//! `set`, or one whose `set` has not rendered its reply yet) is answered
+//! as a miss, since its flags and length are unknown, and metadata of
+//! evicted objects is garbage-collected when the engine reports the
+//! miss.
+//!
+//! A `set` records its entry when its reply is rendered, in request
+//! order: after its engine put ran, and only if the shard served it. So
+//! an earlier `get` of the key in the same wave renders with the version
+//! it found, and a set's cas is always above the floor of any lookup
+//! that ran before its put ([`MetaStore::forget`]).
 
 use nemo_service::shard_of;
 use std::collections::HashMap;
@@ -115,7 +121,7 @@ impl MetaStore {
     }
 
     /// The newest cas unique handed out so far. A connection reads it
-    /// once per wave, before dispatching anything, as the floor for that
+    /// once per wave, before running any of it, as the floor for that
     /// wave's [`Self::forget`] calls. Relaxed is enough: a stale read
     /// only lowers the floor, which makes `forget` keep an entry it
     /// could have collected.
@@ -125,9 +131,9 @@ impl MetaStore {
 
     /// Garbage-collects metadata after the engine reported a miss (the
     /// object was evicted, so its wire metadata is dead) — unless the
-    /// entry is newer than `floor`: a `set` recorded after the lookup's
-    /// wave was dispatched wrote it, and the miss says nothing about
-    /// that version.
+    /// entry is newer than `floor`: a `set` whose put ran after the
+    /// lookup wrote it (entries are recorded after their put), and the
+    /// miss says nothing about that version.
     pub fn forget(&self, key: u64, floor: u64) {
         let mut stripe = self.stripe(key).lock().expect("meta stripe poisoned");
         if stripe.get(&key).is_some_and(|meta| meta.cas <= floor) {

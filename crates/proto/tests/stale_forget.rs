@@ -73,6 +73,39 @@ fn miss_then_set_then_get_in_one_wave_keeps_the_value() {
     assert_eq!(report.proto.wire_hits, 1);
 }
 
+#[test]
+fn a_get_before_a_set_in_one_wave_answers_with_the_version_it_found() {
+    // The `set` used to record its metadata when it was parsed, so the
+    // first `get` below, rendered after that, answered `VALUE 41 2 7`:
+    // the old object's hit with the new set's flags and length.
+    let mut cfg = NemoConfig::new(Geometry::new(4096, 256, 16, 8));
+    cfg.expected_objects_per_set = 16;
+    let server = Server::start(
+        ShardedCacheBuilder::new(2).spawn(cfg.factory()),
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let mut conn = connect(&server);
+    let stored = exchange(&mut conn, b"set 41 1 0 5\r\nhello\r\n", 8);
+    let block = |flags: u32, len: usize| {
+        let mut block = format!("VALUE 41 {flags} {len}\r\n").into_bytes();
+        synth_value(&mut block, 41, len);
+        block.extend_from_slice(b"\r\nEND\r\n");
+        String::from_utf8_lossy(&block).into_owned()
+    };
+    let want = format!("{}STORED\r\n{}", block(1, 5), block(2, 7));
+    let got = exchange(
+        &mut conn,
+        b"get 41\r\nset 41 2 0 7\r\nchanged\r\nget 41\r\n",
+        want.len(),
+    );
+    drop(conn);
+    let report: nemo_proto::ServerReport<Nemo> = server.finish();
+    assert_eq!(stored, "STORED\r\n");
+    assert_eq!(got, want);
+    assert_eq!(report.proto.wire_hits, 2);
+}
+
 /// A key set that reports every lookup on `seen` and parks lookups of
 /// `gate_key` until the test releases them — the handle that lets the
 /// two-connection test force its interleaving.
@@ -117,13 +150,14 @@ impl CacheEngine for Gated {
 
 #[test]
 fn a_set_on_another_connection_survives_an_older_miss() {
-    // Two decimal keys on different shards: the gate parks shard A's
-    // worker (and with it connection A's rendering) while shard B keeps
-    // serving.
-    let gate_key = 1u64;
-    let key = (2u64..)
-        .find(|&k| shard_of(k, 2) != shard_of(gate_key, 2))
-        .expect("some key lands on the other shard");
+    // Two decimal keys on different shards. A connection runs its
+    // wave's per-shard parts in shard order, so the gate goes on the
+    // last shard: connection A serves its `get key` miss first, then
+    // parks at the gate (and with it A's rendering) while the other
+    // shard keeps serving.
+    let on_shard = |shard| (1u64..).find(|&k| shard_of(k, 2) == shard);
+    let gate_key = on_shard(1).expect("some key lands on the last shard");
+    let key = on_shard(0).expect("some key lands on the other shard");
     let (seen_tx, seen) = channel();
     let (release, gate_rx) = channel();
     let mut gate_rx = Some(gate_rx);
@@ -138,8 +172,8 @@ fn a_set_on_another_connection_survives_an_older_miss() {
     let server = Server::start(cache, ServerConfig::default()).expect("start server");
     let (mut a, mut b) = (connect(&server), connect(&server));
 
-    // A: one wave, gate first. Both lookups are dispatched; A then waits
-    // to render the gate's reply, its `get key` miss still unrendered.
+    // A: one wave, gate first. Both lookups run, `key`'s shard first; A
+    // then waits at the gate, its `get key` miss still unrendered.
     a.write_all(format!("get {gate_key}\r\nget {key}\r\n").as_bytes())
         .expect("write");
     let wait = Duration::from_secs(5);
@@ -159,7 +193,7 @@ fn a_set_on_another_connection_survives_an_older_miss() {
 
     assert_eq!(
         looked_up,
-        [Some(gate_key), Some(key)],
+        [Some(gate_key.min(key)), Some(gate_key.max(key))],
         "both lookups served"
     );
     assert_eq!(stored, "STORED\r\n");

@@ -6,10 +6,12 @@
 //! deliberately single-threaded, deterministic simulators. This crate
 //! bridges the two with the shard-per-core pattern production flash
 //! caches deploy: [`ShardedCache`] spawns one worker thread per shard,
-//! each owning an independent engine (and simulated device) built by a
+//! each serving an independent engine (and simulated device) built by a
 //! user-supplied factory, and routes every request to its shard by key
-//! hash ([`shard_of`]). Shard state is disjoint, so there are no locks —
-//! and for a fixed request sequence and shard count the aggregate hit
+//! hash ([`shard_of`]). Shard state is disjoint: each shard's engine sits
+//! behind one lock of its own, taken once per batch by its worker and
+//! once per wave by a thread running a wave, and no thread ever holds
+//! two. For a fixed request sequence and shard count the aggregate hit
 //! ratio and write amplification are bit-identical across runs no matter
 //! how the threads interleave.
 //!
@@ -32,9 +34,9 @@
 //! or panics serving it ([`CompletionKind::Unavailable`]), so nobody
 //! waits on a request a dead shard accepted. A caller holding many
 //! requests at once (the wire front-end, with a pipelined wave parsed)
-//! sends each shard's share as one [`Wave`]
-//! ([`Dispatcher::dispatch_wave`]): the same per-request routine in the
-//! worker, one command and one reply per shard instead of per request.
+//! runs each shard's share as one [`Wave`] on its own thread
+//! ([`Dispatcher::run_wave`]): the same per-request routine under the
+//! same shard lock, with no message and no wake-up at all.
 //!
 //! * Waiting for each completion before sending the next request is the
 //!   special case [`ShardedCache::try_get`]/[`ShardedCache::try_put`]

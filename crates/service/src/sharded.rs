@@ -1,11 +1,12 @@
-//! The sharded front-end: worker threads owning one engine each.
+//! The sharded front-end: one engine per shard behind one lock, served
+//! by the shard's worker thread and by any thread that runs a wave.
 //!
-//! A worker runs one bounded background slice after every request it
-//! serves, so the driver — not an engine option — decides how deferred
-//! maintenance runs: in a fleet, Nemo's eviction scan reads its victim
-//! one page per request (only a drain's back-to-back flushes may finish
-//! one); a loop that owns a lone engine and never slices leaves every
-//! scan for the next flush to finish in one batch.
+//! Every request is followed by one bounded background slice, whichever
+//! thread serves it, so the driver — not an engine option — decides how
+//! deferred maintenance runs: in a fleet, Nemo's eviction scan reads its
+//! victim one page per request (only a drain's back-to-back flushes may
+//! finish one); a loop that owns a lone engine and never slices leaves
+//! every scan for the next flush to finish in one batch.
 
 use crate::routing::shard_of;
 use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
@@ -13,7 +14,7 @@ use nemo_flash::Nanos;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{Builder as ThreadBuilder, JoinHandle};
 
 /// Bounded per-shard command-queue depth: a dispatcher that runs this
@@ -153,16 +154,15 @@ struct Request {
     arrival: Nanos,
 }
 
-/// A batch of requests for one shard, dispatched as a single command
-/// ([`Dispatcher::dispatch_wave`]) and handed back as a single reply
-/// with one [`Completion`] per request in [`Self::done`]. The worker
-/// runs the requests in push order through the same routine as the
-/// one-at-a-time `dispatch_*` calls, so a wave is exactly its requests
-/// sent back to back — minus a channel send, a wake-up and a reply per
-/// request. The buffers keep their capacity across
-/// [`Self::clear`], so a caller that reuses its waves (the wire
-/// front-end keeps one per shard per connection) allocates nothing in
-/// steady state.
+/// A batch of requests for one shard, run on the calling thread by
+/// [`Dispatcher::run_wave`], which leaves one [`Completion`] per
+/// request in [`Self::done`]. The requests run in push order through
+/// the same routine as the one-at-a-time `dispatch_*` calls, so a wave
+/// is exactly its requests sent back to back — minus, per request, a
+/// channel send, a wake-up of the shard's worker and a reply. The
+/// buffers keep their capacity across [`Self::clear`], so a caller that
+/// reuses its waves (the wire front-end keeps one per shard per
+/// connection) allocates nothing in steady state.
 ///
 /// # Examples
 ///
@@ -170,24 +170,18 @@ struct Request {
 /// use nemo_baselines::LogCacheConfig;
 /// use nemo_flash::Nanos;
 /// use nemo_service::{CompletionKind, ShardedCacheBuilder, Wave};
-/// use std::sync::mpsc::channel;
 ///
 /// let cache = ShardedCacheBuilder::new(2).spawn(LogCacheConfig::small().factory());
 /// let dispatcher = cache.dispatcher();
-/// let (tx, rx) = channel();
-/// let mut wave = Box::new(Wave::default());
-/// let shard = dispatcher.shard_of(7);
+/// let mut wave = Wave::default();
 /// wave.push_put(7, 200, Nanos::ZERO);
 /// wave.push_lookup(7, Nanos::ZERO);
-/// dispatcher.dispatch_wave(shard, wave, &tx);
-/// let wave = rx.recv().unwrap();
-/// assert_eq!(wave.shard(), shard);
+/// dispatcher.run_wave(dispatcher.shard_of(7), &mut wave);
 /// assert_eq!(wave.done()[0].kind, CompletionKind::Put);
 /// assert!(matches!(wave.done()[1].kind, CompletionKind::Get { hit: true, .. }));
 /// ```
 #[derive(Debug, Default)]
 pub struct Wave {
-    shard: usize,
     ops: Vec<Request>,
     done: Vec<Completion>,
 }
@@ -224,14 +218,9 @@ impl Wave {
         self.ops.is_empty()
     }
 
-    /// The shard that answered this wave.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The completions of an answered wave, one per request in push
+    /// The completions of a wave that has run, one per request in push
     /// order; [`Completion::seq`] is the request's index in the wave.
-    /// Empty until the wave comes back on its reply channel.
+    /// Empty until [`Dispatcher::run_wave`] has run it.
     pub fn done(&self) -> &[Completion] {
         &self.done
     }
@@ -244,19 +233,13 @@ impl Wave {
 }
 
 /// What a shard worker receives: requests, which are all answered with
-/// a [`Completion`] (a wave's inside the wave it hands back), and three
-/// fleet-control commands whose reply channel a dead shard simply drops.
+/// a [`Completion`], and three fleet-control commands whose reply
+/// channel a dead shard simply drops.
 enum Command {
     Op {
         request: Request,
         seq: u64,
         reply: Sender<Completion>,
-    },
-    /// Boxed so the enum stays the size of `Op`: every command, waves or
-    /// not, is copied through the shard's queue.
-    Wave {
-        wave: Box<Wave>,
-        reply: Sender<Box<Wave>>,
     },
     Drain {
         now: Nanos,
@@ -330,8 +313,8 @@ impl ShardedCacheBuilder {
         self
     }
 
-    /// Spawns the workers. `factory(shard)` builds the engine owned by
-    /// worker `shard`; it runs on the calling thread, so it needs no
+    /// Spawns the workers. `factory(shard)` builds the engine of shard
+    /// `shard`; it runs on the calling thread, so it needs no
     /// `Send`/`Sync` bounds of its own — only the engines move.
     pub fn spawn<E, F>(self, mut factory: F) -> ShardedCache<E>
     where
@@ -339,29 +322,146 @@ impl ShardedCacheBuilder {
         F: FnMut(usize) -> E,
     {
         let mut name = "sharded";
+        let mut lanes: Vec<Arc<dyn Lane>> = Vec::with_capacity(self.shards);
         let mut senders = Vec::with_capacity(self.shards);
         let mut workers = Vec::with_capacity(self.shards);
-        let mut health = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let engine = factory(shard);
+        for index in 0..self.shards {
+            let engine = factory(index);
             name = engine.name();
+            let shard = Arc::new(Shard {
+                index,
+                state: Mutex::new(ShardState {
+                    engine,
+                    window: InflightWindow::new(self.inflight),
+                }),
+                health: AtomicU8::new(HEALTH_HEALTHY),
+            });
+            lanes.push(Arc::clone(&shard) as Arc<dyn Lane>);
             let (tx, rx) = sync_channel(QUEUE_DEPTH);
             senders.push(tx);
-            let inflight = self.inflight;
-            let shard_health = Arc::new(AtomicU8::new(HEALTH_HEALTHY));
-            health.push(Arc::clone(&shard_health));
             let handle = ThreadBuilder::new()
-                .name(format!("{name}-shard-{shard}"))
-                .spawn(move || run_worker(engine, rx, inflight, shard, shard_health))
+                .name(format!("{name}-shard-{index}"))
+                .spawn(move || run_worker(shard, rx))
                 .expect("spawn shard worker");
             workers.push(handle);
         }
         ShardedCache {
             name,
-            dispatcher: Dispatcher { senders, health },
+            dispatcher: Dispatcher { lanes, senders },
             workers,
             reply: channel(),
         }
+    }
+}
+
+/// What serving one request needs of its shard: the engine, and the
+/// in-flight window that admits requests to it.
+struct ShardState<E> {
+    engine: E,
+    window: InflightWindow,
+}
+
+/// One shard as the fleet shares it between its worker and every
+/// thread that runs waves on it: the serving state behind the one lock,
+/// and the health flag, which anyone may read without it.
+///
+/// Locking: a thread holds at most one shard lock at a time and calls
+/// nothing that blocks on another thread while holding it (reply sends
+/// go to unbounded channels), so no two threads can wait on each other.
+/// An engine panic is caught inside the lock ([`guarded`]) and so never
+/// poisons it; a poisoned lock — a panic outside any engine call — reads
+/// as a [`ShardHealth::Dead`] shard.
+struct Shard<E> {
+    index: usize,
+    state: Mutex<ShardState<E>>,
+    health: AtomicU8,
+}
+
+impl<E: CacheEngine> Shard<E> {
+    /// Runs `items` in order with the shard locked once. `step(Some(state),
+    /// item)` serves an item and says whether the engine survived;
+    /// `step(None, item)` answers it for a dead shard — every item after
+    /// the one that killed the engine, and all of them if the shard was
+    /// dead (or its lock poisoned) already. A shard that served the
+    /// whole batch is then checked for Healthy → Degraded.
+    fn run_locked<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        mut step: impl FnMut(Option<&mut ShardState<E>>, T) -> bool,
+    ) {
+        let mut state = match self.state.lock() {
+            Ok(state) if self.health.load(Ordering::Relaxed) != HEALTH_DEAD => Some(state),
+            _ => {
+                self.health.store(HEALTH_DEAD, Ordering::Release);
+                None
+            }
+        };
+        for item in items {
+            if !step(state.as_deref_mut(), item) {
+                // Marked before the lock is released, so whoever takes it
+                // next refuses.
+                self.health.store(HEALTH_DEAD, Ordering::Release);
+                state = None;
+            }
+        }
+        if let Some(state) = state.as_deref_mut() {
+            self.check_degraded(&state.engine);
+        }
+    }
+
+    /// Promotes Healthy → Degraded once the engine reports absorbed
+    /// faults; checked per batch or wave, not per request, to stay
+    /// cheap. The engine's `stats` runs guarded like every other engine
+    /// call, because the thread asking may be a connection's: a panic
+    /// there kills the shard, not the caller.
+    fn check_degraded(&self, engine: &E) {
+        if self.health.load(Ordering::Relaxed) != HEALTH_HEALTHY {
+            return;
+        }
+        let Some(s) = guarded(|| engine.stats()) else {
+            self.health.store(HEALTH_DEAD, Ordering::Release);
+            return;
+        };
+        if s.device_retries > 0 || s.quarantined_zones > 0 || s.fault_induced_misses > 0 {
+            self.health.store(HEALTH_DEGRADED, Ordering::Release);
+        }
+    }
+
+    /// The engine, once every other handle on the shard is gone; a
+    /// poisoned lock still hands it back for post-mortem inspection.
+    fn into_engine(self) -> E {
+        self.state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .engine
+    }
+}
+
+/// A [`Shard`] with its engine type erased, as a [`Dispatcher`] holds it.
+trait Lane: Send + Sync {
+    /// [`Dispatcher::run_wave`] on this shard.
+    fn run_wave(&self, wave: &mut Wave);
+    /// The shard's current health.
+    fn health(&self) -> ShardHealth;
+}
+
+impl<E: CacheEngine> Lane for Shard<E> {
+    fn run_wave(&self, wave: &mut Wave) {
+        let Wave { ops, done } = wave;
+        done.clear();
+        self.run_locked(ops.iter(), |state, &request| {
+            let seq = done.len() as u64;
+            let (completion, alive) = match state {
+                Some(state) => run_op(state, self.index, request, seq),
+                None => (Completion::refused(seq, request.arrival, self.index), true),
+            };
+            done.push(completion);
+            alive
+        });
+    }
+
+    fn health(&self) -> ShardHealth {
+        ShardHealth::from_u8(self.health.load(Ordering::Acquire))
     }
 }
 
@@ -405,36 +505,30 @@ impl InflightWindow {
 }
 
 /// Shard worker loop: applies commands in arrival order until the
-/// front-end hangs up, then hands the engine back through the join.
+/// front-end hangs up, then hands the shard back through the join.
 ///
 /// Each wakeup blocks for one command, then drains up to
 /// [`PIPELINE`]` - 1` more that are already queued and services the
-/// whole batch back-to-back. Under load this keeps several requests in
-/// flight per shard — their device submissions, completions and
-/// background slices interleave within one scheduling quantum instead
-/// of paying a blocking receive per command. Commands are applied
-/// strictly in queue order regardless of batch boundaries, so every
-/// engine transition (and thus every aggregate) is identical however
-/// the batches fall.
+/// whole batch back-to-back under one take of the shard's lock. Under
+/// load this keeps several requests in flight per shard — their device
+/// submissions, completions and background slices interleave within one
+/// scheduling quantum instead of paying a blocking receive per command.
+/// Commands are applied strictly in queue order regardless of batch
+/// boundaries, so every engine transition (and thus every aggregate) is
+/// identical however the batches fall.
 ///
 /// Supervision: a fatal [`EngineError`] from the engine — or a panic
 /// inside it — does not take the worker thread down. The request being
 /// served completes as [`CompletionKind::Unavailable`], the shard's
 /// health flips to [`ShardHealth::Dead`], and the worker keeps draining
-/// its queue, refusing every subsequent request the same way. Requests
-/// are therefore always answered, whichever call killed the engine; the
+/// its queue, refusing every subsequent request the same way — also
+/// when the engine died in a wave another thread ran. Requests are
+/// therefore always answered, whichever call killed the engine; the
 /// fleet-control commands (drain, stats, memory) get their reply channel
 /// dropped instead, which [`ShardedCache`] reads as "this shard has
 /// nothing to report". The engine value survives for post-mortem
 /// inspection via [`ShardedCache::finish`].
-fn run_worker<E: CacheEngine>(
-    mut engine: E,
-    rx: Receiver<Command>,
-    inflight: usize,
-    shard: usize,
-    health: Arc<AtomicU8>,
-) -> E {
-    let mut window = InflightWindow::new(inflight);
+fn run_worker<E: CacheEngine>(shard: Arc<Shard<E>>, rx: Receiver<Command>) -> Arc<Shard<E>> {
     let mut intake = Vec::with_capacity(PIPELINE);
     while let Ok(first) = rx.recv() {
         intake.push(first);
@@ -444,31 +538,15 @@ fn run_worker<E: CacheEngine>(
                 Err(_) => break,
             }
         }
-        let mut drained = intake.drain(..);
-        let alive = drained
-            .by_ref()
-            .all(|cmd| apply_command(&mut engine, &mut window, shard, cmd));
-        if !alive {
-            health.store(HEALTH_DEAD, Ordering::Release);
-            // Keep the queue open: answer what is left of this batch and
-            // everything the front-end sends from now on with refusals
-            // instead of wedging senders.
-            for cmd in drained.chain(rx.iter()) {
-                refuse_command(cmd, shard);
+        shard.run_locked(intake.drain(..), |state, cmd| match state {
+            Some(state) => apply_command(state, shard.index, cmd),
+            None => {
+                refuse_command(cmd, shard.index);
+                true
             }
-            return engine;
-        }
-        drop(drained);
-        // Promote Healthy -> Degraded once the engine reports absorbed
-        // faults; checked per wakeup, not per command, to stay cheap.
-        if health.load(Ordering::Relaxed) == HEALTH_HEALTHY {
-            let s = engine.stats();
-            if s.device_retries > 0 || s.quarantined_zones > 0 || s.fault_induced_misses > 0 {
-                health.store(HEALTH_DEGRADED, Ordering::Release);
-            }
-        }
+        });
     }
-    engine
+    shard
 }
 
 /// Refuses a command on behalf of a dead shard: a request completes as
@@ -483,9 +561,6 @@ fn refuse_command(cmd: Command, shard: usize) {
         } => {
             let _ = reply.send(Completion::refused(seq, request.arrival, shard));
         }
-        Command::Wave { wave, reply } => answer_wave(wave, reply, |request, seq| {
-            Completion::refused(seq, request.arrival, shard)
-        }),
         Command::Drain { .. } | Command::Stats { .. } | Command::Memory { .. } => {}
     }
 }
@@ -497,12 +572,7 @@ fn guarded<T>(call: impl FnOnce() -> T) -> Option<T> {
 
 /// Applies one command to the shard's engine; `false` means the engine
 /// died doing it. A request is answered either way.
-fn apply_command<E: CacheEngine>(
-    engine: &mut E,
-    window: &mut InflightWindow,
-    shard: usize,
-    cmd: Command,
-) -> bool {
+fn apply_command<E: CacheEngine>(state: &mut ShardState<E>, shard: usize, cmd: Command) -> bool {
     // Reply sends only fail if the requester stopped listening; the
     // engine transition already happened, so that is harmless.
     match cmd {
@@ -511,36 +581,21 @@ fn apply_command<E: CacheEngine>(
             seq,
             reply,
         } => {
-            let (completion, alive) = run_op(engine, window, shard, request, seq);
+            let (completion, alive) = run_op(state, shard, request, seq);
             let _ = reply.send(completion);
             alive
         }
-        Command::Wave { wave, reply } => {
-            let mut alive = true;
-            answer_wave(wave, reply, |request, seq| {
-                // The request that kills the engine is refused, and so
-                // is every one behind it in the wave.
-                if !alive {
-                    return Completion::refused(seq, request.arrival, shard);
-                }
-                let (completion, survived) = run_op(engine, window, shard, request, seq);
-                alive = survived;
-                completion
-            });
-            alive
-        }
-        Command::Drain { now, reply } => answer(reply, guarded(|| engine.drain(now))),
-        Command::Stats { reply } => answer(reply, guarded(|| engine.stats())),
-        Command::Memory { reply } => answer(reply, guarded(|| engine.memory())),
+        Command::Drain { now, reply } => answer(reply, guarded(|| state.engine.drain(now))),
+        Command::Stats { reply } => answer(reply, guarded(|| state.engine.stats())),
+        Command::Memory { reply } => answer(reply, guarded(|| state.engine.memory())),
     }
 }
 
 /// Admits one request through the window and serves it; `false` means
 /// the engine died doing it. The one routine behind a lone
-/// [`Command::Op`] and every request of a [`Command::Wave`].
+/// [`Command::Op`] and every request of a [`Wave`].
 fn run_op<E: CacheEngine>(
-    engine: &mut E,
-    window: &mut InflightWindow,
+    ShardState { engine, window }: &mut ShardState<E>,
     shard: usize,
     Request { key, op, arrival }: Request,
     seq: u64,
@@ -559,23 +614,6 @@ fn run_op<E: CacheEngine>(
         kind,
     };
     (completion, served.is_some())
-}
-
-/// Completes every request of `wave` in push order with
-/// `complete(request, seq)` and hands the wave back on `reply`.
-fn answer_wave(
-    mut wave: Box<Wave>,
-    reply: Sender<Box<Wave>>,
-    mut complete: impl FnMut(Request, u64) -> Completion,
-) {
-    let Wave { ops, done, .. } = &mut *wave;
-    done.clear();
-    done.extend(
-        (0..)
-            .zip(ops.iter())
-            .map(|(seq, &request)| complete(request, seq)),
-    );
-    let _ = reply.send(wave);
 }
 
 /// Sends a control command's answer if the engine survived producing it.
@@ -620,28 +658,43 @@ fn serve<E: CacheEngine>(
 }
 
 /// A cloneable, thread-safe dispatch handle onto a shard fleet: the one
-/// way requests reach the workers. [`ShardedCache`] owns one; callers
+/// way requests reach the shards. [`ShardedCache`] owns one; callers
 /// that drive the fleet from many threads at once — the wire front-end
 /// in `nemo-proto` hands one to every connection handler — clone it via
 /// [`ShardedCache::dispatcher`].
 ///
-/// Every `dispatch_*` call routes by key hash, sends without waiting for
-/// the result, and is answered with exactly one [`Completion`] on the
-/// `reply` channel it was given; [`Self::dispatch_wave`] does the same
-/// for a caller-built batch of one shard's requests at the price of one
-/// command and one reply. Sends block when the owning shard's
-/// bounded command queue is full, which is the service backpressure a
-/// connection handler wants: an overloaded shard stalls its connections
-/// instead of buffering unboundedly.
+/// Requests reach a shard two ways, through one routine and one lock
+/// per shard:
+/// - every `dispatch_*` call routes by key hash, queues the request for
+///   the shard's worker without waiting for the result, and is answered
+///   with exactly one [`Completion`] on the `reply` channel it was
+///   given. Sends block when the owning shard's bounded command queue is
+///   full, which is the backpressure a driver wants: an overloaded shard
+///   stalls its callers instead of buffering unboundedly.
+/// - [`Self::run_wave`] runs a caller-built batch of one shard's
+///   requests on the calling thread, with no message and no wake-up.
 ///
-/// Ordering: commands from one thread are applied in send order per
-/// shard. Interleaving *across* threads is whatever they race to —
-/// callers needing a deterministic global order must dispatch from a
-/// single thread.
-#[derive(Debug, Clone)]
+/// Ordering: requests from one thread are applied in call order per
+/// shard along either way, but the two ways are not ordered against
+/// each other (see [`Self::run_wave`]). Interleaving *across* threads is
+/// whatever they race to — callers needing a deterministic global order
+/// must drive the fleet from a single thread.
+#[derive(Clone)]
 pub struct Dispatcher {
+    /// Declared before `senders` so that a dropped clone lets go of the
+    /// shards before its senders: once a worker sees its queue hang up,
+    /// no clone but the fleet's own holds its shard, and
+    /// [`ShardedCache::finish`] can take the engine back.
+    lanes: Vec<Arc<dyn Lane>>,
     senders: Vec<SyncSender<Command>>,
-    health: Vec<Arc<AtomicU8>>,
+}
+
+impl std::fmt::Debug for Dispatcher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dispatcher")
+            .field("shards", &self.shards())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Dispatcher {
@@ -661,10 +714,7 @@ impl Dispatcher {
     /// a fatal engine error or panic kills the shard. Lock-free; safe to
     /// poll from connection handlers.
     pub fn fleet_health(&self) -> Vec<ShardHealth> {
-        self.health
-            .iter()
-            .map(|h| ShardHealth::from_u8(h.load(Ordering::Acquire)))
-            .collect()
+        self.lanes.iter().map(|lane| lane.health()).collect()
     }
 
     fn dispatch(&self, key: u64, op: Op, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
@@ -678,26 +728,27 @@ impl Dispatcher {
             .expect("shard worker alive");
     }
 
-    /// Dispatches every request of `wave` to `shard` as one command. The
-    /// worker runs them in push order, each exactly as the `dispatch_*`
-    /// call of its kind would (admission, service, one background
-    /// slice), and sends the wave back on `reply` once, with one
+    /// Runs every request of `wave` on `shard` on the calling thread,
+    /// with the shard locked once: in push order, each exactly as the
+    /// `dispatch_*` call of its kind would run in the shard's worker
+    /// (admission, service, one background slice), leaving one
     /// [`Completion`] per request in [`Wave::done`] — also when the
     /// engine dies part-way (the rest of the wave completes
     /// [`CompletionKind::Unavailable`]) or had died before (all of it
-    /// does). Routing is the caller's: every key pushed must satisfy
+    /// does). An engine panic is caught and never reaches the caller.
+    /// Routing is the caller's: every key pushed must satisfy
     /// `shard_of(key) == shard`.
-    pub fn dispatch_wave(&self, shard: usize, mut wave: Box<Wave>, reply: &Sender<Box<Wave>>) {
+    ///
+    /// Requests this thread queued earlier through `dispatch_*` may not
+    /// have run yet, so the wave may overtake them: a caller that needs
+    /// its requests to one shard applied in order uses one way or the
+    /// other, not both.
+    pub fn run_wave(&self, shard: usize, wave: &mut Wave) {
         debug_assert!(
             wave.ops.iter().all(|r| self.shard_of(r.key) == shard),
             "a wave holds keys of one shard"
         );
-        wave.shard = shard;
-        let cmd = Command::Wave {
-            wave,
-            reply: reply.clone(),
-        };
-        self.senders[shard].send(cmd).expect("shard worker alive");
+        self.lanes[shard].run_wave(wave);
     }
 
     /// Dispatches a lookup *without* demand fill: the worker admits it
@@ -756,10 +807,13 @@ pub struct ShardedReport<E> {
     pub engines: Vec<E>,
 }
 
-/// A concurrent cache front-end: `N` worker threads, each owning one
-/// single-threaded [`CacheEngine`] (and its simulated device) outright,
-/// fed by bounded channels. Requests route to shards by key hash
-/// ([`crate::shard_of`]), so shard state is disjoint — no locks anywhere.
+/// A concurrent cache front-end: `N` shards, each one single-threaded
+/// [`CacheEngine`] (and its simulated device) behind its own lock, and
+/// each with a worker thread fed by a bounded channel. Requests route to
+/// shards by key hash ([`crate::shard_of`]), so shard state is disjoint:
+/// a shard's lock is only ever contended by its own worker and the
+/// threads running [`Dispatcher::run_wave`] on it, and a thread holds at
+/// most one shard lock at a time.
 ///
 /// This is the shard-per-core pattern production flash caches deploy
 /// (CacheLib partitions its small-object cache the same way; the paper's
@@ -767,12 +821,14 @@ pub struct ShardedReport<E> {
 /// it). The simulator engines stay deterministic and single-threaded;
 /// concurrency lives entirely in this layer.
 ///
-/// There is one request path. [`Self::dispatch_get`] /
-/// [`Self::dispatch_put`] send and return; the [`Completion`] arrives on
-/// the caller's channel. [`Self::try_get`] / [`Self::try_put`] are the
-/// same dispatch on a reply channel this handle owns, followed by a
-/// wait for that one completion — closed loop is open loop with the
-/// caller waiting.
+/// There is one request routine. [`Self::dispatch_get`] /
+/// [`Self::dispatch_put`] queue and return; the worker runs the request
+/// and the [`Completion`] arrives on the caller's channel.
+/// [`Self::try_get`] / [`Self::try_put`] are the same dispatch on a
+/// reply channel this handle owns, followed by a wait for that one
+/// completion — closed loop is open loop with the caller waiting. A
+/// caller holding a batch of one shard's requests runs it on its own
+/// thread instead ([`Dispatcher::run_wave`]).
 ///
 /// # Determinism contract
 ///
@@ -808,7 +864,7 @@ pub struct ShardedReport<E> {
 pub struct ShardedCache<E: CacheEngine + 'static> {
     name: &'static str,
     dispatcher: Dispatcher,
-    workers: Vec<JoinHandle<E>>,
+    workers: Vec<JoinHandle<Arc<Shard<E>>>>,
     /// Reply channel of the synchronous operations. The handle is not
     /// `Sync`, so at most one completion is ever outstanding on it.
     reply: (Sender<Completion>, Receiver<Completion>),
@@ -977,10 +1033,18 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         let stats = EngineStats::merge_all(&per_shard);
         // Hang up so the workers fall out of their receive loops, then
         // collect the engines. Drop sees empty vectors and does nothing.
+        self.dispatcher.lanes.clear();
         self.dispatcher.senders.clear();
         let engines = std::mem::take(&mut self.workers)
             .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
+            .map(|w| {
+                let shard = w.join().expect("shard worker panicked");
+                // A worker returns once every sender is gone, and every
+                // clone drops its shards before its senders.
+                Arc::into_inner(shard)
+                    .expect("no dispatcher outlives the workers")
+                    .into_engine()
+            })
             .collect();
         ShardedReport {
             stats,
@@ -995,6 +1059,7 @@ impl<E: CacheEngine + 'static> Drop for ShardedCache<E> {
     fn drop(&mut self) {
         // Hang up and reap the worker threads so a dropped front-end
         // never leaks detached threads.
+        self.dispatcher.lanes.clear();
         self.dispatcher.senders.clear();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -1147,12 +1212,10 @@ mod tests {
 
     #[test]
     fn command_is_no_larger_than_a_lone_op() {
-        // Every command is copied through the shard's queue; the wave
-        // arm is boxed so the one-at-a-time path pays nothing for it.
-        // 48 = key + op + arrival + seq + a 16-byte `Sender`, the enum's
-        // tag in `Op`'s spare values — the size before waves existed.
+        // Every command is copied through the shard's queue, so the
+        // control commands must not grow it. 48 = key + op + arrival +
+        // seq + a 16-byte `Sender`, the enum's tag in `Op`'s spare values.
         assert_eq!(std::mem::size_of::<Command>(), 48);
-        assert!(std::mem::size_of::<(Box<Wave>, Sender<Box<Wave>>)>() <= 24);
     }
 
     /// An engine whose gets always panic, killing its shard.
@@ -1223,17 +1286,14 @@ mod tests {
         let cache = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
         let dispatcher = cache.dispatcher();
         let dead = dispatcher.shard_of(7);
-        let (tx, rx) = channel();
-        let mut wave = Box::new(Wave::default());
+        let mut wave = Wave::default();
         wave.push_put(7, 100, Nanos(1));
         wave.push_put(7, 100, Nanos(2));
         wave.push_lookup(7, Nanos(3)); // the bomb
         wave.push_put(7, 100, Nanos(4));
         wave.push_get(7, 100, Nanos(5));
-        dispatcher.dispatch_wave(dead, wave, &tx);
-        let mut wave = rx
-            .recv_timeout(Duration::from_secs(2))
-            .expect("a wave whose engine panicked is still answered");
+        // The engine panics on this thread, and the wave still returns.
+        dispatcher.run_wave(dead, &mut wave);
         let refused = CompletionKind::Unavailable { shard: dead };
         let kinds: Vec<_> = wave.done().iter().map(|c| c.kind).collect();
         let put = CompletionKind::Put;
@@ -1246,15 +1306,100 @@ mod tests {
         wave.clear();
         wave.push_put(7, 100, Nanos(6));
         wave.push_lookup(7, Nanos(7));
-        dispatcher.dispatch_wave(dead, wave, &tx);
-        let wave = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
-        assert_eq!(wave.shard(), dead);
+        dispatcher.run_wave(dead, &mut wave);
         let kinds: Vec<_> = wave.done().iter().map(|c| c.kind).collect();
         assert_eq!(kinds, [refused, refused]);
         assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
+        // So is a request queued for the shard's worker.
+        let (tx, rx) = channel();
+        dispatcher.dispatch_put(7, 100, Nanos(8), 9, &tx);
+        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        assert_eq!(c.kind, refused);
         drop(dispatcher);
         let report = cache.finish(Nanos::ZERO);
         assert_eq!(report.engines[dead].puts, 2, "nothing ran past the bomb");
+    }
+
+    /// An engine that serves, but panics when asked for its counters.
+    struct StatsBomb;
+    impl CacheEngine for StatsBomb {
+        fn name(&self) -> &'static str {
+            "stats-bomb"
+        }
+        fn try_get(&mut self, _key: u64, now: Nanos) -> Result<GetOutcome, EngineError> {
+            Ok(GetOutcome::memory_miss(now))
+        }
+        fn try_put(&mut self, _key: u64, _size: u32, now: Nanos) -> Result<Nanos, EngineError> {
+            Ok(now)
+        }
+        fn stats(&self) -> EngineStats {
+            panic!("counters corrupted");
+        }
+        fn memory(&self) -> MemoryBreakdown {
+            MemoryBreakdown::default()
+        }
+    }
+
+    #[test]
+    fn a_panicking_health_check_kills_the_shard_not_the_caller() {
+        let cache = ShardedCacheBuilder::new(2).spawn(|_| StatsBomb);
+        let dispatcher = cache.dispatcher();
+        let (on_wave, on_worker) = (dispatcher.shard_of(7), 1 - dispatcher.shard_of(7));
+        let key_on_worker = (0..).find(|&k| dispatcher.shard_of(k) == on_worker);
+        let key_on_worker = key_on_worker.expect("both shards own keys");
+        // Run on this thread: the put is served, then the health check
+        // after the wave panics inside the engine.
+        let mut wave = Wave::default();
+        wave.push_put(7, 100, Nanos(1));
+        dispatcher.run_wave(on_wave, &mut wave);
+        assert_eq!(wave.done()[0].kind, CompletionKind::Put);
+        assert_eq!(cache.fleet_health()[on_wave], ShardHealth::Dead);
+        wave.clear();
+        wave.push_lookup(7, Nanos(2));
+        dispatcher.run_wave(on_wave, &mut wave);
+        let refused = CompletionKind::Unavailable { shard: on_wave };
+        assert_eq!(wave.done()[0].kind, refused);
+        // Run by the worker: the same, and the worker lives on to refuse.
+        let (tx, rx) = channel();
+        dispatcher.dispatch_put(key_on_worker, 100, Nanos(3), 0, &tx);
+        let c = rx.recv_timeout(Duration::from_secs(2)).expect("served");
+        assert_eq!(c.kind, CompletionKind::Put);
+        dispatcher.dispatch_put(key_on_worker, 100, Nanos(4), 1, &tx);
+        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        assert_eq!(c.kind, CompletionKind::Unavailable { shard: on_worker });
+        assert_eq!(cache.fleet_health(), [ShardHealth::Dead; 2]);
+        drop(dispatcher);
+        let report = cache.finish(Nanos::ZERO);
+        assert_eq!(report.engines.len(), 2, "dead engines are still returned");
+    }
+
+    #[test]
+    fn a_poisoned_shard_lock_reads_as_a_dead_shard() {
+        let shard = Arc::new(Shard {
+            index: 3,
+            state: Mutex::new(ShardState {
+                engine: Bomb::default(),
+                window: InflightWindow::new(4),
+            }),
+            health: AtomicU8::new(HEALTH_HEALTHY),
+        });
+        let poisoner = Arc::clone(&shard);
+        let holder = std::thread::spawn(move || {
+            let _held = poisoner.state.lock();
+            panic!("panic while holding the shard lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(shard.state.is_poisoned());
+        let mut wave = Wave::default();
+        wave.push_put(7, 100, Nanos(1));
+        shard.run_wave(&mut wave);
+        assert_eq!(
+            wave.done()[0].kind,
+            CompletionKind::Unavailable { shard: 3 }
+        );
+        assert_eq!(Lane::health(&*shard), ShardHealth::Dead);
+        let engine = Arc::into_inner(shard).expect("sole owner").into_engine();
+        assert_eq!(engine.puts, 0, "a poisoned shard serves nothing");
     }
 
     #[test]

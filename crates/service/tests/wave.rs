@@ -1,14 +1,17 @@
-//! The licence for the batched request: a [`Wave`] is its requests sent
-//! back to back. However a sequence is cut into waves, every request
-//! completes with the same outcome at the same virtual instants, and
-//! the engines end in the same state, as when each is dispatched alone.
+//! The licence for the batched request: a [`Wave`] run inline on the
+//! calling thread is its requests dispatched one at a time. However a
+//! sequence is cut into waves, every request completes with the same
+//! outcome at the same virtual instants, and the engines end in the
+//! same state, as when each is dispatched alone to its shard's worker.
 
+use nemo_baselines::LogCacheConfig;
 use nemo_core::{Nemo, NemoConfig};
 use nemo_engine::EngineStats;
 use nemo_flash::{Geometry, Nanos};
 use nemo_service::{Completion, CompletionKind, ShardedCache, ShardedCacheBuilder, Wave};
 use nemo_trace::{Request, RequestKind, TraceConfig, TraceGenerator};
 use std::sync::mpsc::channel;
+use std::time::Duration;
 
 const FLASH_MB: u32 = 24;
 const OPS: u64 = 120_000;
@@ -65,8 +68,7 @@ fn one_at_a_time() -> Observed {
 fn in_waves_of(len: usize) -> Observed {
     let cache = fleet();
     let dispatcher = cache.dispatcher();
-    let (tx, rx) = channel();
-    let mut waves: Vec<Option<Box<Wave>>> = (0..SHARDS).map(|_| Some(Box::default())).collect();
+    let mut waves: Vec<Wave> = (0..SHARDS).map(|_| Wave::default()).collect();
     let mut done = Vec::with_capacity(OPS as usize);
     let mut requests = requests().peekable();
     while requests.peek().is_some() {
@@ -74,35 +76,25 @@ fn in_waves_of(len: usize) -> Observed {
         let mut slots = Vec::with_capacity(len);
         for (r, arrival) in requests.by_ref().take(len) {
             let shard = dispatcher.shard_of(r.key);
-            let wave = waves[shard].as_mut().expect("all waves are home");
+            let wave = &mut waves[shard];
             slots.push((shard, wave.len()));
             match r.kind {
                 RequestKind::Get => wave.push_get(r.key, r.size, arrival),
                 RequestKind::Put => wave.push_put(r.key, r.size, arrival),
             }
         }
-        let mut sent = 0;
-        for (shard, slot) in waves.iter_mut().enumerate() {
-            match slot.take() {
-                Some(wave) if !wave.is_empty() => {
-                    dispatcher.dispatch_wave(shard, wave, &tx);
-                    sent += 1;
-                }
-                idle => *slot = idle,
+        for (shard, wave) in waves.iter_mut().enumerate() {
+            if !wave.is_empty() {
+                dispatcher.run_wave(shard, wave);
             }
         }
-        for _ in 0..sent {
-            let wave = rx.recv().expect("every wave is answered");
-            let shard = wave.shard();
-            waves[shard] = Some(wave);
-        }
         for (shard, idx) in slots {
-            let wave = waves[shard].as_ref().expect("all waves are home");
+            let wave = &waves[shard];
             assert_eq!(wave.done().len(), wave.len());
             assert_eq!(wave.done()[idx].seq, idx as u64);
             done.push(wave.done()[idx]);
         }
-        for wave in waves.iter_mut().flatten() {
+        for wave in &mut waves {
             wave.clear();
         }
     }
@@ -133,4 +125,94 @@ fn however_a_sequence_is_cut_into_waves_every_op_completes_the_same() {
         }
         assert_eq!(stats, expect_stats, "waves of {len}: per-shard counters");
     }
+}
+
+#[test]
+fn threads_running_waves_and_a_dispatching_thread_share_the_shards() {
+    const WAVE_THREADS: u64 = 4;
+    const ROUNDS: u64 = 400;
+    const WAVE: u64 = 16;
+    const QUEUED: u64 = 4_000;
+    let cache = ShardedCacheBuilder::new(2).spawn(LogCacheConfig::small().factory());
+    let dispatcher = cache.dispatcher();
+    let shards = dispatcher.shards();
+    // Each thread reports its per-shard put count, or is found stuck.
+    let (report, reports) = channel();
+    let mut threads = Vec::new();
+    for t in 0..WAVE_THREADS {
+        let (d, report) = (dispatcher.clone(), report.clone());
+        threads.push(std::thread::spawn(move || {
+            let mut waves: Vec<Wave> = (0..shards).map(|_| Wave::default()).collect();
+            let mut puts = vec![0u64; shards];
+            for round in 0..ROUNDS {
+                // Puts and lookups over both shards, from keys of this
+                // thread's own.
+                for i in 0..WAVE {
+                    let key = (t << 32) | (round * WAVE + i);
+                    let wave = &mut waves[d.shard_of(key)];
+                    wave.push_put(key, 100, Nanos(round));
+                    wave.push_lookup(key, Nanos(round));
+                }
+                for (shard, wave) in waves.iter_mut().enumerate() {
+                    if wave.is_empty() {
+                        continue;
+                    }
+                    d.run_wave(shard, wave);
+                    assert_eq!(wave.done().len(), wave.len(), "every op answered");
+                    for c in wave.done() {
+                        match c.kind {
+                            CompletionKind::Put => puts[shard] += 1,
+                            CompletionKind::Get { .. } => {}
+                            CompletionKind::Unavailable { .. } => panic!("refused"),
+                        }
+                    }
+                    wave.clear();
+                }
+            }
+            report.send(puts).expect("test alive");
+        }));
+    }
+    // The fifth thread dispatches through the shard queues meanwhile.
+    {
+        let (d, report) = (dispatcher.clone(), report.clone());
+        threads.push(std::thread::spawn(move || {
+            let (tx, rx) = channel();
+            let mut puts = vec![0u64; shards];
+            for i in 0..QUEUED {
+                let key = (WAVE_THREADS << 32) | i;
+                d.dispatch_put(key, 100, Nanos(i), i, &tx);
+                puts[d.shard_of(key)] += 1;
+            }
+            for _ in 0..QUEUED {
+                let c = rx.recv_timeout(Duration::from_secs(20)).expect("answered");
+                assert_eq!(c.kind, CompletionKind::Put);
+            }
+            report.send(puts).expect("test alive");
+        }));
+    }
+    drop((report, dispatcher));
+    let mut expect = vec![0u64; shards];
+    for _ in 0..=WAVE_THREADS {
+        // A deadlock, or a thread that panicked, shows up here. The
+        // fleet is leaked then: dropping it would join workers that a
+        // stuck thread's dispatcher keeps alive.
+        let Ok(puts) = reports.recv_timeout(Duration::from_secs(60)) else {
+            std::mem::forget(cache);
+            panic!("a thread got stuck or panicked");
+        };
+        for (sum, n) in expect.iter_mut().zip(puts) {
+            *sum += n;
+        }
+    }
+    for thread in threads {
+        thread.join().expect("a thread that reported has finished");
+    }
+    assert_eq!(
+        expect.iter().sum::<u64>(),
+        WAVE_THREADS * ROUNDS * WAVE + QUEUED
+    );
+    let report = cache.finish(Nanos::ZERO);
+    let served: Vec<u64> = report.per_shard.iter().map(|s| s.puts).collect();
+    assert_eq!(served, expect, "per-shard puts");
+    assert!(served.iter().all(|&n| n > 0), "both shards took puts");
 }
