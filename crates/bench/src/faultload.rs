@@ -13,7 +13,7 @@
 //! * **Availability**: every dispatched request is answered — hit, miss
 //!   or typed refusal, never a hang — and ≥ 99.9 % of requests are
 //!   *serviced* (the fleet quarantines around faults instead of dying).
-//! * **Zero worker deaths**: transient errors and a permanently failed
+//! * **Zero shard deaths**: transient errors and a permanently failed
 //!   zone are absorbed by retry and quarantine; no request is refused,
 //!   which a shard does only once it is
 //!   [`nemo_service::ShardHealth::Dead`].
@@ -197,7 +197,7 @@ pub fn faultload(scale: RunScale, shards: usize, smoke: bool) {
             scenario.label(),
             run.serviced()
         );
-        // Zero worker deaths: retry + quarantine absorb everything the
+        // Zero shard deaths: retry + quarantine absorb everything the
         // schedules throw, including the permanently failed zone.
         assert_eq!(
             run.refused,

@@ -26,7 +26,7 @@
 //!   service time yet terrible queueing (FairyWREN during GC bursts),
 //!   and conflating them is how tail regressions hide.
 //!
-//! The fleet's shard workers run one background slice after every
+//! The fleet's shards run one background slice after every
 //! request, so Nemo's write-back scan is spread over bounded slices
 //! between requests, standing in for the paper's dedicated
 //! flush/write-back threads — while the baselines do their maintenance

@@ -5,7 +5,7 @@
 //! Every shard owns a full `RunScale`-sized device, so a fleet of `N`
 //! shards models an `N`× larger deployment; the trace catalog is scaled
 //! to keep the same ~6× cache pressure over the *aggregate* capacity.
-//! The shard workers run one background slice after every request, so
+//! Every shard runs one background slice after every request, so
 //! Nemo's eviction scan is paced here; only the final drain's back-to-back
 //! flushes may finish one in a batch, as every flush does in the
 //! lone-engine figure loops.
@@ -142,7 +142,7 @@ where
 /// requests arrive at `rate` req/s of virtual time (aggregate across
 /// `shards`), at most `inflight` operations outstanding per shard, and
 /// read latency is reported split into queueing delay (admission wait)
-/// and service time. The shard workers pace Nemo's write-back scan in
+/// and service time. The shards pace Nemo's write-back scan in
 /// background slices between requests — what replaces the old
 /// arrival-pacing workaround; the baselines do their maintenance inline,
 /// which is exactly the tail-latency difference Fig. 15 is about.

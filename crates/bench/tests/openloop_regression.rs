@@ -1,5 +1,5 @@
 //! Regression coverage for the Fig. 15 path: the open-loop driver, whose
-//! shard workers pace Nemo's eviction scan one slice per request, must
+//! shards pace Nemo's eviction scan one slice per request, must
 //! hold flash-scale read latency at arrival rates *above* the old
 //! closed-loop pacing cap.
 //!

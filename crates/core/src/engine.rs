@@ -1693,7 +1693,7 @@ mod tests {
     }
 
     /// Demand-fill churn that also paces background slices between
-    /// requests, the way a `nemo-service` worker does.
+    /// requests, the way a `nemo-service` shard does.
     fn churn_with_slices(nemo: &mut Nemo, ops: usize, scale: f64, slices_per_op: u32) {
         let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(scale));
         for _ in 0..ops {

@@ -106,10 +106,11 @@ impl GetOutcome {
 /// The trait is object-safe: the harness stores engines as
 /// `Box<dyn CacheEngine>` to compare systems uniformly.
 ///
-/// `Send` is a supertrait so any engine can be moved onto a worker
-/// thread — the sharded front-end in `nemo-service` gives each shard
-/// thread sole ownership of one engine. Engines stay single-threaded
-/// internally (no `Sync` requirement).
+/// `Send` is a supertrait so any engine can sit behind a `Mutex` that
+/// threads share (`Mutex<E>` is `Sync` exactly when `E` is `Send`): the
+/// sharded front-end in `nemo-service` puts each shard's engine behind
+/// one lock and runs every request on the thread that issues it.
+/// Engines stay single-threaded internally (no `Sync` requirement).
 pub trait CacheEngine: Send {
     /// Short engine name ("nemo", "log", "set", "kangaroo", "fairywren").
     fn name(&self) -> &'static str;
@@ -187,9 +188,9 @@ pub trait CacheEngine: Send {
     /// hotness-aware write-back reads, zone reclamation) interleaves with
     /// request service instead of landing as one burst that foreground
     /// reads then queue behind — the paper pays for the same pacing with
-    /// dedicated background threads. Call order within a worker is what
-    /// gives foreground operations die-queue priority: they are issued
-    /// first at any given timestamp.
+    /// dedicated background threads. Calling it after each foreground
+    /// request is what gives foreground operations die-queue priority:
+    /// they are issued first at any given timestamp.
     fn background_slice(&mut self, _now: Nanos) {}
 }
 

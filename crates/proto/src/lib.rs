@@ -15,9 +15,9 @@
 //!   threads, one connection served at a time. Each read's worth of
 //!   pipelined commands is parsed into one [`nemo_service::Wave`] per
 //!   shard, and the connection's own thread runs each wave under that
-//!   shard's lock ([`nemo_service::Dispatcher::run_wave`]) — no
-//!   message to a shard worker, no wake-up; responses are written back
-//!   in request order as one batched write.
+//!   shard's lock ([`nemo_service::Dispatcher::run_wave`]), as every
+//!   request to the fleet runs on the thread that issues it; responses
+//!   are written back in request order as one batched write.
 //! - **Serving** ([`server`]): accept loop + worker pool with layered
 //!   backpressure (accept queue → a handler busy serving its wave → TCP
 //!   flow control) and graceful drain on shutdown.

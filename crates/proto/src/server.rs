@@ -1,6 +1,7 @@
 //! The TCP server: an accept loop feeding a bounded pool of
-//! connection-worker threads, mirroring the shard-worker style of
-//! `nemo-service` — plain `std::net`, no async runtime.
+//! connection-worker threads — plain `std::net`, no async runtime. The
+//! fleet behind it has no threads of its own: the connection workers
+//! run the engine work themselves.
 //!
 //! Threading model: the accept thread hands each accepted stream to a
 //! `sync_channel` whose receivers are `conn_workers` long-lived worker

@@ -1,19 +1,20 @@
 //! Sharded concurrent front-end for the Nemo reproduction's cache
 //! engines.
 //!
-//! The paper's Nemo runs inside CacheLib with background flushing and
-//! write-back on dedicated threads; the engines in this workspace are
-//! deliberately single-threaded, deterministic simulators. This crate
-//! bridges the two with the shard-per-core pattern production flash
-//! caches deploy: [`ShardedCache`] spawns one worker thread per shard,
-//! each serving an independent engine (and simulated device) built by a
-//! user-supplied factory, and routes every request to its shard by key
-//! hash ([`shard_of`]). Shard state is disjoint: each shard's engine sits
-//! behind one lock of its own, taken once per batch by its worker and
-//! once per wave by a thread running a wave, and no thread ever holds
-//! two. For a fixed request sequence and shard count the aggregate hit
-//! ratio and write amplification are bit-identical across runs no matter
-//! how the threads interleave.
+//! The paper's Nemo runs inside CacheLib, where requests run on the
+//! caller's thread and only flushing and write-back get threads of their
+//! own; the engines in this workspace are deliberately single-threaded,
+//! deterministic simulators. This crate bridges the two with the
+//! shard-per-core pattern production flash caches deploy:
+//! [`ShardedCache`] holds one independent engine (and simulated device)
+//! per shard, built by a user-supplied factory, and routes every request
+//! to its shard by key hash ([`shard_of`]). Shard state is disjoint:
+//! each shard's engine sits behind one lock of its own, taken by the
+//! thread that issues a request — once per request, per wave or per
+//! control call — and no thread ever holds two. The fleet starts no
+//! thread of its own. For a fixed request sequence and shard count the
+//! aggregate hit ratio and write amplification are bit-identical across
+//! runs no matter how the callers' threads interleave across shards.
 //!
 //! Any engine implementing [`nemo_engine::CacheEngine`] can be sharded;
 //! the configs in `nemo-core` and `nemo-baselines` all provide a
@@ -27,30 +28,28 @@
 //! One way to drive a fleet: **dispatch a request, get a completion.**
 //! [`Dispatcher::dispatch_lookup`], [`Dispatcher::dispatch_get`] (demand
 //! fill on a miss) and [`Dispatcher::dispatch_put`] route by key hash
-//! and return at once; the owning worker admits the request through its
-//! bounded in-flight window, runs the engine, runs one bounded slice of
-//! background maintenance, and answers with exactly one [`Completion`]
-//! on the caller's reply channel — even when the engine fails fatally
-//! or panics serving it ([`CompletionKind::Unavailable`]), so nobody
-//! waits on a request a dead shard accepted. A caller holding many
-//! requests at once (the wire front-end, with a pipelined wave parsed)
-//! runs each shard's share as one [`Wave`] on its own thread
-//! ([`Dispatcher::run_wave`]): the same per-request routine under the
-//! same shard lock, with no message and no wake-up at all.
+//! and run the request on the calling thread: lock the owning shard,
+//! admit the request through its bounded in-flight window, run the
+//! engine, run one bounded slice of background maintenance, and send
+//! exactly one [`Completion`] on the caller's reply channel before
+//! returning — even when the engine fails fatally or panics serving it
+//! ([`CompletionKind::Unavailable`]). A caller holding many requests at
+//! once (the wire front-end, with a pipelined wave parsed) runs each
+//! shard's share as one [`Wave`] ([`Dispatcher::run_wave`]): the same
+//! per-request routine under one take of the same shard lock.
 //!
-//! * Waiting for each completion before sending the next request is the
-//!   special case [`ShardedCache::try_get`]/[`ShardedCache::try_put`]
-//!   package: the same dispatch on a reply channel the handle owns, the
-//!   caller itself throttling the offered load.
+//! * [`ShardedCache::try_get`]/[`ShardedCache::try_put`] run the same
+//!   routine and return the completion instead of sending it: the
+//!   caller's own pace is the offered load.
 //! * [`openloop::OpenLoopReplay`] is the general case and the one timed
 //!   driver: it dispatches at a configured virtual-time arrival rate,
-//!   folds completions as they arrive, and reports queueing delay and
-//!   service time separately. This is how the paper's Fig. 15 latency
+//!   folds each completion as it is answered, and reports queueing
+//!   delay and service time separately. This is how the paper's Fig. 15 latency
 //!   claims are measured here.
 //!
 //! # Examples
 //!
-//! Demand fill over four shards, the caller waiting per operation:
+//! Demand fill over four shards, one operation at a time:
 //!
 //! ```
 //! use nemo_core::NemoConfig;

@@ -10,28 +10,26 @@
 //! admission.
 //!
 //! [`OpenLoopReplay`] reproduces that methodology in virtual time.
-//! Requests are admitted at [`OpenLoopConfig::arrival_rate`] and
-//! dispatched to shard workers without blocking per operation; each
-//! shard bounds its outstanding work with an in-flight window
-//! ([`OpenLoopConfig::inflight`]), runs one bounded background slice
-//! after each request (so engine maintenance like Nemo's write-back scan
-//! interleaves with service instead of bursting), and reports every
-//! operation's [`Completion`] on a reply channel. The dispatching thread
-//! itself folds those completions into per-window and aggregate
+//! Requests are admitted at [`OpenLoopConfig::arrival_rate`] whatever
+//! the shards' virtual backlog: each request arrives at its scheduled
+//! instant, and each shard bounds its outstanding work with an
+//! in-flight window ([`OpenLoopConfig::inflight`]), so a backlog shows
+//! up as admission wait rather than as a later arrival. Each shard runs
+//! one bounded background slice after each request (so engine
+//! maintenance like Nemo's write-back scan interleaves with service
+//! instead of bursting) and reports every operation's [`Completion`] on
+//! a reply channel. The one thread that dispatches also serves each
+//! request and folds its completion into per-window and aggregate
 //! histograms, plus per-window hit and refusal counts (a dead shard's
-//! `Unavailable` answers) — whatever has arrived between two sends, the
-//! rest after the last — keeping **queueing delay** (admission wait,
+//! `Unavailable` answers), keeping **queueing delay** (admission wait,
 //! `start - arrival`) separate from **service time** (`done - start`):
 //! percentiles of a sum are not sums of percentiles, so both are
-//! recorded independently alongside the total. A run is `shards + 1`
-//! threads.
+//! recorded independently alongside the total. A run is one thread.
 //!
 //! Determinism: arrivals, admission, service, and demand fills are all
-//! functions of the request sequence and virtual time only. Which
-//! completions have arrived at a given poll is wall-clock luck, but a
-//! completion's window is keyed by its sequence number and histogram
-//! addition commutes, so for a fixed trace, rate, and shard count the
-//! result is identical across thread interleavings.
+//! functions of the request sequence and virtual time only, so for a
+//! fixed trace, rate, and shard count the result is identical from run
+//! to run.
 //!
 //! # Examples
 //!
@@ -64,7 +62,7 @@ pub struct OpenLoopConfig {
     /// Open-loop arrival rate in requests/second of virtual time,
     /// aggregate across all shards.
     pub arrival_rate: f64,
-    /// Worker shards (one engine and one simulated device each).
+    /// Shards (one engine and one simulated device each).
     pub shards: usize,
     /// Per-shard in-flight window ([`ShardedCacheBuilder::inflight`]).
     pub inflight: usize,
@@ -116,8 +114,9 @@ pub struct OpenLoopResult<E> {
     pub sim_end: Nanos,
 }
 
-/// The open-loop replay driver. Get misses demand-fill inside the owning
-/// shard worker ([`crate::Dispatcher::dispatch_get`]).
+/// The open-loop replay driver. Get misses demand-fill on the owning
+/// shard under the same take of its lock
+/// ([`crate::Dispatcher::dispatch_get`]).
 #[derive(Debug, Clone)]
 pub struct OpenLoopReplay {
     cfg: OpenLoopConfig,
@@ -135,8 +134,7 @@ impl OpenLoopReplay {
     /// # Panics
     ///
     /// Panics if the configuration was mutated into an invalid state
-    /// (`ops`, `arrival_rate` or `sample_every` not positive), or if a
-    /// shard worker panics.
+    /// (`ops`, `arrival_rate` or `sample_every` not positive).
     pub fn run<E, F>(&self, factory: F, trace: &mut TraceGenerator) -> OpenLoopResult<E>
     where
         E: CacheEngine + 'static,
@@ -164,38 +162,28 @@ impl OpenLoopReplay {
                 RequestKind::Get => cache.dispatch_get(r.key, r.size, arrival, op, &tx),
                 RequestKind::Put => cache.dispatch_put(r.key, r.size, arrival, op, &tx),
             }
+            // The dispatch sent its completion before it returned.
             rx.try_iter().for_each(|c| fold.record(c));
         }
-        // Hang up our reply sender: every queued command holds a clone,
-        // so the channel closes once the workers have answered them all.
-        drop(tx);
-        rx.iter().for_each(|c| fold.record(c));
         let report = cache.finish(fold.sim_end);
         OpenLoopResult {
             report,
             latency: fold.total,
             queueing: fold.queue,
             service: fold.service,
-            windows: fold
-                .windows
-                .into_iter()
-                .map(|w| w.expect("every op was answered, so every window filled"))
-                .collect(),
+            windows: fold.windows,
             sim_end: fold.sim_end,
         }
     }
 }
 
 /// One trend window's live accumulators. Latency histograms record gets
-/// only (like the paper's read latency plots); `done_ops` counts every
-/// completion so the window can be finalized — and its ~178 KB of
-/// histograms freed — as soon as its last op reports in.
+/// only (like the paper's read latency plots).
 #[derive(Default)]
 struct WindowAccum {
     total: LatencyHistogram,
     queue: LatencyHistogram,
     service: LatencyHistogram,
-    done_ops: u64,
     get_ops: u64,
     hits: u64,
     refused: u64,
@@ -224,19 +212,15 @@ impl WindowAccum {
     }
 }
 
-/// Folds completions into per-window and aggregate histograms.
-/// Completions arrive in arbitrary wall-clock order across shards;
-/// windows are keyed by each op's sequence number and histogram addition
-/// commutes, so the aggregates are independent of that order. Completion
-/// skew is bounded (a shard is at most queue-depth + in-flight ops
-/// behind the dispatcher), so only a handful of windows are live at once
-/// regardless of how fine a trend the caller asks for — each is
-/// allocated on first touch and freed the moment its op count fills.
+/// Folds completions into per-window and aggregate histograms. Every
+/// dispatch sends its completion before it returns, so completions
+/// arrive in sequence order and one running window suffices: it closes
+/// on the last op of its window.
 struct Fold<'a> {
     cfg: &'a OpenLoopConfig,
     gap: u64,
-    accums: Vec<Option<Box<WindowAccum>>>,
-    windows: Vec<Option<LatencyWindow>>,
+    window: WindowAccum,
+    windows: Vec<LatencyWindow>,
     total: LatencyHistogram,
     queue: LatencyHistogram,
     service: LatencyHistogram,
@@ -245,12 +229,11 @@ struct Fold<'a> {
 
 impl<'a> Fold<'a> {
     fn new(cfg: &'a OpenLoopConfig, gap: u64) -> Self {
-        let window_count = cfg.ops.div_ceil(cfg.sample_every) as usize;
         Self {
             cfg,
             gap,
-            accums: (0..window_count).map(|_| None).collect(),
-            windows: vec![None; window_count],
+            window: WindowAccum::default(),
+            windows: Vec::with_capacity(cfg.ops.div_ceil(cfg.sample_every) as usize),
             total: LatencyHistogram::new(),
             queue: LatencyHistogram::new(),
             service: LatencyHistogram::new(),
@@ -259,11 +242,8 @@ impl<'a> Fold<'a> {
     }
 
     fn record(&mut self, c: Completion) {
-        let every = self.cfg.sample_every;
         self.sim_end = self.sim_end.max(c.done);
-        let i = ((c.seq - 1) / every) as usize;
-        let acc = self.accums[i].get_or_insert_with(Default::default);
-        acc.done_ops += 1;
+        let acc = &mut self.window;
         match c.kind {
             CompletionKind::Get { hit, set_reads, .. } => {
                 let (q, s) = (c.queueing(), c.service());
@@ -282,10 +262,9 @@ impl<'a> Fold<'a> {
             CompletionKind::Put => {}
             CompletionKind::Unavailable { .. } => acc.refused += 1,
         }
-        let window_end = ((i as u64 + 1) * every).min(self.cfg.ops);
-        if acc.done_ops == window_end - i as u64 * every {
-            self.windows[i] = Some(acc.finalize(window_end, self.gap));
-            self.accums[i] = None;
+        if c.seq % self.cfg.sample_every == 0 || c.seq == self.cfg.ops {
+            let window = std::mem::take(&mut self.window);
+            self.windows.push(window.finalize(c.seq, self.gap));
         }
     }
 }

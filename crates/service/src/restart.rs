@@ -42,7 +42,7 @@ impl ShardedCacheBuilder {
     /// creating fresh devices: every shard's image is reopened without
     /// truncation, its persisted checkpoint (if any) is read, and the
     /// engine is rebuilt with [`Nemo::recover`] on the calling thread
-    /// before the worker threads spawn. Returns the fleet plus one
+    /// before the fleet is assembled. Returns the fleet plus one
     /// [`RecoveryReport`] per shard, indexed by shard id.
     ///
     /// Recovery problems short of a missing image are not errors: a

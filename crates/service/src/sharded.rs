@@ -1,5 +1,5 @@
 //! The sharded front-end: one engine per shard behind one lock, served
-//! by the shard's worker thread and by any thread that runs a wave.
+//! on whichever thread issues the request.
 //!
 //! Every request is followed by one bounded background slice, whichever
 //! thread serves it, so the driver — not an engine option — decides how
@@ -13,24 +13,11 @@ use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreak
 use nemo_flash::Nanos;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{Builder as ThreadBuilder, JoinHandle};
 
-/// Bounded per-shard command-queue depth: a dispatcher that runs this
-/// far ahead of a shard blocks until the worker catches up. Wall-clock
-/// backpressure only; it cannot change a virtual-time result.
-const QUEUE_DEPTH: usize = 256;
-
-/// Commands a worker pulls from its queue per wakeup: after the blocking
-/// receive, up to `PIPELINE - 1` already-queued commands are drained
-/// non-blockingly and serviced in one pass. Commands are applied
-/// strictly in queue order either way, so this trades scheduling
-/// latency for throughput and nothing else.
-const PIPELINE: usize = 16;
-
-/// Health of one shard worker, reported by
-/// [`ShardedCache::fleet_health`] / [`Dispatcher::fleet_health`].
+/// Health of one shard, reported by [`ShardedCache::fleet_health`] /
+/// [`Dispatcher::fleet_health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving normally; no device faults absorbed so far.
@@ -39,7 +26,7 @@ pub enum ShardHealth {
     /// quarantined zones or fault-induced misses are non-zero).
     Degraded,
     /// The engine failed fatally (typed [`EngineError`] or panic). The
-    /// worker now refuses requests with typed unavailable replies instead
+    /// shard now refuses requests with typed unavailable replies instead
     /// of servicing them.
     Dead,
 }
@@ -62,7 +49,7 @@ impl ShardHealth {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionKind {
     /// A lookup; `hit` is the outcome. On a miss of a demand-fill get
-    /// ([`Dispatcher::dispatch_get`]) the worker also ran the fill, which
+    /// ([`Dispatcher::dispatch_get`]) the shard also ran the fill, which
     /// is backing-store work and not part of the client-visible latency.
     Get {
         /// Whether the lookup hit.
@@ -145,7 +132,7 @@ enum Op {
     Put { size: u32 },
 }
 
-/// One request as a worker sees it: what to do, to which key, arriving
+/// One request as its shard sees it: what to do, to which key, arriving
 /// when.
 #[derive(Debug, Clone, Copy)]
 struct Request {
@@ -158,8 +145,8 @@ struct Request {
 /// [`Dispatcher::run_wave`], which leaves one [`Completion`] per
 /// request in [`Self::done`]. The requests run in push order through
 /// the same routine as the one-at-a-time `dispatch_*` calls, so a wave
-/// is exactly its requests sent back to back — minus, per request, a
-/// channel send, a wake-up of the shard's worker and a reply. The
+/// is exactly its requests dispatched back to back — minus, per
+/// request, one take of the shard lock and a reply send. The
 /// buffers keep their capacity across [`Self::clear`], so a caller that
 /// reuses its waves (the wire front-end keeps one per shard per
 /// connection) allocates nothing in steady state.
@@ -232,27 +219,6 @@ impl Wave {
     }
 }
 
-/// What a shard worker receives: requests, which are all answered with
-/// a [`Completion`], and three fleet-control commands whose reply
-/// channel a dead shard simply drops.
-enum Command {
-    Op {
-        request: Request,
-        seq: u64,
-        reply: Sender<Completion>,
-    },
-    Drain {
-        now: Nanos,
-        reply: Sender<()>,
-    },
-    Stats {
-        reply: Sender<EngineStats>,
-    },
-    Memory {
-        reply: Sender<MemoryBreakdown>,
-    },
-}
-
 /// Builds a [`ShardedCache`]: shard count plus the in-flight window.
 ///
 /// # Examples
@@ -278,8 +244,8 @@ pub struct ShardedCacheBuilder {
 }
 
 impl ShardedCacheBuilder {
-    /// A front-end with `shards` worker threads and an in-flight window
-    /// of 16 per shard.
+    /// A front-end with `shards` shards and an in-flight window of 16
+    /// per shard.
     ///
     /// # Panics
     ///
@@ -313,43 +279,37 @@ impl ShardedCacheBuilder {
         self
     }
 
-    /// Spawns the workers. `factory(shard)` builds the engine of shard
-    /// `shard`; it runs on the calling thread, so it needs no
-    /// `Send`/`Sync` bounds of its own — only the engines move.
+    /// Builds the fleet; starts no thread. `factory(shard)` builds the
+    /// engine of shard `shard` on the calling thread, so it needs no
+    /// `Send`/`Sync` bounds of its own.
     pub fn spawn<E, F>(self, mut factory: F) -> ShardedCache<E>
     where
         E: CacheEngine + 'static,
         F: FnMut(usize) -> E,
     {
         let mut name = "sharded";
-        let mut lanes: Vec<Arc<dyn Lane>> = Vec::with_capacity(self.shards);
-        let mut senders = Vec::with_capacity(self.shards);
-        let mut workers = Vec::with_capacity(self.shards);
-        for index in 0..self.shards {
-            let engine = factory(index);
-            name = engine.name();
-            let shard = Arc::new(Shard {
-                index,
-                state: Mutex::new(ShardState {
-                    engine,
-                    window: InflightWindow::new(self.inflight),
-                }),
-                health: AtomicU8::new(HEALTH_HEALTHY),
-            });
-            lanes.push(Arc::clone(&shard) as Arc<dyn Lane>);
-            let (tx, rx) = sync_channel(QUEUE_DEPTH);
-            senders.push(tx);
-            let handle = ThreadBuilder::new()
-                .name(format!("{name}-shard-{index}"))
-                .spawn(move || run_worker(shard, rx))
-                .expect("spawn shard worker");
-            workers.push(handle);
-        }
+        let shards: Vec<Arc<Shard<E>>> = (0..self.shards)
+            .map(|index| {
+                let engine = factory(index);
+                name = engine.name();
+                Arc::new(Shard {
+                    index,
+                    state: Mutex::new(ShardState {
+                        engine,
+                        window: InflightWindow::new(self.inflight),
+                    }),
+                    health: AtomicU8::new(HEALTH_HEALTHY),
+                })
+            })
+            .collect();
+        let lanes = shards
+            .iter()
+            .map(|shard| Arc::clone(shard) as Arc<dyn Lane>)
+            .collect();
         ShardedCache {
             name,
-            dispatcher: Dispatcher { lanes, senders },
-            workers,
-            reply: channel(),
+            shards,
+            dispatcher: Dispatcher { lanes },
         }
     }
 }
@@ -361,16 +321,24 @@ struct ShardState<E> {
     window: InflightWindow,
 }
 
-/// One shard as the fleet shares it between its worker and every
-/// thread that runs waves on it: the serving state behind the one lock,
-/// and the health flag, which anyone may read without it.
+/// One shard as the fleet shares it between every thread that issues
+/// requests to it: the serving state behind the one lock, and the health
+/// flag, which anyone may read without it.
 ///
 /// Locking: a thread holds at most one shard lock at a time and calls
-/// nothing that blocks on another thread while holding it (reply sends
+/// nothing that waits on another thread while holding it (reply sends
 /// go to unbounded channels), so no two threads can wait on each other.
 /// An engine panic is caught inside the lock ([`guarded`]) and so never
 /// poisons it; a poisoned lock — a panic outside any engine call — reads
 /// as a [`ShardHealth::Dead`] shard.
+///
+/// Supervision: a fatal [`EngineError`] or a panic on any engine call —
+/// a request, the health check, a control call — marks the shard
+/// [`ShardHealth::Dead`] before the lock is released. The request that
+/// killed it completes as [`CompletionKind::Unavailable`], and so does
+/// every later one; a control call on a dead shard reports nothing. The
+/// engine survives for post-mortem inspection via
+/// [`ShardedCache::finish`].
 struct Shard<E> {
     index: usize,
     state: Mutex<ShardState<E>>,
@@ -409,10 +377,23 @@ impl<E: CacheEngine> Shard<E> {
         }
     }
 
+    /// Runs one fleet-control call (drain, stats, memory) on the engine
+    /// under the shard lock, guarded like a request: `None` if the shard
+    /// is dead, or died making the call.
+    fn control<T>(&self, call: impl FnOnce(&mut E) -> T) -> Option<T> {
+        let mut answer = None;
+        self.run_locked([call], |state, call| {
+            let Some(state) = state else { return true };
+            answer = guarded(|| call(&mut state.engine));
+            answer.is_some()
+        });
+        answer
+    }
+
     /// Promotes Healthy → Degraded once the engine reports absorbed
-    /// faults; checked per batch or wave, not per request, to stay
-    /// cheap. The engine's `stats` runs guarded like every other engine
-    /// call, because the thread asking may be a connection's: a panic
+    /// faults; checked once per lock taken — a request, a wave or a
+    /// control call. The engine's `stats` runs guarded like every other
+    /// engine call, because the calling thread is the client's: a panic
     /// there kills the shard, not the caller.
     fn check_degraded(&self, engine: &E) {
         if self.health.load(Ordering::Relaxed) != HEALTH_HEALTHY {
@@ -439,6 +420,9 @@ impl<E: CacheEngine> Shard<E> {
 
 /// A [`Shard`] with its engine type erased, as a [`Dispatcher`] holds it.
 trait Lane: Send + Sync {
+    /// Serves one request with the shard locked: the one routine behind
+    /// every `dispatch_*` call and every waited call.
+    fn run_one(&self, request: Request, seq: u64) -> Completion;
     /// [`Dispatcher::run_wave`] on this shard.
     fn run_wave(&self, wave: &mut Wave);
     /// The shard's current health.
@@ -446,6 +430,17 @@ trait Lane: Send + Sync {
 }
 
 impl<E: CacheEngine> Lane for Shard<E> {
+    fn run_one(&self, request: Request, seq: u64) -> Completion {
+        let mut answer = Completion::refused(seq, request.arrival, self.index);
+        self.run_locked([request], |state, request| {
+            let Some(state) = state else { return true };
+            let (completion, alive) = run_op(state, self.index, request, seq);
+            answer = completion;
+            alive
+        });
+        answer
+    }
+
     fn run_wave(&self, wave: &mut Wave) {
         let Wave { ops, done } = wave;
         done.clear();
@@ -490,12 +485,12 @@ impl InflightWindow {
 
     /// Earliest virtual time a request arriving at `arrival` may start.
     fn admit(&mut self, arrival: Nanos) -> Nanos {
-        if self.slots.len() == self.inflight {
-            let std::cmp::Reverse(freed) = self.slots.pop().expect("window is full");
-            arrival.max(freed)
-        } else {
-            arrival
+        if self.slots.len() < self.inflight {
+            return arrival;
         }
+        // A full window (`inflight > 0`) always has a slot to free.
+        let freed = self.slots.pop().map_or(arrival, |std::cmp::Reverse(t)| t);
+        arrival.max(freed)
     }
 
     /// Records a started operation's completion time.
@@ -504,96 +499,14 @@ impl InflightWindow {
     }
 }
 
-/// Shard worker loop: applies commands in arrival order until the
-/// front-end hangs up, then hands the shard back through the join.
-///
-/// Each wakeup blocks for one command, then drains up to
-/// [`PIPELINE`]` - 1` more that are already queued and services the
-/// whole batch back-to-back under one take of the shard's lock. Under
-/// load this keeps several requests in flight per shard — their device
-/// submissions, completions and background slices interleave within one
-/// scheduling quantum instead of paying a blocking receive per command.
-/// Commands are applied strictly in queue order regardless of batch
-/// boundaries, so every engine transition (and thus every aggregate) is
-/// identical however the batches fall.
-///
-/// Supervision: a fatal [`EngineError`] from the engine — or a panic
-/// inside it — does not take the worker thread down. The request being
-/// served completes as [`CompletionKind::Unavailable`], the shard's
-/// health flips to [`ShardHealth::Dead`], and the worker keeps draining
-/// its queue, refusing every subsequent request the same way — also
-/// when the engine died in a wave another thread ran. Requests are
-/// therefore always answered, whichever call killed the engine; the
-/// fleet-control commands (drain, stats, memory) get their reply channel
-/// dropped instead, which [`ShardedCache`] reads as "this shard has
-/// nothing to report". The engine value survives for post-mortem
-/// inspection via [`ShardedCache::finish`].
-fn run_worker<E: CacheEngine>(shard: Arc<Shard<E>>, rx: Receiver<Command>) -> Arc<Shard<E>> {
-    let mut intake = Vec::with_capacity(PIPELINE);
-    while let Ok(first) = rx.recv() {
-        intake.push(first);
-        while intake.len() < PIPELINE {
-            match rx.try_recv() {
-                Ok(cmd) => intake.push(cmd),
-                Err(_) => break,
-            }
-        }
-        shard.run_locked(intake.drain(..), |state, cmd| match state {
-            Some(state) => apply_command(state, shard.index, cmd),
-            None => {
-                refuse_command(cmd, shard.index);
-                true
-            }
-        });
-    }
-    shard
-}
-
-/// Refuses a command on behalf of a dead shard: a request completes as
-/// [`CompletionKind::Unavailable`]; a control command's reply channel is
-/// dropped.
-fn refuse_command(cmd: Command, shard: usize) {
-    match cmd {
-        Command::Op {
-            request,
-            seq,
-            reply,
-        } => {
-            let _ = reply.send(Completion::refused(seq, request.arrival, shard));
-        }
-        Command::Drain { .. } | Command::Stats { .. } | Command::Memory { .. } => {}
-    }
-}
-
 /// Runs one engine call; `None` if it panicked.
 fn guarded<T>(call: impl FnOnce() -> T) -> Option<T> {
     catch_unwind(AssertUnwindSafe(call)).ok()
 }
 
-/// Applies one command to the shard's engine; `false` means the engine
-/// died doing it. A request is answered either way.
-fn apply_command<E: CacheEngine>(state: &mut ShardState<E>, shard: usize, cmd: Command) -> bool {
-    // Reply sends only fail if the requester stopped listening; the
-    // engine transition already happened, so that is harmless.
-    match cmd {
-        Command::Op {
-            request,
-            seq,
-            reply,
-        } => {
-            let (completion, alive) = run_op(state, shard, request, seq);
-            let _ = reply.send(completion);
-            alive
-        }
-        Command::Drain { now, reply } => answer(reply, guarded(|| state.engine.drain(now))),
-        Command::Stats { reply } => answer(reply, guarded(|| state.engine.stats())),
-        Command::Memory { reply } => answer(reply, guarded(|| state.engine.memory())),
-    }
-}
-
 /// Admits one request through the window and serves it; `false` means
-/// the engine died doing it. The one routine behind a lone
-/// [`Command::Op`] and every request of a [`Wave`].
+/// the engine died doing it. The one routine behind a lone request and
+/// every request of a [`Wave`].
 fn run_op<E: CacheEngine>(
     ShardState { engine, window }: &mut ShardState<E>,
     shard: usize,
@@ -616,16 +529,11 @@ fn run_op<E: CacheEngine>(
     (completion, served.is_some())
 }
 
-/// Sends a control command's answer if the engine survived producing it.
-fn answer<T>(reply: Sender<T>, value: Option<T>) -> bool {
-    value.map(|v| reply.send(v)).is_some()
-}
-
 /// Serves one admitted request at virtual time `start`, then runs one
 /// bounded slice of deferred engine maintenance (e.g. Nemo's write-back
 /// scan) at its completion time. Foreground first in call order means
 /// foreground flash operations claim the device dies first at any given
-/// timestamp, and tying slices to the command stream (never to
+/// timestamp, and tying slices to the request stream (never to
 /// wall-clock idleness) keeps results deterministic across thread
 /// interleavings.
 fn serve<E: CacheEngine>(
@@ -663,30 +571,25 @@ fn serve<E: CacheEngine>(
 /// in `nemo-proto` hands one to every connection handler — clone it via
 /// [`ShardedCache::dispatcher`].
 ///
-/// Requests reach a shard two ways, through one routine and one lock
-/// per shard:
-/// - every `dispatch_*` call routes by key hash, queues the request for
-///   the shard's worker without waiting for the result, and is answered
-///   with exactly one [`Completion`] on the `reply` channel it was
-///   given. Sends block when the owning shard's bounded command queue is
-///   full, which is the backpressure a driver wants: an overloaded shard
-///   stalls its callers instead of buffering unboundedly.
-/// - [`Self::run_wave`] runs a caller-built batch of one shard's
-///   requests on the calling thread, with no message and no wake-up.
+/// Every request runs on the thread that issues it, through one routine
+/// under its shard's lock: admission through the in-flight window
+/// ([`ShardedCacheBuilder::inflight`]), the engine call, one bounded
+/// background slice. A `dispatch_*` call runs one request and sends its
+/// one [`Completion`] on the `reply` channel it was given before it
+/// returns — also when the engine fails fatally or panics serving it
+/// ([`CompletionKind::Unavailable`]). [`Self::run_wave`] runs a
+/// caller-built batch of one shard's requests under one take of the
+/// lock and leaves the completions in the [`Wave`].
 ///
-/// Ordering: requests from one thread are applied in call order per
-/// shard along either way, but the two ways are not ordered against
-/// each other (see [`Self::run_wave`]). Interleaving *across* threads is
-/// whatever they race to — callers needing a deterministic global order
-/// must drive the fleet from a single thread.
+/// Ordering: a thread's requests to a shard are applied in its call
+/// order, whichever call made them. Interleaving *across* threads is
+/// whatever they race to for the lock — callers needing a deterministic
+/// global order must drive the fleet from a single thread. Parallel
+/// service comes from parallel callers: two threads on two shards run at
+/// once, two on one shard take turns.
 #[derive(Clone)]
 pub struct Dispatcher {
-    /// Declared before `senders` so that a dropped clone lets go of the
-    /// shards before its senders: once a worker sees its queue hang up,
-    /// no clone but the fleet's own holds its shard, and
-    /// [`ShardedCache::finish`] can take the engine back.
     lanes: Vec<Arc<dyn Lane>>,
-    senders: Vec<SyncSender<Command>>,
 }
 
 impl std::fmt::Debug for Dispatcher {
@@ -700,12 +603,12 @@ impl std::fmt::Debug for Dispatcher {
 impl Dispatcher {
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.lanes.len()
     }
 
     /// The shard a key routes to.
     pub fn shard_of(&self, key: u64) -> usize {
-        shard_of(key, self.senders.len())
+        shard_of(key, self.lanes.len())
     }
 
     /// Current health of every shard, indexed by shard id: `Healthy`
@@ -717,32 +620,26 @@ impl Dispatcher {
         self.lanes.iter().map(|lane| lane.health()).collect()
     }
 
+    /// Runs one request on its shard and returns its completion.
+    fn run(&self, key: u64, op: Op, arrival: Nanos, seq: u64) -> Completion {
+        self.lanes[self.shard_of(key)].run_one(Request { key, op, arrival }, seq)
+    }
+
     fn dispatch(&self, key: u64, op: Op, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
-        let cmd = Command::Op {
-            request: Request { key, op, arrival },
-            seq,
-            reply: reply.clone(),
-        };
-        self.senders[self.shard_of(key)]
-            .send(cmd)
-            .expect("shard worker alive");
+        // A send fails only if the caller dropped its receiver; the
+        // request has run either way, so that is harmless.
+        let _ = reply.send(self.run(key, op, arrival, seq));
     }
 
     /// Runs every request of `wave` on `shard` on the calling thread,
     /// with the shard locked once: in push order, each exactly as the
-    /// `dispatch_*` call of its kind would run in the shard's worker
-    /// (admission, service, one background slice), leaving one
-    /// [`Completion`] per request in [`Wave::done`] — also when the
-    /// engine dies part-way (the rest of the wave completes
-    /// [`CompletionKind::Unavailable`]) or had died before (all of it
-    /// does). An engine panic is caught and never reaches the caller.
-    /// Routing is the caller's: every key pushed must satisfy
-    /// `shard_of(key) == shard`.
-    ///
-    /// Requests this thread queued earlier through `dispatch_*` may not
-    /// have run yet, so the wave may overtake them: a caller that needs
-    /// its requests to one shard applied in order uses one way or the
-    /// other, not both.
+    /// `dispatch_*` call of its kind would run it (admission, service,
+    /// one background slice), leaving one [`Completion`] per request in
+    /// [`Wave::done`] — also when the engine dies part-way (the rest of
+    /// the wave completes [`CompletionKind::Unavailable`]) or had died
+    /// before (all of it does). An engine panic is caught and never
+    /// reaches the caller. Routing is the caller's: every key pushed must
+    /// satisfy `shard_of(key) == shard`.
     pub fn run_wave(&self, shard: usize, wave: &mut Wave) {
         debug_assert!(
             wave.ops.iter().all(|r| self.shard_of(r.key) == shard),
@@ -751,20 +648,21 @@ impl Dispatcher {
         self.lanes[shard].run_wave(wave);
     }
 
-    /// Dispatches a lookup *without* demand fill: the worker admits it
-    /// through the in-flight window ([`ShardedCacheBuilder::inflight`]),
-    /// services it, runs one background slice, and reports a
-    /// [`Completion`] on `reply`; a miss leaves the cache untouched.
-    /// This is the wire-protocol `get` path — whether to insert after a
-    /// miss is the remote client's call, not the cache's.
+    /// Runs a lookup *without* demand fill on the calling thread: admits
+    /// it through the owning shard's in-flight window
+    /// ([`ShardedCacheBuilder::inflight`]), services it, runs one
+    /// background slice, and sends its [`Completion`] on `reply` before
+    /// returning; a miss leaves the cache untouched. This is the
+    /// wire-protocol `get` — whether to insert after a miss is the
+    /// remote client's call, not the cache's.
     pub fn dispatch_lookup(&self, key: u64, arrival: Nanos, seq: u64, reply: &Sender<Completion>) {
         self.dispatch(key, Op::Lookup, arrival, seq, reply);
     }
 
-    /// Dispatches a lookup that, on a miss, inserts `fill_size` bytes at
-    /// the miss's completion time inside the worker — the demand-fill
-    /// policy the paper's replays use. Fills route to the same shard as
-    /// their get, so in-worker filling preserves per-shard order.
+    /// Runs a lookup that, on a miss, inserts `fill_size` bytes at the
+    /// miss's completion time under the same take of the shard lock —
+    /// the demand-fill policy the paper's replays use — and sends its
+    /// [`Completion`] on `reply` before returning.
     pub fn dispatch_get(
         &self,
         key: u64,
@@ -776,7 +674,8 @@ impl Dispatcher {
         self.dispatch(key, Op::Get { fill_size }, arrival, seq, reply);
     }
 
-    /// Dispatches an insert; admitted through the same window.
+    /// Runs an insert, admitted through the same window, and sends its
+    /// [`Completion`] on `reply` before returning.
     pub fn dispatch_put(
         &self,
         key: u64,
@@ -808,27 +707,27 @@ pub struct ShardedReport<E> {
 }
 
 /// A concurrent cache front-end: `N` shards, each one single-threaded
-/// [`CacheEngine`] (and its simulated device) behind its own lock, and
-/// each with a worker thread fed by a bounded channel. Requests route to
-/// shards by key hash ([`crate::shard_of`]), so shard state is disjoint:
-/// a shard's lock is only ever contended by its own worker and the
-/// threads running [`Dispatcher::run_wave`] on it, and a thread holds at
-/// most one shard lock at a time.
+/// [`CacheEngine`] (and its simulated device) behind its own lock.
+/// Requests route to shards by key hash ([`crate::shard_of`]), so shard
+/// state is disjoint: a shard's lock is contended only by threads
+/// issuing requests to that shard, and a thread holds at most one shard
+/// lock at a time. The fleet starts no thread of its own.
 ///
 /// This is the shard-per-core pattern production flash caches deploy
-/// (CacheLib partitions its small-object cache the same way; the paper's
-/// Nemo runs background flushing/write-back on dedicated threads inside
-/// it). The simulator engines stay deterministic and single-threaded;
-/// concurrency lives entirely in this layer.
+/// (CacheLib partitions its small-object cache the same way and runs
+/// requests on the caller's thread; the paper's Nemo adds dedicated
+/// threads only for flushing and write-back). The simulator engines stay
+/// deterministic and single-threaded; concurrency lives entirely in this
+/// layer.
 ///
 /// There is one request routine. [`Self::dispatch_get`] /
-/// [`Self::dispatch_put`] queue and return; the worker runs the request
-/// and the [`Completion`] arrives on the caller's channel.
-/// [`Self::try_get`] / [`Self::try_put`] are the same dispatch on a
-/// reply channel this handle owns, followed by a wait for that one
-/// completion — closed loop is open loop with the caller waiting. A
-/// caller holding a batch of one shard's requests runs it on its own
-/// thread instead ([`Dispatcher::run_wave`]).
+/// [`Self::dispatch_put`] run the request on the calling thread and send
+/// its [`Completion`] on the caller's channel before returning.
+/// [`Self::try_get`] / [`Self::try_put`] run the same routine and return
+/// the completion instead. A caller holding a batch of one shard's
+/// requests runs it under one take of the lock
+/// ([`Dispatcher::run_wave`]). [`Self::drain`], [`Self::shard_stats`]
+/// and [`Self::memory`] lock each shard in turn the same way.
 ///
 /// # Determinism contract
 ///
@@ -836,8 +735,8 @@ pub struct ShardedReport<E> {
 /// [`Self::stats`] after [`Self::drain`] — hit ratio, ALWA, every
 /// counter — is identical across runs, regardless of thread scheduling
 /// and of whether the caller waits per operation or collects completions
-/// later. Routing is a pure function of the key, each worker applies its
-/// commands in the order this handle sent them, and shards share no
+/// later. Routing is a pure function of the key, each shard applies a
+/// thread's requests in that thread's call order, and shards share no
 /// state, so interleaving across shards cannot affect any shard's
 /// outcome. (Dispatching the same sequence from several threads through
 /// [`Dispatcher`] clones forfeits this.)
@@ -855,19 +754,25 @@ pub struct ShardedReport<E> {
 /// for key in 0..100u64 {
 ///     cache.dispatch_put(key, 200, Nanos::ZERO, key, &tx);
 /// }
-/// assert_eq!(rx.iter().take(100).count(), 100); // every op is answered
+/// assert_eq!(rx.try_iter().count(), 100); // every op is answered
 /// assert!(cache.try_get(1, Nanos::ZERO).unwrap().hit);
 /// let report = cache.finish(Nanos::ZERO);
 /// assert_eq!(report.stats.puts, 100);
 /// ```
-#[derive(Debug)]
 pub struct ShardedCache<E: CacheEngine + 'static> {
     name: &'static str,
+    /// The same shards as `dispatcher`'s, with their engine type.
+    shards: Vec<Arc<Shard<E>>>,
     dispatcher: Dispatcher,
-    workers: Vec<JoinHandle<Arc<Shard<E>>>>,
-    /// Reply channel of the synchronous operations. The handle is not
-    /// `Sync`, so at most one completion is ever outstanding on it.
-    reply: (Sender<Completion>, Receiver<Completion>),
+}
+
+impl<E: CacheEngine + 'static> std::fmt::Debug for ShardedCache<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedCache")
+            .field("name", &self.name)
+            .field("shards", &self.shards())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<E: CacheEngine + 'static> ShardedCache<E> {
@@ -887,7 +792,7 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
     }
 
     /// A clone of this fleet's [`Dispatcher`], for driving the shards
-    /// from other threads. The workers run until every clone is gone.
+    /// from other threads. Drop every clone before [`Self::finish`].
     pub fn dispatcher(&self) -> Dispatcher {
         self.dispatcher.clone()
     }
@@ -917,15 +822,10 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         self.dispatcher.dispatch_put(key, size, arrival, seq, reply);
     }
 
-    /// Dispatches `op` on the handle's own reply channel and waits for
-    /// its completion; a refusal becomes
+    /// Runs `op` on the calling thread; a refusal becomes
     /// [`EngineError::ShardUnavailable`].
-    fn wait(&self, key: u64, op: Op, now: Nanos) -> Result<Completion, EngineError> {
-        let (tx, rx) = &self.reply;
-        self.dispatcher.dispatch(key, op, now, 0, tx);
-        // Cannot disconnect (`tx` lives as long as `rx`) and cannot
-        // block forever: a worker answers every request it accepts.
-        let c = rx.recv().expect("the handle holds a reply sender");
+    fn run(&self, key: u64, op: Op, now: Nanos) -> Result<Completion, EngineError> {
+        let c = self.dispatcher.run(key, op, now, 0);
         match c.kind {
             CompletionKind::Unavailable { shard } => Err(EngineError::ShardUnavailable { shard }),
             _ => Ok(c),
@@ -933,15 +833,15 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
     }
 
     /// Looks up `key` arriving at virtual time `now` — a
-    /// [`Dispatcher::dispatch_lookup`] this call waits out, so it
-    /// observes every request dispatched from this thread before it.
-    /// [`GetOutcome::done_at`] includes any admission wait.
+    /// [`Dispatcher::dispatch_lookup`] whose completion is returned
+    /// rather than sent. [`GetOutcome::done_at`] includes any admission
+    /// wait.
     ///
     /// If the owning shard is dead (its engine failed fatally or
     /// panicked, on this request or an earlier one), returns
-    /// [`EngineError::ShardUnavailable`] instead of hanging.
+    /// [`EngineError::ShardUnavailable`].
     pub fn try_get(&self, key: u64, now: Nanos) -> Result<GetOutcome, EngineError> {
-        let c = self.wait(key, Op::Lookup, now)?;
+        let c = self.run(key, Op::Lookup, now)?;
         let CompletionKind::Get {
             hit,
             set_reads,
@@ -958,42 +858,32 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
         })
     }
 
-    /// Inserts and waits, returning the foreground completion time
-    /// reported by the owning shard's engine — or
-    /// [`EngineError::ShardUnavailable`] if the owning shard is dead.
+    /// Inserts, returning the foreground completion time reported by the
+    /// owning shard's engine — or [`EngineError::ShardUnavailable`] if
+    /// the owning shard is dead.
     pub fn try_put(&self, key: u64, size: u32, now: Nanos) -> Result<Nanos, EngineError> {
-        Ok(self.wait(key, Op::Put { size }, now)?.done)
+        Ok(self.run(key, Op::Put { size }, now)?.done)
     }
 
-    /// Sends one control command to every shard, then collects the
-    /// answers in shard order. A dead shard drops the reply sender and
+    /// Runs one control call on every shard in shard order. A dead shard
     /// yields `None`; the fleet carries on around it.
-    fn ask_all<T>(&self, cmd: impl Fn(Sender<T>) -> Command) -> Vec<Option<T>> {
-        let replies: Vec<Receiver<T>> = self
-            .dispatcher
-            .senders
+    fn control_all<T>(&self, call: impl Fn(&mut E) -> T) -> Vec<Option<T>> {
+        self.shards
             .iter()
-            .map(|tx| {
-                let (reply, rx) = channel();
-                tx.send(cmd(reply)).expect("shard worker alive");
-                rx
-            })
-            .collect();
-        replies.into_iter().map(|rx| rx.recv().ok()).collect()
+            .map(|shard| shard.control(&call))
+            .collect()
     }
 
-    /// Forces every shard's in-memory engine buffers to flash and waits
-    /// for all live shards to acknowledge.
+    /// Forces every live shard's in-memory engine buffers to flash.
     pub fn drain(&self, now: Nanos) {
-        self.ask_all(|reply| Command::Drain { now, reply });
+        self.control_all(|engine| engine.drain(now));
     }
 
-    /// Live per-shard counters, indexed by shard id, covering every
-    /// request dispatched from this thread so far. A dead shard reports
+    /// Live per-shard counters, indexed by shard id. A dead shard reports
     /// zeroed counters (its engine is unreachable until [`Self::finish`]
     /// hands it back).
     pub fn shard_stats(&self) -> Vec<EngineStats> {
-        self.ask_all(|reply| Command::Stats { reply })
+        self.control_all(|engine| engine.stats())
             .into_iter()
             .map(Option::unwrap_or_default)
             .collect()
@@ -1012,7 +902,7 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
     /// Aggregate metadata memory across all shards.
     pub fn memory(&self) -> MemoryBreakdown {
         let parts: Vec<MemoryBreakdown> = self
-            .ask_all(|reply| Command::Memory { reply })
+            .control_all(|engine| engine.memory())
             .into_iter()
             .map(Option::unwrap_or_default)
             .collect();
@@ -1020,30 +910,33 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
     }
 
     /// Ends the run: drains every shard at virtual time `now`, reads the
-    /// final post-drain counters, shuts the workers down and hands the
-    /// engines back.
+    /// final post-drain counters and hands the engines back.
     ///
     /// Draining *before* the final read is load-bearing: engines buffer
     /// writes in memory (Nemo's in-memory SGs, the log baseline's open
     /// page), and reading WA without draining under-reports flash traffic.
-    pub fn finish(mut self, now: Nanos) -> ShardedReport<E> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clone of this fleet's [`Dispatcher`] is still alive:
+    /// it shares the shards, so their engines cannot be handed back.
+    pub fn finish(self, now: Nanos) -> ShardedReport<E> {
         self.drain(now);
         let per_shard = self.shard_stats();
         let memory = self.memory();
         let stats = EngineStats::merge_all(&per_shard);
-        // Hang up so the workers fall out of their receive loops, then
-        // collect the engines. Drop sees empty vectors and does nothing.
-        self.dispatcher.lanes.clear();
-        self.dispatcher.senders.clear();
-        let engines = std::mem::take(&mut self.workers)
+        let Self {
+            shards, dispatcher, ..
+        } = self;
+        drop(dispatcher);
+        let engines = shards
             .into_iter()
-            .map(|w| {
-                let shard = w.join().expect("shard worker panicked");
-                // A worker returns once every sender is gone, and every
-                // clone drops its shards before its senders.
-                Arc::into_inner(shard)
-                    .expect("no dispatcher outlives the workers")
-                    .into_engine()
+            .map(|shard| match Arc::into_inner(shard) {
+                Some(shard) => shard.into_engine(),
+                None => panic!(
+                    "ShardedCache::finish: a Dispatcher clone is still alive; \
+                     drop every clone before finishing the fleet"
+                ),
             })
             .collect();
         ShardedReport {
@@ -1055,22 +948,10 @@ impl<E: CacheEngine + 'static> ShardedCache<E> {
     }
 }
 
-impl<E: CacheEngine + 'static> Drop for ShardedCache<E> {
-    fn drop(&mut self) {
-        // Hang up and reap the worker threads so a dropped front-end
-        // never leaks detached threads.
-        self.dispatcher.lanes.clear();
-        self.dispatcher.senders.clear();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// A sharded front-end is itself a [`CacheEngine`], so every harness that
 /// drives engines through the trait — the bench loops, the cross-engine
-/// tests — can drive a shard fleet unchanged. Operations wait on the
-/// owning shard; `stats`/`memory` aggregate. The provided panicking
+/// tests — can drive a shard fleet unchanged. Operations run on the
+/// owning shard on the calling thread; `stats`/`memory` aggregate. The provided panicking
 /// `get`/`put` come from the trait, as for every engine.
 impl<E: CacheEngine + 'static> CacheEngine for ShardedCache<E> {
     /// The wrapped engine's name (shards are homogeneous).
@@ -1103,7 +984,7 @@ impl<E: CacheEngine + 'static> CacheEngine for ShardedCache<E> {
 mod tests {
     use super::*;
     use nemo_baselines::LogCacheConfig;
-    use std::time::Duration;
+    use std::sync::mpsc::channel;
 
     fn small_sharded(shards: usize) -> ShardedCache<nemo_baselines::LogCache> {
         ShardedCacheBuilder::new(shards).spawn(LogCacheConfig::small().factory())
@@ -1143,10 +1024,24 @@ mod tests {
     }
 
     #[test]
-    fn drop_without_finish_joins_workers() {
+    fn drop_without_finish_does_not_hang() {
         let mut cache = small_sharded(2);
+        let dispatcher = cache.dispatcher();
         cache.put(1, 200, Nanos::ZERO);
-        drop(cache); // must not hang or leak
+        // Neither the fleet nor a live clone has a thread to join.
+        drop(cache);
+        let (tx, rx) = channel();
+        dispatcher.dispatch_lookup(1, Nanos::ZERO, 0, &tx);
+        let c = rx.try_recv().expect("answered");
+        assert!(matches!(c.kind, CompletionKind::Get { hit: true, .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "a Dispatcher clone is still alive")]
+    fn finish_with_a_live_dispatcher_clone_fails_loudly() {
+        let cache = small_sharded(2);
+        let _clone = cache.dispatcher();
+        cache.finish(Nanos::ZERO);
     }
 
     #[test]
@@ -1210,14 +1105,6 @@ mod tests {
         assert_eq!(cache.stats().puts, 400);
     }
 
-    #[test]
-    fn command_is_no_larger_than_a_lone_op() {
-        // Every command is copied through the shard's queue, so the
-        // control commands must not grow it. 48 = key + op + arrival +
-        // seq + a 16-byte `Sender`, the enum's tag in `Op`'s spare values.
-        assert_eq!(std::mem::size_of::<Command>(), 48);
-    }
-
     /// An engine whose gets always panic, killing its shard.
     #[derive(Default)]
     struct Bomb {
@@ -1270,15 +1157,41 @@ mod tests {
         let (tx, rx) = channel();
         dispatcher.dispatch_lookup(7, Nanos(5), 41, &tx);
         let c = rx
-            .recv_timeout(Duration::from_secs(2))
+            .try_recv()
             .expect("the op whose engine panicked is still answered");
         assert_eq!((c.seq, c.arrival), (41, Nanos(5)));
         assert!(matches!(c.kind, CompletionKind::Unavailable { shard } if shard == dead));
         // So is a demand-fill get, by the now-dead shard.
         dispatcher.dispatch_get(7, 100, Nanos(6), 42, &tx);
-        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        let c = rx.try_recv().expect("refusal");
         assert!(matches!(c.kind, CompletionKind::Unavailable { shard } if shard == dead));
         assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
+    }
+
+    #[test]
+    fn a_dispatch_is_answered_and_counted_before_it_returns() {
+        let (tx, rx) = channel();
+        let cache = small_sharded(2);
+        let dispatcher = cache.dispatcher();
+        dispatcher.dispatch_put(7, 100, Nanos(1), 1, &tx);
+        assert_eq!(rx.try_recv().map(|c| c.kind), Ok(CompletionKind::Put));
+        assert_eq!(cache.stats().puts, 1);
+        dispatcher.dispatch_lookup(7, Nanos(2), 2, &tx);
+        let kind = rx.try_recv().map(|c| c.kind);
+        assert!(matches!(kind, Ok(CompletionKind::Get { hit: true, .. })));
+        assert_eq!(cache.stats().gets, 1);
+        // The same on a shard whose engine dies serving the lookup.
+        let bombs = ShardedCacheBuilder::new(2).spawn(|_| Bomb::default());
+        let dispatcher = bombs.dispatcher();
+        let dead = dispatcher.shard_of(7);
+        dispatcher.dispatch_put(7, 100, Nanos(1), 1, &tx);
+        assert_eq!(rx.try_recv().map(|c| c.kind), Ok(CompletionKind::Put));
+        assert_eq!(bombs.stats().puts, 1);
+        dispatcher.dispatch_lookup(7, Nanos(2), 2, &tx);
+        let refused = CompletionKind::Unavailable { shard: dead };
+        assert_eq!(rx.try_recv().map(|c| c.kind), Ok(refused));
+        assert_eq!(bombs.fleet_health()[dead], ShardHealth::Dead);
+        assert_eq!(bombs.stats().puts, 0, "a dead shard reports nothing");
     }
 
     #[test]
@@ -1310,10 +1223,10 @@ mod tests {
         let kinds: Vec<_> = wave.done().iter().map(|c| c.kind).collect();
         assert_eq!(kinds, [refused, refused]);
         assert_eq!(cache.fleet_health()[dead], ShardHealth::Dead);
-        // So is a request queued for the shard's worker.
+        // So is a dispatched request.
         let (tx, rx) = channel();
         dispatcher.dispatch_put(7, 100, Nanos(8), 9, &tx);
-        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
+        let c = rx.try_recv().expect("refusal");
         assert_eq!(c.kind, refused);
         drop(dispatcher);
         let report = cache.finish(Nanos::ZERO);
@@ -1344,9 +1257,9 @@ mod tests {
     fn a_panicking_health_check_kills_the_shard_not_the_caller() {
         let cache = ShardedCacheBuilder::new(2).spawn(|_| StatsBomb);
         let dispatcher = cache.dispatcher();
-        let (on_wave, on_worker) = (dispatcher.shard_of(7), 1 - dispatcher.shard_of(7));
-        let key_on_worker = (0..).find(|&k| dispatcher.shard_of(k) == on_worker);
-        let key_on_worker = key_on_worker.expect("both shards own keys");
+        let (on_wave, dispatched) = (dispatcher.shard_of(7), 1 - dispatcher.shard_of(7));
+        let key = (0..).find(|&k| dispatcher.shard_of(k) == dispatched);
+        let key = key.expect("both shards own keys");
         // Run on this thread: the put is served, then the health check
         // after the wave panics inside the engine.
         let mut wave = Wave::default();
@@ -1359,18 +1272,30 @@ mod tests {
         dispatcher.run_wave(on_wave, &mut wave);
         let refused = CompletionKind::Unavailable { shard: on_wave };
         assert_eq!(wave.done()[0].kind, refused);
-        // Run by the worker: the same, and the worker lives on to refuse.
+        // Dispatched one at a time: the same, and the next is refused.
         let (tx, rx) = channel();
-        dispatcher.dispatch_put(key_on_worker, 100, Nanos(3), 0, &tx);
-        let c = rx.recv_timeout(Duration::from_secs(2)).expect("served");
-        assert_eq!(c.kind, CompletionKind::Put);
-        dispatcher.dispatch_put(key_on_worker, 100, Nanos(4), 1, &tx);
-        let c = rx.recv_timeout(Duration::from_secs(2)).expect("refusal");
-        assert_eq!(c.kind, CompletionKind::Unavailable { shard: on_worker });
+        dispatcher.dispatch_put(key, 100, Nanos(3), 0, &tx);
+        assert_eq!(rx.try_recv().expect("served").kind, CompletionKind::Put);
+        assert_eq!(cache.fleet_health()[dispatched], ShardHealth::Dead);
+        dispatcher.dispatch_put(key, 100, Nanos(4), 1, &tx);
+        let c = rx.try_recv().expect("refusal");
+        assert_eq!(c.kind, CompletionKind::Unavailable { shard: dispatched });
         assert_eq!(cache.fleet_health(), [ShardHealth::Dead; 2]);
         drop(dispatcher);
         let report = cache.finish(Nanos::ZERO);
         assert_eq!(report.engines.len(), 2, "dead engines are still returned");
+    }
+
+    #[test]
+    fn a_control_call_that_panics_kills_the_shard() {
+        let cache = ShardedCacheBuilder::new(2).spawn(|_| StatsBomb);
+        // Each shard's stats call panics: it reads as zeroed counters.
+        assert_eq!(cache.shard_stats(), vec![EngineStats::default(); 2]);
+        assert_eq!(cache.fleet_health(), [ShardHealth::Dead; 2]);
+        let (dead, refused) = (cache.shard_of(7), cache.try_put(7, 100, Nanos(1)));
+        assert!(matches!(refused, Err(EngineError::ShardUnavailable { shard }) if shard == dead));
+        cache.drain(Nanos(2)); // skips the dead shards
+        assert_eq!(cache.finish(Nanos(3)).engines.len(), 2);
     }
 
     #[test]

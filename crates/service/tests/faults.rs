@@ -5,16 +5,15 @@
 //!
 //! * Transient errors, latency spikes, and dead *data* zones are
 //!   absorbed inside the engine (retry, backoff, quarantine) — no
-//!   worker dies, every request is answered, and the hit ratio
+//!   shard dies, every request is answered, and the hit ratio
 //!   reconverges once a transient schedule ends.
 //! * A fault the engine cannot absorb (the index pool's zones dying
-//!   permanently) kills only the owning worker: the shard turns
+//!   permanently) kills only the owning shard: it turns
 //!   [`ShardHealth::Dead`], its requests come back as typed refusals
 //!   ([`CompletionKind::Unavailable`] / [`EngineError::ShardUnavailable`])
 //!   rather than panics or hangs, and sibling shards keep serving.
-//! * Whatever the schedule, `finish` still joins every worker and
-//!   returns all engines — a dead shard is drained around, not waited
-//!   on forever.
+//! * Whatever the schedule, `finish` still returns all engines — a
+//!   dead shard is drained around, not waited on forever.
 
 use nemo_core::{Nemo, NemoConfig};
 use nemo_engine::EngineStats;
@@ -26,7 +25,6 @@ use nemo_service::{Completion, CompletionKind, ShardHealth, ShardedCacheBuilder,
 use nemo_trace::{RequestKind, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 use std::sync::mpsc::channel;
-use std::thread;
 
 fn small_cfg() -> NemoConfig {
     let mut cfg = NemoConfig::small();
@@ -53,7 +51,7 @@ struct ChaosOutcome {
 }
 
 /// Open-loop demand-fill replay of `ops` requests against `shards`
-/// workers whose devices run `plan_for(shard)`. Never panics on fleet
+/// shards whose devices run `plan_for(shard)`. Never panics on fleet
 /// degradation: refusals are counted, not unwrapped.
 fn run_chaos(
     cfg: &NemoConfig,
@@ -67,28 +65,8 @@ fn run_chaos(
     let cache = ShardedCacheBuilder::new(shards).spawn(factory);
     let late_from = ops - ops / 4;
     let (tx, rx) = channel::<Completion>();
-    let reactor = thread::Builder::new()
-        .name("chaos-reactor".into())
-        .spawn(move || {
-            let (mut answered, mut refused) = (0u64, 0u64);
-            let (mut late_gets, mut late_hits) = (0u64, 0u64);
-            for c in rx {
-                answered += 1;
-                match c.kind {
-                    CompletionKind::Get { hit, .. } => {
-                        if c.seq > late_from {
-                            late_gets += 1;
-                            late_hits += u64::from(hit);
-                        }
-                    }
-                    CompletionKind::Put => {}
-                    CompletionKind::Unavailable { .. } => refused += 1,
-                }
-            }
-            let late = late_hits as f64 / late_gets.max(1) as f64;
-            (answered, refused, late)
-        })
-        .expect("spawn chaos reactor");
+    let (mut answered, mut refused) = (0u64, 0u64);
+    let (mut late_gets, mut late_hits) = (0u64, 0u64);
     let mut trace = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
     let gap = 15_625u64;
     for op in 1..=ops {
@@ -98,9 +76,21 @@ fn run_chaos(
             RequestKind::Get => cache.dispatch_get(r.key, r.size, arrival, op, &tx),
             RequestKind::Put => cache.dispatch_put(r.key, r.size, arrival, op, &tx),
         }
+        for c in rx.try_iter() {
+            answered += 1;
+            match c.kind {
+                CompletionKind::Get { hit, .. } => {
+                    if c.seq > late_from {
+                        late_gets += 1;
+                        late_hits += u64::from(hit);
+                    }
+                }
+                CompletionKind::Put => {}
+                CompletionKind::Unavailable { .. } => refused += 1,
+            }
+        }
     }
-    drop(tx);
-    let (answered, refused, late_hit_ratio) = reactor.join().expect("chaos reactor panicked");
+    let late_hit_ratio = late_hits as f64 / late_gets.max(1) as f64;
     let health = cache.fleet_health();
     let report = cache.finish(Nanos(gap * ops));
     ChaosOutcome {
@@ -182,7 +172,7 @@ fn mixed_chaos_is_absorbed_without_worker_deaths() {
 /// Killing the whole device is a fault the engine cannot absorb: the
 /// first flush quarantines every data zone in turn, runs out, and
 /// returns the fatal "no usable data zones remain" error. The owning
-/// worker must die *cleanly*: typed refusals at the edge, the shard
+/// shard must die *cleanly*: typed refusals at the edge, the shard
 /// reported [`ShardHealth::Dead`], the sibling shard untouched, and
 /// `finish` still returning both engines.
 #[test]
@@ -210,7 +200,7 @@ fn total_device_death_degrades_to_typed_refusals() {
     assert_eq!(
         run.report.engines.len(),
         2,
-        "finish must join every worker, dead or alive"
+        "finish must return every engine, dead or alive"
     );
 }
 
@@ -233,7 +223,7 @@ fn sync_path_reports_shard_unavailable_for_dead_shard_only() {
     let cache = ShardedCacheBuilder::new(2).spawn(factory);
 
     // Kilobyte puts fill streamgroups quickly, forcing the flush that
-    // kills shard 0's worker early in the loop.
+    // kills shard 0 early in the loop.
     let (mut served, mut refused) = (0u64, 0u64);
     for key in 0..4_096u64 {
         match cache.try_put(key, 1_024, Nanos::ZERO) {
@@ -283,7 +273,7 @@ fn fleet_survives_plan(plan: FaultPlan) -> Result<(), TestCaseError> {
 }
 
 /// Builds a fault plan from sampled parameters: an arbitrary seed, a
-/// kill of an arbitrary zone (index zones included — worker death is a
+/// kill of an arbitrary zone (index zones included — shard death is a
 /// legal outcome, panics and hangs are not), a transient read burst, a
 /// latency storm, and a probabilistic transient drizzle.
 fn arbitrary_plan(

@@ -2,7 +2,7 @@
 //! calling thread is its requests dispatched one at a time. However a
 //! sequence is cut into waves, every request completes with the same
 //! outcome at the same virtual instants, and the engines end in the
-//! same state, as when each is dispatched alone to its shard's worker.
+//! same state, as when each is dispatched alone.
 
 use nemo_baselines::LogCacheConfig;
 use nemo_core::{Nemo, NemoConfig};
@@ -98,7 +98,7 @@ fn in_waves_of(len: usize) -> Observed {
             wave.clear();
         }
     }
-    // The workers run until every dispatcher clone is gone.
+    // `finish` takes the engines back once no clone shares them.
     drop(dispatcher);
     observe(done, cache)
 }
@@ -172,7 +172,7 @@ fn threads_running_waves_and_a_dispatching_thread_share_the_shards() {
             report.send(puts).expect("test alive");
         }));
     }
-    // The fifth thread dispatches through the shard queues meanwhile.
+    // The fifth thread dispatches one request at a time meanwhile.
     {
         let (d, report) = (dispatcher.clone(), report.clone());
         threads.push(std::thread::spawn(move || {
@@ -193,13 +193,10 @@ fn threads_running_waves_and_a_dispatching_thread_share_the_shards() {
     drop((report, dispatcher));
     let mut expect = vec![0u64; shards];
     for _ in 0..=WAVE_THREADS {
-        // A deadlock, or a thread that panicked, shows up here. The
-        // fleet is leaked then: dropping it would join workers that a
-        // stuck thread's dispatcher keeps alive.
-        let Ok(puts) = reports.recv_timeout(Duration::from_secs(60)) else {
-            std::mem::forget(cache);
-            panic!("a thread got stuck or panicked");
-        };
+        // A deadlock, or a thread that panicked, shows up here.
+        let puts = reports
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a thread got stuck or panicked");
         for (sum, n) in expect.iter_mut().zip(puts) {
             *sum += n;
         }

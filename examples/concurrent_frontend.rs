@@ -1,22 +1,23 @@
 //! Serving Nemo behind the sharded concurrent front-end.
 //!
-//! The paper's implementation runs background tasks (SG flushing,
-//! write-back) on dedicated threads inside CacheLib. The simulator
-//! engines are deliberately single-threaded and deterministic, so
-//! `nemo-service` embeds one engine per shard and routes requests by key
-//! *hash* — the same shard-per-core pattern CacheLib deploys, without a
-//! lock anywhere. This example runs four shards on four worker threads
-//! and feeds them a demand-fill replay: every request is dispatched to
-//! its shard without waiting (a miss fills inside the worker), and each
-//! is answered with one completion on the reply channel, counted here
-//! as it arrives. It then drains every shard before reading the final
-//! numbers (an undrained Nemo under-reports WA: its in-memory SGs
+//! The paper's implementation runs requests on the caller's thread and
+//! background tasks (SG flushing, write-back) on dedicated threads
+//! inside CacheLib. The simulator engines are deliberately
+//! single-threaded and deterministic, so `nemo-service` puts one engine
+//! per shard behind a lock of its own and routes requests by key *hash*
+//! — the same shard-per-core pattern CacheLib deploys. The fleet starts
+//! no thread: this example drives four shards from one thread with a
+//! demand-fill replay. Every request runs on the calling thread under
+//! its shard's lock (a miss fills there too) and is answered with one
+//! completion on the reply channel before the dispatch returns, counted
+//! here at once. More callers on more threads would serve different
+//! shards in parallel. It then drains every shard before reading the
+//! final numbers (an undrained Nemo under-reports WA: its in-memory SGs
 //! haven't hit flash yet).
 //!
-//! Waiting for each completion before sending the next request
-//! (`try_get`/`try_put`) is the same path with the caller blocking. For
-//! latency measurement under offered load — arrival clock, queueing vs
-//! service split — see `twitter_replay` and
+//! `try_get`/`try_put` run the same routine and return the completion
+//! instead of sending it. For latency measurement under offered load —
+//! arrival clock, queueing vs service split — see `twitter_replay` and
 //! `nemo_service::OpenLoopReplay`, which drive this same path.
 //!
 //! ```text
@@ -57,10 +58,6 @@ fn main() {
         cache.dispatch_get(r.key, r.size, Nanos::ZERO, op, &tx);
         rx.try_iter().for_each(|c| count(c.kind));
     }
-    // Every queued request holds a sender: the channel closes once the
-    // workers have answered them all.
-    drop(tx);
-    rx.iter().for_each(|c| count(c.kind));
     println!("{hits} of {ops} completions were hits");
 
     // finish() drains every shard first, so the WA below includes the

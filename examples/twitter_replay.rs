@@ -8,7 +8,7 @@
 //! Requests arrive at a fixed virtual-time rate whether or not the
 //! system keeps up (`nemo_service::OpenLoopReplay`), so a system that
 //! falls behind shows *queueing delay*, not a conveniently longer run.
-//! The open-loop driver's shard workers pace Nemo's write-back scan in
+//! The open-loop driver's shards pace Nemo's write-back scan in
 //! bounded slices between requests, the role the paper's dedicated
 //! background threads play, instead of leaving it to the flush.
 //!
