@@ -1,4 +1,8 @@
-//! The Bloom filter implementation.
+//! The Bloom filter, and the bit-sliced layout the filters of a PBFG
+//! share: [`SlicedLayout`] writes, clears and reads a slot of it (or
+//! hashes a key straight into one), and [`ProbeTable`] matches a key
+//! against every slot at once, so callers handle a sliced region only as
+//! a whole.
 
 use crate::sizing;
 use nemo_util::hash_u64;
@@ -9,8 +13,9 @@ use nemo_util::hash_u64;
 /// which matches the paper's observation that "each hash function is
 /// computed once and the results are shared across all filters in the PBFG"
 /// (§5.5): callers can precompute a [`ProbeSet`] once per key and test it
-/// against many filters, or a [`ProbeTable`] of the positions themselves
-/// when the filters share one size, as those of a PBFG do.
+/// against many filters, or a [`ProbeTable`] of the key's rows when the
+/// filters share one size and one bit-sliced region ([`SlicedLayout`]),
+/// as those of a PBFG do.
 ///
 /// # Examples
 ///
@@ -195,61 +200,223 @@ impl BloomFilter {
 /// below it (0.1 % needs 10 hashes, one in a billion 30).
 pub const MAX_PROBES: u32 = 64;
 
-/// One key's probe positions for serialized filters of one size: what
-/// the filters of a PBFG share (§5.5, "each hash function is computed
-/// once and the results are shared across all filters in the PBFG").
+/// Slots one survivor mask covers: a 64-bit load at any bit offset
+/// still holds 57 whole bits of the region.
+const CHUNK: usize = 56;
+
+/// How the equally sized filters of one PBFG share a region: bit-sliced,
+/// so that one bit position of every filter is one row.
 ///
-/// Every filter of a PBFG has the same bit count, so position `i` of a
-/// key is the same bit in each of them. The table computes a position
-/// the first time a probe needs it — most filters reject a key on probe
-/// 0 or 1 — and never again, and tests serialized filters
-/// ([`BloomFilter::write_bytes`]) in place: one at a time
-/// ([`Self::contains_in`]) or a packed run of them
-/// ([`Self::matches_in`]), which is how Nemo walks the still-building
-/// index group and the PBFG pages fetched from the index pool.
+/// Bit `p` of the filter in slot `j` is bit `p * slots + j` of the
+/// region, and region bit `i` is bit `i % 8` of byte `i / 8`. A row is
+/// exactly `slots` bits wide, so the region is `slots * filter_bytes`
+/// bytes, the size of the same filters packed back to back, and a probe
+/// tests every filter of the group with one load ([`ProbeTable::matches`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use nemo_bloom::{BloomFilter, ProbeTable};
+/// use nemo_bloom::{BloomFilter, SlicedLayout};
 ///
+/// let layout = SlicedLayout::new(50, 72);
+/// let mut region = vec![0u8; layout.region_bytes()];
 /// let mut bf = BloomFilter::for_items(40, 0.001);
 /// bf.insert(7);
-/// let mut buf = vec![0u8; bf.serialized_len()];
-/// bf.write_bytes(&mut buf);
-/// let mut probes = ProbeTable::new(7, buf.len(), bf.hash_count());
-/// assert!(probes.contains_in(&buf));
+/// layout.write_slot(&mut region, 3, &bf);
+/// assert!(layout.read_slot(&region, 3, bf.hash_count()).contains(7));
+/// layout.clear_slot(&mut region, 3);
+/// assert!(region.iter().all(|&b| b == 0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlicedLayout {
+    slots: u32,
+    filter_bytes: u32,
+}
+
+impl SlicedLayout {
+    /// The layout of `slots` filters of `filter_bytes` bytes each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either is zero, `filter_bytes` is not word-aligned, or
+    /// the region holds 2³² bits or more.
+    pub fn new(slots: u32, filter_bytes: u32) -> Self {
+        assert!(slots > 0, "a group needs a slot");
+        assert!(filter_bytes > 0 && filter_bytes % 8 == 0, "bad filter size");
+        assert!(
+            (slots as u64 * filter_bytes as u64 * 8) <= u32::MAX as u64,
+            "region too large"
+        );
+        Self {
+            slots,
+            filter_bytes,
+        }
+    }
+
+    /// Bytes of one region: `slots * filter_bytes`.
+    pub fn region_bytes(&self) -> usize {
+        self.slots as usize * self.filter_bytes as usize
+    }
+
+    fn filter_bits(&self) -> usize {
+        self.filter_bytes as usize * 8
+    }
+
+    /// Region bit of bit `p` of `slot`.
+    #[inline]
+    fn at(&self, p: usize, slot: usize) -> usize {
+        p * self.slots as usize + slot
+    }
+
+    fn check(&self, region: &[u8], slot: usize) {
+        assert_eq!(region.len(), self.region_bytes(), "bad region");
+        assert!(slot < self.slots as usize, "slot out of range");
+    }
+
+    /// Stores `filter` in `slot`, which must be clear: a region starts
+    /// zeroed and [`Self::clear_slot`] clears one slot. Only the filter's
+    /// set bits are visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is not one region, `slot` is out of range or
+    /// the filter is not `filter_bytes` long.
+    pub fn write_slot(&self, region: &mut [u8], slot: usize, filter: &BloomFilter) {
+        self.check(region, slot);
+        assert_eq!(filter.bit_len() as usize, self.filter_bits(), "filter size");
+        // Region bit of bit 0 of the word at hand.
+        let mut base = self.at(0, slot);
+        for &word in &filter.bits {
+            let mut rest = word;
+            while rest != 0 {
+                let at = base + rest.trailing_zeros() as usize * self.slots as usize;
+                rest &= rest - 1;
+                region[at / 8] |= 1 << (at % 8);
+            }
+            base += 64 * self.slots as usize;
+        }
+    }
+
+    /// Adds `key` to the filter in `slot`, probed `k` times: the bits
+    /// [`BloomFilter::insert`] sets, written straight into the region, so
+    /// a filter known by its keys needs no [`BloomFilter`] of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is not one region or `slot` is out of range.
+    pub fn insert(&self, region: &mut [u8], slot: usize, key: u64, k: u32) {
+        self.check(region, slot);
+        let probes = ProbeSet::for_key(key);
+        for i in 0..k {
+            let p = probes.position(i, self.filter_bits() as u64);
+            let at = self.at(p as usize, slot);
+            region[at / 8] |= 1 << (at % 8);
+        }
+    }
+
+    /// Clears every bit of `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is not one region or `slot` is out of range.
+    pub fn clear_slot(&self, region: &mut [u8], slot: usize) {
+        self.check(region, slot);
+        for p in 0..self.filter_bits() {
+            let at = self.at(p, slot);
+            region[at / 8] &= !(1 << (at % 8));
+        }
+    }
+
+    /// The filter in `slot`, probed `k` times. Its item count is 0, as
+    /// after [`BloomFilter::from_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is not one region, `slot` is out of range or
+    /// `k` is zero.
+    pub fn read_slot(&self, region: &[u8], slot: usize, k: u32) -> BloomFilter {
+        self.check(region, slot);
+        let mut filter = BloomFilter::with_geometry(self.filter_bits() as u64, k);
+        for p in 0..self.filter_bits() {
+            let at = self.at(p, slot);
+            if region[at / 8] & (1 << (at % 8)) != 0 {
+                filter.bits[p / 64] |= 1 << (p % 64);
+            }
+        }
+        filter
+    }
+}
+
+/// The 64 region bits from bit `at` on, bit `at` lowest; bits past the
+/// region's end read as zero.
+#[inline]
+fn bits_from(region: &[u8], at: usize) -> u64 {
+    let byte = at / 8;
+    let word = match region.get(byte..byte + 8) {
+        Some(eight) => u64::from_le_bytes(eight.try_into().expect("eight bytes")),
+        None => {
+            let mut word = [0u8; 8];
+            let tail = &region[byte..];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    };
+    word >> (at % 8)
+}
+
+/// One key's probe rows in the bit-sliced PBFGs of one [`SlicedLayout`]:
+/// what the filters of a PBFG share (§5.5, "each hash function is
+/// computed once and the results are shared across all filters in the
+/// PBFG").
+///
+/// Every filter of a PBFG has the same bit count, so probe `i` of a key
+/// is the same bit in each of them, and in a sliced region that bit of
+/// every filter is one row. [`Self::matches`] ANDs the key's rows into a
+/// mask of the filters that contain it, one load per probe. The table
+/// computes a row the first time a query needs it (most groups reject a
+/// key within a few probes) and never again, so a walk over many groups
+/// hashes the key once.
+///
+/// # Examples
+///
+/// ```
+/// use nemo_bloom::{BloomFilter, ProbeTable, SlicedLayout};
+///
+/// let layout = SlicedLayout::new(50, 72);
+/// let mut region = vec![0u8; layout.region_bytes()];
+/// let mut bf = BloomFilter::for_items(40, 0.001);
+/// bf.insert(7);
+/// layout.write_slot(&mut region, 3, &bf);
+/// let mut found = Vec::new();
+/// ProbeTable::new(7, layout, bf.hash_count()).matches(&region, 50, |slot| found.push(slot));
+/// assert_eq!(found, [3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbeTable {
     probes: ProbeSet,
-    filter_bytes: usize,
+    layout: SlicedLayout,
     k: u32,
     computed: u32,
-    /// Bit positions `0..computed`, each below `filter_bytes * 8`.
-    bit: [u32; MAX_PROBES as usize],
+    /// First region bit of the rows of probes `0..computed`.
+    row: [u32; MAX_PROBES as usize],
 }
 
 impl ProbeTable {
-    /// Starts the table of `key` for filters of `filter_bytes` bytes
-    /// probed `k` times. Nothing is computed yet but the key's hash pair.
+    /// Starts the table of `key` for regions of `layout` whose filters
+    /// are probed `k` times. Nothing is computed yet but the key's hash
+    /// pair.
     ///
     /// # Panics
     ///
-    /// Panics if `filter_bytes` is zero, not word-aligned or beyond
-    /// 512 MB, or `k` is zero or above [`MAX_PROBES`].
-    pub fn new(key: u64, filter_bytes: usize, k: u32) -> Self {
-        assert!(
-            filter_bytes > 0 && filter_bytes % 8 == 0 && filter_bytes <= (u32::MAX / 8) as usize,
-            "bad filter size"
-        );
+    /// Panics if `k` is zero or above [`MAX_PROBES`].
+    pub fn new(key: u64, layout: SlicedLayout, k: u32) -> Self {
         assert!((1..=MAX_PROBES).contains(&k), "bad probe count");
         Self {
             probes: ProbeSet::for_key(key),
-            filter_bytes,
+            layout,
             k,
             computed: 0,
-            bit: [0; MAX_PROBES as usize],
+            row: [0; MAX_PROBES as usize],
         }
     }
 
@@ -259,74 +426,51 @@ impl ProbeTable {
         &self.probes
     }
 
-    /// How many positions have been computed so far.
+    /// How many rows have been computed so far.
     pub fn computed(&self) -> u32 {
         self.computed
     }
 
-    /// Byte offset and bit mask of probe `i` inside a filter.
+    /// First region bit of probe `i`'s row.
     #[inline]
-    fn at(&mut self, i: u32) -> (usize, u8) {
+    fn row(&mut self, i: u32) -> usize {
         while self.computed <= i {
-            let m_bits = self.filter_bytes as u64 * 8;
-            self.bit[self.computed as usize] = self.probes.position(self.computed, m_bits) as u32;
+            let p = self
+                .probes
+                .position(self.computed, self.layout.filter_bits() as u64);
+            self.row[self.computed as usize] = p as u32 * self.layout.slots;
             self.computed += 1;
         }
-        let bit = self.bit[i as usize];
-        ((bit / 8) as usize, 1u8 << (bit % 8))
+        self.row[i as usize] as usize
     }
 
-    /// Whether probes `from..k` all find their bit set in `filter`.
-    #[inline]
-    fn rest_set_in(&mut self, filter: &[u8], from: u32) -> bool {
-        (from..self.k).all(|i| {
-            let (byte, mask) = self.at(i);
-            filter[byte] & mask != 0
-        })
-    }
-
-    /// Tests the key against one serialized filter, stopping at the
-    /// first clear bit.
+    /// Tests the key against the filters in the first `slots` slots of
+    /// `region` and calls `on_match` with each slot whose filter contains
+    /// it, in ascending order.
+    ///
+    /// Each of the key's rows is one unaligned 64-bit load, ANDed into a
+    /// survivor mask of 56 slots; a group wider than that is tested 56
+    /// slots at a time. A mask stops taking probes once it is empty.
     ///
     /// # Panics
     ///
-    /// Panics if `filter` is not `filter_bytes` long.
-    pub fn contains_in(&mut self, filter: &[u8]) -> bool {
-        assert_eq!(filter.len(), self.filter_bytes, "bad filter slice");
-        self.rest_set_in(filter, 0)
-    }
-
-    /// Tests the key against the first `slots` filters packed back to
-    /// back in `region` and calls `on_match` with the index of each one
-    /// that contains it, in ascending order.
-    ///
-    /// The first two probes are tested on every filter without a branch
-    /// (at the 30 to 50 % fill of a set-level filter the early exit is a
-    /// coin flip the predictor loses) into a bitmask of 64 filters at a
-    /// time; only the survivors, a tenth to a quarter, see the
-    /// remaining probes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is shorter than `slots` filters.
-    pub fn matches_in(&mut self, region: &[u8], slots: usize, mut on_match: impl FnMut(usize)) {
-        let fb = self.filter_bytes;
-        let region = &region[..slots * fb];
-        let first = self.k.min(2);
-        let (byte0, mask0) = self.at(0);
-        let (byte1, mask1) = self.at(first - 1);
-        for (chunk, filters) in region.chunks(64 * fb).enumerate() {
-            let mut survivors = 0u64;
-            for (j, filter) in filters.chunks_exact(fb).enumerate() {
-                let both = (filter[byte0] & mask0 != 0) & (filter[byte1] & mask1 != 0);
-                survivors |= u64::from(both) << j;
+    /// Panics if `region` is not one region of the layout or `slots`
+    /// exceeds its slot count.
+    pub fn matches(&mut self, region: &[u8], slots: usize, mut on_match: impl FnMut(usize)) {
+        assert_eq!(region.len(), self.layout.region_bytes(), "bad region");
+        assert!(slots <= self.layout.slots as usize, "slot out of range");
+        for first in (0..slots).step_by(CHUNK) {
+            let mut survivors = u64::MAX >> (64 - (slots - first).min(CHUNK));
+            for i in 0..self.k {
+                survivors &= bits_from(region, self.row(i) + first);
+                if survivors == 0 {
+                    break;
+                }
             }
             while survivors != 0 {
                 let j = survivors.trailing_zeros() as usize;
                 survivors &= survivors - 1;
-                if self.rest_set_in(&filters[j * fb..(j + 1) * fb], first) {
-                    on_match(chunk * 64 + j);
-                }
+                on_match(first + j);
             }
         }
     }
@@ -336,6 +480,7 @@ impl ProbeTable {
 mod tests {
     use super::*;
     use nemo_util::Xoshiro256StarStar;
+    use proptest::prelude::*;
 
     #[test]
     fn no_false_negatives() {
@@ -403,6 +548,35 @@ mod tests {
         assert_eq!(back.bit_len(), bf.bit_len());
     }
 
+    fn bits(f: &BloomFilter) -> Vec<u8> {
+        let mut bytes = vec![0u8; f.serialized_len()];
+        f.write_bytes(&mut bytes);
+        bytes
+    }
+
+    /// The bytes of `filters` as one sliced region, built bit by bit
+    /// from their serialized form: the reference for the layout.
+    fn sliced(filters: &[&BloomFilter]) -> (SlicedLayout, Vec<u8>) {
+        let fb = filters[0].serialized_len();
+        let layout = SlicedLayout::new(filters.len() as u32, fb as u32);
+        let mut region = vec![0u8; layout.region_bytes()];
+        for (slot, f) in filters.iter().enumerate() {
+            let bytes = bits(f);
+            for p in (0..fb * 8).filter(|p| bytes[p / 8] >> (p % 8) & 1 != 0) {
+                let at = p * filters.len() + slot;
+                region[at / 8] |= 1 << (at % 8);
+            }
+        }
+        (layout, region)
+    }
+
+    /// The first `slots` slots of `region` whose filter contains `key`.
+    fn matching(layout: SlicedLayout, region: &[u8], slots: usize, k: u32, key: u64) -> Vec<usize> {
+        let mut got = Vec::new();
+        ProbeTable::new(key, layout, k).matches(region, slots, |slot| got.push(slot));
+        got
+    }
+
     #[test]
     fn probe_sharing_matches_direct_queries() {
         let mut filters: Vec<BloomFilter> =
@@ -413,22 +587,17 @@ mod tests {
                 f.insert(rng.next_u64() ^ (i as u64) << 56);
             }
         }
-        let bytes: Vec<Vec<u8>> = filters
-            .iter()
-            .map(|f| {
-                let mut buf = vec![0u8; f.serialized_len()];
-                f.write_bytes(&mut buf);
-                buf
-            })
-            .collect();
+        let (layout, region) = sliced(&filters.iter().collect::<Vec<_>>());
+        let k = filters[0].hash_count();
         for _ in 0..1000 {
             let key = rng.next_u64();
             // One table per key, shared by all eight filters.
-            let mut probes = ProbeTable::new(key, bytes[0].len(), filters[0].hash_count());
-            for (f, buf) in filters.iter().zip(&bytes) {
+            let probes = ProbeTable::new(key, layout, k);
+            let want: Vec<usize> = (0..8).filter(|&i| filters[i].contains(key)).collect();
+            for f in &filters {
                 assert_eq!(f.contains(key), f.contains_probes(probes.probe_set()));
-                assert_eq!(f.contains(key), probes.contains_in(buf));
             }
+            assert_eq!(matching(layout, &region, 8, k, key), want);
         }
     }
 
@@ -488,18 +657,21 @@ mod tests {
     #[test]
     fn table_queries_match_filter_queries() {
         // The probe table is the PBFG probe path; it must agree bit for
-        // bit with BloomFilter::contains on the same serialized state:
-        // one word, a power of two, and the paper's 576 bits.
+        // bit with BloomFilter::contains on the same state: one word, a
+        // power of two, and the paper's 576 bits. A one-slot region is
+        // the filter's own serialized bytes.
         for (m_bits, k, n) in [(64u64, 3u32, 8usize), (256, 10, 16), (576, 10, 40)] {
             let (bf, keys, buf) = filled(m_bits, k, n, 21 + m_bits);
+            let (layout, region) = sliced(&[&bf]);
+            assert_eq!(region, buf);
             for &key in &keys {
-                assert!(ProbeTable::new(key, buf.len(), k).contains_in(&buf));
+                assert_eq!(matching(layout, &region, 1, k, key), [0]);
             }
             let mut rng = Xoshiro256StarStar::seed_from_u64(m_bits);
             let mut positives = 0;
             for _ in 0..100_000 {
                 let key = rng.next_u64();
-                let got = ProbeTable::new(key, buf.len(), k).contains_in(&buf);
+                let got = !matching(layout, &region, 1, k, key).is_empty();
                 assert_eq!(bf.contains(key), got, "m_bits {m_bits}, key {key:#x}");
                 positives += u32::from(got);
             }
@@ -512,54 +684,123 @@ mod tests {
 
     #[test]
     fn positions_are_computed_once_and_only_when_needed() {
-        let (_, keys, buf) = filled(576, 10, 40, 5);
-        let empty = vec![0u8; buf.len()];
-        let mut probes = ProbeTable::new(keys[0], buf.len(), 10);
+        let (bf, keys, _) = filled(576, 10, 40, 5);
+        let empty = BloomFilter::with_geometry(576, 10);
+        let (layout, region) = sliced(&[&empty, &bf]);
+        let mut probes = ProbeTable::new(keys[0], layout, 10);
         assert_eq!(probes.computed(), 0);
-        assert!(!probes.contains_in(&empty));
+        // The empty slot alone: rejected on probe 0.
+        probes.matches(&region, 1, |_| panic!("empty filter"));
         assert_eq!(probes.computed(), 1, "rejected on probe 0");
-        assert!(probes.contains_in(&buf));
+        probes.matches(&region, 2, |slot| assert_eq!(slot, 1));
         assert_eq!(probes.computed(), 10);
         // A filter missing only the bit of probe 4 rejects there, from
         // the table: asking again computes nothing.
-        let mut holed = buf.clone();
-        let (byte, mask) = probes.at(4);
-        holed[byte] &= !mask;
-        assert!(!probes.contains_in(&holed));
-        assert_eq!(probes.computed(), 10);
-        // A packed run computes the two probes of its first pass, and the
-        // rest only once a filter survives them.
-        let mut probes = ProbeTable::new(keys[0], buf.len(), 10);
-        probes.matches_in(&empty.repeat(3), 3, |_| panic!("empty filters"));
-        assert_eq!(probes.computed(), 2);
-        probes.matches_in(&[empty, buf].concat(), 2, |slot| assert_eq!(slot, 1));
+        let mut holed = region.clone();
+        let at = probes.row(4) + 1;
+        holed[at / 8] &= !(1 << (at % 8));
+        probes.matches(&holed, 2, |_| panic!("probe 4 is clear"));
         assert_eq!(probes.computed(), 10);
     }
 
     #[test]
-    fn packed_run_matches_filter_by_filter() {
-        // 1, 64, 65 and 130 filters: below, at and across the 64-filter
-        // chunks of the survivor mask; k = 1 has no second probe.
-        for (slots, m_bits, k) in [
-            (1usize, 64u64, 1u32),
-            (64, 256, 10),
-            (65, 64, 2),
-            (130, 576, 10),
-        ] {
-            let filters: Vec<_> = (0..slots)
-                .map(|i| filled(m_bits, k, 12, 1000 * m_bits + i as u64))
-                .collect();
-            let packed: Vec<u8> = filters.iter().flat_map(|f| f.2.iter().copied()).collect();
-            let fb = filters[0].2.len();
-            let mut rng = Xoshiro256StarStar::seed_from_u64(77);
-            let absent = (0..2000).map(|_| rng.next_u64());
-            let present = filters.iter().map(|f| f.1[0]);
-            for key in present.chain(absent).collect::<Vec<_>>() {
-                let want: Vec<usize> = (0..slots).filter(|&i| filters[i].0.contains(key)).collect();
-                let mut got = Vec::new();
-                ProbeTable::new(key, fb, k).matches_in(&packed, slots, |slot| got.push(slot));
-                assert_eq!(got, want, "{slots} slots, key {key:#x}");
+    fn slots_write_clear_and_read_back() {
+        let (a, _, _) = filled(576, 10, 40, 1);
+        let (b, _, _) = filled(576, 10, 40, 2);
+        let (layout, want) = sliced(&[&a, &b, &a]);
+        let mut region = vec![0u8; layout.region_bytes()];
+        for (slot, f) in [&a, &b, &a].into_iter().enumerate() {
+            layout.write_slot(&mut region, slot, f);
+        }
+        assert_eq!(region, want);
+        assert_eq!(bits(&layout.read_slot(&region, 1, 10)), bits(&b));
+        layout.clear_slot(&mut region, 1);
+        let empty = BloomFilter::with_geometry(576, 10);
+        assert_eq!(region, sliced(&[&a, &empty, &a]).1);
+        assert_eq!(layout.read_slot(&region, 1, 10), empty);
+        assert_eq!(bits(&layout.read_slot(&region, 2, 10)), bits(&a));
+    }
+
+    /// Filters at random fills (empty to saturated) in a region of
+    /// `width` slots, some cleared again; every query of present and
+    /// absent keys, over all slots or a prefix, answers as the filters do.
+    fn sliced_matches_contains(width: usize, seed: u64) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let m_bits = [64u64, 256, 576][rng.next_below(3) as usize];
+        let k = [1u32, 2, 5, 10][rng.next_below(4) as usize];
+        let mut filters: Vec<(BloomFilter, Vec<u64>)> = (0..width)
+            .map(|_| {
+                let n = rng.next_below(m_bits / 2 + 2) as usize;
+                let (bf, keys, _) = filled(m_bits, k, n, rng.next_u64());
+                (bf, keys)
+            })
+            .collect();
+        let layout = SlicedLayout::new(width as u32, m_bits as u32 / 8);
+        let mut region = vec![0u8; layout.region_bytes()];
+        // Half the slots from their filters, half from their keys.
+        for (slot, (f, keys)) in filters.iter().enumerate() {
+            if rng.chance(0.5) {
+                layout.write_slot(&mut region, slot, f);
+            } else {
+                keys.iter()
+                    .for_each(|&key| layout.insert(&mut region, slot, key, k));
             }
+        }
+        for _ in 0..rng.next_below(width as u64 / 4 + 2) {
+            let slot = rng.next_below(width as u64) as usize;
+            layout.clear_slot(&mut region, slot);
+            filters[slot].0.clear();
+        }
+        for (slot, (f, _)) in filters.iter().enumerate() {
+            assert_eq!(
+                bits(&layout.read_slot(&region, slot, k)),
+                bits(f),
+                "slot {slot}"
+            );
+        }
+        let present = filters.iter().filter_map(|(_, keys)| keys.first().copied());
+        let absent: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();
+        for key in present.chain(absent).collect::<Vec<_>>() {
+            let slots = if rng.chance(0.5) {
+                width
+            } else {
+                rng.next_below(width as u64 + 1) as usize
+            };
+            let want: Vec<usize> = (0..slots).filter(|&i| filters[i].0.contains(key)).collect();
+            let mut got = Vec::new();
+            ProbeTable::new(key, layout, k).matches(&region, slots, |slot| got.push(slot));
+            assert_eq!(got, want, "width {width}, {slots} slots, key {key:#x}");
+        }
+    }
+
+    /// Below, at and across the 56-slot chunks of the survivor mask and
+    /// the 64-bit load.
+    const WIDTHS: [usize; 8] = [1, 8, 50, 56, 57, 64, 65, 128];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sliced_match_equals_contains_at_every_width(
+            width in 0usize..WIDTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            sliced_matches_contains(WIDTHS[width], seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5_000))]
+
+        /// Deep variant of the sweep above. Run explicitly with
+        /// `cargo test -- --ignored`.
+        #[test]
+        #[ignore = "deep generative sweep; run via the scheduled CI job"]
+        fn sliced_match_equals_contains_at_every_width_deep(
+            width in 0usize..WIDTHS.len(),
+            seed in any::<u64>(),
+        ) {
+            sliced_matches_contains(WIDTHS[width], seed);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Bloom filters and the packed page layout used by Nemo's PBFG index.
+//! Bloom filters and the bit-sliced page layout used by Nemo's PBFG index.
 //!
 //! Nemo replaces exact per-object indexing with one Bloom filter per
 //! (set-group, set) pair; all filters that share an intra-SG offset form a
@@ -6,8 +6,10 @@
 //! candidate set-groups (paper §4.3). This crate provides:
 //!
 //! * [`BloomFilter`] — a fixed-size filter with double hashing,
-//! * [`ProbeTable`] — one key's probe positions, computed once and tested
-//!   against every serialized filter of a PBFG in one pass,
+//! * [`SlicedLayout`] — the filters of one PBFG stored bit-sliced, so
+//!   that one bit position of every filter is one row,
+//! * [`ProbeTable`] — one key's probe rows, computed once and tested
+//!   against every filter of a PBFG with one load per probe,
 //! * [`sizing`] — the standard bits-per-key / hash-count math the paper
 //!   quotes (14.4 bits/obj at 0.1 % FPR, 9.6 bits/obj at 1 %),
 //! * [`PackedLayout`] — how many set-level filters fit per flash page, so a
@@ -27,14 +29,15 @@
 mod filter;
 pub mod sizing;
 
-pub use filter::{BloomFilter, ProbeSet, ProbeTable, MAX_PROBES};
+pub use filter::{BloomFilter, ProbeSet, ProbeTable, SlicedLayout, MAX_PROBES};
 
 /// How set-level Bloom filters are packed into flash pages.
 ///
 /// A PBFG for intra-SG offset `s` consists of the set-level filters for
-/// offset `s` from each SG covered by one index group. Packing all filters
-/// of one PBFG contiguously means retrieving a PBFG costs exactly one page
-/// read (paper Fig. 10(b), "Packed BF").
+/// offset `s` from each SG covered by one index group. Storing all filters
+/// of one PBFG in one page-sized region ([`SlicedLayout`]) means
+/// retrieving a PBFG costs exactly one page read (paper Fig. 10(b),
+/// "Packed BF").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedLayout {
     /// Flash page size in bytes.
@@ -66,16 +69,6 @@ impl PackedLayout {
     pub fn filters_per_page(&self) -> u32 {
         self.page_size / self.filter_bytes
     }
-
-    /// Byte offset of the `i`-th filter inside its page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn offset_of(&self, i: u32) -> usize {
-        assert!(i < self.filters_per_page(), "filter index out of range");
-        (i * self.filter_bytes) as usize
-    }
 }
 
 #[cfg(test)]
@@ -92,15 +85,6 @@ mod tests {
             "got {}",
             layout.filters_per_page()
         );
-    }
-
-    #[test]
-    fn offsets_are_disjoint() {
-        let layout = PackedLayout::new(4096, 80);
-        assert_eq!(layout.filters_per_page(), 51);
-        assert_eq!(layout.offset_of(0), 0);
-        assert_eq!(layout.offset_of(1), 80);
-        assert_eq!(layout.offset_of(50), 4000);
     }
 
     #[test]

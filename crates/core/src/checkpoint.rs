@@ -1,7 +1,7 @@
 //! Binary serialization for warm-restart checkpoints.
 //!
 //! A checkpoint is a self-describing snapshot of the engine's in-memory
-//! state: `[8 B magic "NEMOCKP2"][4 B CRC32 over payload][payload]`. The
+//! state: `[8 B magic "NEMOCKP3"][4 B CRC32 over payload][payload]`. The
 //! payload is written and read with the little-endian primitives below;
 //! every structure serializes itself field-by-field (no reflection, no
 //! external dependencies), and the reader treats any truncation,
@@ -14,7 +14,10 @@ use nemo_util::crc32::crc32;
 
 /// Checkpoint magic, versioned in the last byte. Version 1 carried a
 /// per-group filter over admitted keys and three more fingerprint words.
-pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP2";
+/// Version 2 stored the building group filter by filter, and pointed at
+/// index-pool pages that held their PBFG's filters back to back rather
+/// than bit-sliced; its pool cannot be queried, so it must rescan.
+pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP3";
 
 const HEADER: usize = MAGIC.len() + 4;
 
@@ -53,19 +56,13 @@ impl Writer {
             Some(f) => {
                 let mut bits = vec![0u8; f.serialized_len()];
                 f.write_bytes(&mut bits);
-                self.filter_bits(f.hash_count(), &bits);
+                self.u8(1);
+                self.u32(f.hash_count());
+                self.u32(bits.len() as u32);
+                self.bytes(&bits);
             }
             None => self.u8(0),
         }
-    }
-
-    /// Writes a present filter from its serialized bits
-    /// ([`BloomFilter::write_bytes`]).
-    pub fn filter_bits(&mut self, hashes: u32, bits: &[u8]) {
-        self.u8(1);
-        self.u32(hashes);
-        self.u32(bits.len() as u32);
-        self.bytes(bits);
     }
 
     /// Stamps the payload CRC and returns the finished checkpoint.
@@ -145,13 +142,6 @@ impl<'a> Reader<'a> {
 
     /// Reads an optional Bloom filter written by [`Writer::filter_opt`].
     pub fn filter_opt(&mut self) -> Result<Option<BloomFilter>, String> {
-        let filter = self.filter_bits()?;
-        Ok(filter.map(|(hashes, bits)| BloomFilter::from_bytes(bits, hashes)))
-    }
-
-    /// Reads an optional filter record as its hash count and serialized
-    /// bits, without building a [`BloomFilter`].
-    pub fn filter_bits(&mut self) -> Result<Option<(u32, &'a [u8])>, String> {
         if self.u8()? == 0 {
             return Ok(None);
         }
@@ -163,7 +153,7 @@ impl<'a> Reader<'a> {
         if n == 0 || n % 8 != 0 {
             return Err(format!("checkpoint corrupt: filter length {n}"));
         }
-        Ok(Some((hashes, self.take(n)?)))
+        Ok(Some(BloomFilter::from_bytes(self.take(n)?, hashes)))
     }
 
     /// Fails if payload bytes remain unread — a length-field corruption

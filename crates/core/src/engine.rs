@@ -5,8 +5,7 @@ use crate::config::NemoConfig;
 use crate::hotness::HotnessTracker;
 use crate::index::{backoff, retry_transient, PbfgIndex, SgCandidate};
 use crate::memsg::MemSg;
-use nemo_bloom::BloomFilter;
-use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
+use nemo_engine::codec::{self, MIN_OBJECT_SIZE};
 use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{
     FlashError, Nanos, PageAddr, ReadBatch, ReadCompletion, SimFlash, ZoneId, ZoneState, ZonedFlash,
@@ -213,6 +212,8 @@ pub struct Nemo<D: ZonedFlash = SimFlash> {
     /// Reused page buffer for [`Self::read_set_pages`] (candidate reads
     /// and eviction scans) and recovery's whole-zone reads.
     page_buf: Vec<u8>,
+    /// Reused buffer a flush encodes its SG into.
+    flush_buf: Vec<u8>,
     /// Reused address list of [`Self::scan_victim`].
     scan_addrs: Vec<PageAddr>,
     /// Reused candidate list of [`Self::try_get`]'s index walk.
@@ -283,6 +284,7 @@ impl<D: ZonedFlash> Nemo<D> {
             bytes_since_cooling: 0,
             cooling_threshold: cooling_threshold.max(1),
             page_buf: Vec::new(),
+            flush_buf: Vec::new(),
             scan_addrs: Vec::new(),
             cand_buf: Vec::new(),
             io_batch: ReadBatch::new(),
@@ -386,20 +388,17 @@ impl<D: ZonedFlash> Nemo<D> {
             };
             // Serialize the whole SG: one page per set, full zone append.
             // (Re-serialized per target zone: a late eviction may have
-            // written objects back into the front SG.)
-            let mut bytes = Vec::with_capacity(sets as usize * psz);
-            for set in 0..sets {
-                let mut page = PageBuf::new(psz);
-                for &(k, s) in front.set(set).entries() {
-                    let pushed = page.try_push(k, s);
-                    debug_assert!(pushed, "set buffer mirrors page capacity");
-                }
-                bytes.extend_from_slice(&page.finish());
+            // written objects back into the front SG.) A set buffer
+            // mirrors its page's capacity, so every set fits.
+            let bytes = &mut self.flush_buf;
+            bytes.resize(sets as usize * psz, 0);
+            for (set, page) in (0..sets).zip(bytes.chunks_exact_mut(psz)) {
+                codec::encode_page(page, front.set(set).entries());
             }
             let dev = &mut self.dev;
             let retries = &mut self.stats.device_retries;
             match retry_transient(retries, |attempt| {
-                dev.append(ZoneId(zone), &bytes, backoff(now, attempt))
+                dev.append(ZoneId(zone), bytes, backoff(now, attempt))
             }) {
                 Ok(_) => break (zone, bytes.len() as u64),
                 Err(_) => {
@@ -1044,6 +1043,7 @@ impl<D: ZonedFlash> Nemo<D> {
             bytes_since_cooling: st.bytes_since_cooling,
             cooling_threshold: cooling_threshold.max(1),
             page_buf: Vec::new(),
+            flush_buf: Vec::new(),
             scan_addrs: Vec::new(),
             cand_buf: Vec::new(),
             io_batch: ReadBatch::new(),
@@ -1148,29 +1148,26 @@ impl<D: ZonedFlash> Nemo<D> {
         }
         report.zones_scanned += 1;
         report.pages_read += wp as u64;
-        let sets = self.cfg.sets_per_sg();
-        let mut filters: Vec<BloomFilter> = (0..sets)
-            .map(|_| {
-                BloomFilter::for_items(self.cfg.expected_objects_per_set as u64, self.cfg.bloom_fpr)
-            })
-            .collect();
-        let mut objects = 0u64;
-        for (set, page) in buf.chunks_exact(psz).enumerate() {
-            for (key, _size) in codec::parse_entries(page) {
-                filters[set].insert(key);
-                objects += 1;
-            }
-        }
-        self.page_buf = buf;
+        let pages = buf.chunks_exact(psz);
+        let objects: u64 = pages
+            .map(|page| codec::parse_entries(page).count() as u64)
+            .sum();
         if objects == 0 {
+            self.page_buf = buf;
             self.reclaim_or_quarantine(zone, Nanos::ZERO);
             return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        // A set past the write pointer (a torn append) holds no keys.
+        let keys = |set: usize| {
+            let page = buf.get(set * psz..(set + 1) * psz).unwrap_or(&[]);
+            codec::parse_entries(page).map(|(key, _size)| key)
+        };
         self.index
-            .add_sg(&mut self.dev, seq, zone, &filters, Nanos::ZERO)
+            .add_sg_keys(&mut self.dev, seq, zone, keys, Nanos::ZERO)
             .expect("index pool append: the index pool must be writable to recover");
+        self.page_buf = buf;
         self.stats.device_retries += self.index.take_device_retries();
         self.pool.push_back(FlashSg { seq, zone, objects });
         report.objects_recovered += objects;
@@ -1423,6 +1420,7 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nemo_engine::codec::PageBuf;
     use nemo_flash::{FaultPlan, FaultyFlash, Geometry};
     use nemo_trace::{SyntheticInsertTrace, TraceConfig, TraceGenerator};
 
@@ -2123,13 +2121,17 @@ mod tests {
             churn(&mut e, 5_000, 0.0004);
         };
         // A `NEMOCKP1` image (per-group key filters, three more
-        // fingerprint words) is told apart by its magic, whatever
-        // follows: here a payload whose CRC even holds.
-        let n = filled();
-        let mut v1 = n.checkpoint_bytes();
-        assert_eq!(&v1[..8], b"NEMOCKP2");
-        v1[7] = b'1';
-        cold_with(n, &v1, "magic");
+        // fingerprint words) and a `NEMOCKP2` one (building filters one
+        // by one, index-pool pages packed filter by filter) are told
+        // apart by their magic, whatever follows: here a payload whose
+        // CRC even holds.
+        for version in [b'1', b'2'] {
+            let n = filled();
+            let mut old = n.checkpoint_bytes();
+            assert_eq!(&old[..8], b"NEMOCKP3");
+            old[7] = version;
+            cold_with(n, &old, "magic");
+        }
         // The old fingerprint under today's magic: the words that are
         // gone (the first two came after `bloom_fpr`, 40 bytes into the
         // payload) misalign it, and the mismatch is reported, not

@@ -8,14 +8,15 @@
 //! PBFG pages resident, and the youngest (still-building) group's filters
 //! stay in memory until the group is sealed.
 //!
-//! A candidate query is one pass over packed bytes. The building group
-//! keeps its filters in one set-major buffer `[set][slot][filter_bytes]`,
-//! row for row the filter region of the pages a seal appends, so the
-//! PBFG of a set is one contiguous run whether it is still building,
-//! cached or just fetched. The key's probe positions are computed once
-//! per query ([`ProbeTable`]) and one routine
-//! ([`ProbeTable::matches_in`]) tests them against every slot of every
-//! group; a slot directory per group masks the stale bits of evicted
+//! A PBFG is one region of `sgs_per_group * filter_bytes` bytes holding
+//! the group's filters bit-sliced ([`SlicedLayout`]), and this module
+//! only ever handles whole regions: the building group keeps one per set
+//! in a set-major buffer, region for region the filter area of the pages
+//! a seal appends, so the PBFG of a set is one contiguous region whether
+//! it is still building, cached or just fetched. The key's probe rows are
+//! computed once per query ([`ProbeTable`]) and one routine
+//! ([`ProbeTable::matches`]) tests every slot of a group with one load
+//! per probe; a slot directory per group masks the stale bits of evicted
 //! SGs. Each persisted group owns its share of the PBFG cache as a table
 //! indexed by set offset, so finding a cached page is an index, not a
 //! hash; a fetched page lands in the buffer the last eviction freed, and
@@ -27,7 +28,7 @@
 //! the caller stops stepping at the first copy of the key, which is the
 //! live one: the groups behind it are neither probed nor fetched.
 
-use nemo_bloom::{BloomFilter, ProbeTable};
+use nemo_bloom::{BloomFilter, ProbeTable, SlicedLayout};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
@@ -107,6 +108,8 @@ struct PersistedGroup {
 /// pool and the FIFO PBFG cache.
 #[derive(Debug)]
 pub struct PbfgIndex {
+    /// How a PBFG's filters share its region.
+    layout: SlicedLayout,
     filter_bytes: u32,
     hashes: u32,
     sgs_per_group: u32,
@@ -116,10 +119,9 @@ pub struct PbfgIndex {
     /// `None` once evicted.
     building: Vec<Option<SgCandidate>>,
     building_live: u32,
-    /// The building group's filters, `[set][slot][filter_bytes]` with
-    /// `sgs_per_group` slots per row: what a seal appends, less the
-    /// page padding. Slots from `building.len()` on hold leftovers of
-    /// earlier groups, which nothing reads; a dead slot is zeroed.
+    /// The building group's PBFGs, one region per set: what a seal
+    /// appends, less the page padding. A seal zeroes it, so the slots
+    /// from `building.len()` on are clear; a dead slot is cleared.
     building_bits: Vec<u8>,
     next_group_id: u64,
     /// Live persisted groups, ascending by id.
@@ -166,8 +168,9 @@ impl PbfgIndex {
             sgs_per_group * filter_bytes <= page_size,
             "a PBFG must fit in one page"
         );
-        let row = (sgs_per_group * filter_bytes) as usize;
+        let layout = SlicedLayout::new(sgs_per_group, filter_bytes);
         Self {
+            layout,
             filter_bytes,
             hashes,
             sgs_per_group,
@@ -175,7 +178,7 @@ impl PbfgIndex {
             page_size,
             building: Vec::new(),
             building_live: 0,
-            building_bits: vec![0; sets_per_sg as usize * row],
+            building_bits: vec![0; sets_per_sg as usize * layout.region_bytes()],
             next_group_id: 0,
             groups: VecDeque::new(),
             sg_group: HashMap::new(),
@@ -192,16 +195,16 @@ impl PbfgIndex {
         }
     }
 
-    /// Bytes of one PBFG: the filter region of a pool page, and one row
-    /// of the building buffer.
+    /// Bytes of one PBFG: the filter region of a pool page, and one
+    /// region of the building buffer.
     fn row_bytes(&self) -> usize {
-        (self.sgs_per_group * self.filter_bytes) as usize
+        self.layout.region_bytes()
     }
 
-    /// Where the building group keeps the filter of `(set, slot)`.
-    fn building_filter(&self, set: usize, slot: usize) -> std::ops::Range<usize> {
-        let at = set * self.row_bytes() + slot * self.filter_bytes as usize;
-        at..at + self.filter_bytes as usize
+    /// The building group's PBFG for `set`.
+    fn building_row(&mut self, set: usize) -> &mut [u8] {
+        let row = self.row_bytes();
+        &mut self.building_bits[set * row..][..row]
     }
 
     /// Position in `groups` of the live group `id`.
@@ -305,18 +308,60 @@ impl PbfgIndex {
             self.sets_per_sg as usize,
             "one filter per set"
         );
+        for f in filters {
+            assert!(
+                f.serialized_len() == self.filter_bytes as usize && f.hash_count() == self.hashes,
+                "set-level filter geometry"
+            );
+        }
+        self.add_sg_with(dev, seq, zone, now, |layout, row, set, slot| {
+            layout.write_slot(row, slot, &filters[set]);
+        })
+    }
+
+    /// [`Self::add_sg`] for an SG known by its keys: the filter of set
+    /// `s` holds `keys(s)`, hashed straight into the group's regions.
+    /// This is how a zone scan re-indexes an SG, with no filter of its
+    /// own to build and transpose.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::add_sg`].
+    pub fn add_sg_keys<D: ZonedFlash, I: IntoIterator<Item = u64>>(
+        &mut self,
+        dev: &mut D,
+        seq: u64,
+        zone: u32,
+        mut keys: impl FnMut(usize) -> I,
+        now: Nanos,
+    ) -> Result<(u64, Nanos), FlashError> {
+        let hashes = self.hashes;
+        self.add_sg_with(dev, seq, zone, now, |layout, row, set, slot| {
+            for key in keys(set) {
+                layout.insert(row, slot, key, hashes);
+            }
+        })
+    }
+
+    /// Takes the SG into the next building slot, `fill` writing its
+    /// filter into each set's region (`fill(layout, region, set, slot)`);
+    /// seals the group around it as [`Self::add_sg`] says.
+    fn add_sg_with<D: ZonedFlash>(
+        &mut self,
+        dev: &mut D,
+        seq: u64,
+        zone: u32,
+        now: Nanos,
+        mut fill: impl FnMut(SlicedLayout, &mut [u8], usize, usize),
+    ) -> Result<(u64, Nanos), FlashError> {
         let (mut wrote, mut done) = (0, now);
         if self.building.len() as u32 >= self.sgs_per_group {
             (wrote, done) = self.persist_building(dev, now)?;
         }
         let slot = self.building.len();
-        for (set, f) in filters.iter().enumerate() {
-            assert!(
-                f.serialized_len() == self.filter_bytes as usize && f.hash_count() == self.hashes,
-                "set-level filter geometry"
-            );
-            let at = self.building_filter(set, slot);
-            f.write_bytes(&mut self.building_bits[at]);
+        let layout = self.layout;
+        for set in 0..self.sets_per_sg as usize {
+            fill(layout, self.building_row(set), set, slot);
         }
         self.building.push(Some(SgCandidate { seq, zone }));
         self.building_live += 1;
@@ -330,7 +375,8 @@ impl PbfgIndex {
 
     /// Appends the building group's PBFGs, one per page, to the index
     /// pool; only once they are on flash does the group leave the
-    /// buffer, so a failed seal loses nothing.
+    /// buffer, which is then zeroed for the next group, so a failed seal
+    /// loses nothing.
     fn persist_building<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
@@ -353,6 +399,7 @@ impl PbfgIndex {
         self.next_group_id += 1;
         let slots = std::mem::take(&mut self.building);
         let live = std::mem::take(&mut self.building_live);
+        self.building_bits.fill(0);
         for c in slots.iter().flatten() {
             self.sg_group.insert(c.seq, id);
         }
@@ -436,9 +483,9 @@ impl PbfgIndex {
         if let Some(slot) = self.building.iter().position(dead) {
             self.building[slot] = None;
             self.building_live -= 1;
+            let layout = self.layout;
             for set in 0..self.sets_per_sg as usize {
-                let at = self.building_filter(set, slot);
-                self.building_bits[at].fill(0);
+                layout.clear_slot(self.building_row(set), slot);
             }
         }
     }
@@ -448,7 +495,7 @@ impl PbfgIndex {
     pub fn walk(&self, set: u32, key: u64) -> GroupWalk {
         GroupWalk {
             set,
-            probes: ProbeTable::new(key, self.filter_bytes as usize, self.hashes),
+            probes: ProbeTable::new(key, self.layout, self.hashes),
             visited_from: u64::MAX,
         }
     }
@@ -491,7 +538,7 @@ impl PbfgIndex {
                 let pbfg = &self.building_bits[set as usize * row..][..row];
                 let slots = &self.building;
                 walk.probes
-                    .matches_in(pbfg, slots.len(), |slot| out.extend(slots[slot]));
+                    .matches(pbfg, slots.len(), |slot| out.extend(slots[slot]));
             }
         }
         // Found by id once per step: groups retire between steps (a
@@ -519,7 +566,7 @@ impl PbfgIndex {
             // The page still carries the bits of evicted SGs; the slot
             // directory masks them.
             walk.probes
-                .matches_in(pbfg, g.slots.len(), |slot| out.extend(g.slots[slot]));
+                .matches(pbfg, g.slots.len(), |slot| out.extend(g.slots[slot]));
             if fetch {
                 self.cache_fetched(gi, set);
             }
@@ -582,21 +629,19 @@ impl PbfgIndex {
         w.u64(self.stats.superseded_cutoffs);
         w.u64(self.stats.capped_queries);
         w.u32(self.building.len() as u32);
-        for (slot, sg) in self.building.iter().enumerate() {
+        for sg in &self.building {
             match sg {
                 Some(c) => {
                     w.u8(1);
                     w.u64(c.seq);
                     w.u32(c.zone);
-                    // One filter record per set, as if each were a
-                    // `BloomFilter` of its own.
-                    for set in 0..self.sets_per_sg as usize {
-                        let at = self.building_filter(set, slot);
-                        w.filter_bits(self.hashes, &self.building_bits[at]);
-                    }
                 }
                 None => w.u8(0),
             }
+        }
+        // The building group's regions, raw, whenever it has a slot.
+        if !self.building.is_empty() {
+            w.bytes(&self.building_bits);
         }
         w.u32(self.groups.len() as u32);
         for g in &self.groups {
@@ -674,28 +719,19 @@ impl PbfgIndex {
         if building > sgs_per_group as usize {
             return Err(format!("checkpoint corrupt: building group of {building}"));
         }
-        for slot in 0..building {
+        for _ in 0..building {
             if r.u8()? != 0 {
                 let seq = r.u64()?;
                 let zone = r.u32()?;
-                for set in 0..sets_per_sg as usize {
-                    let (k, bits) = r
-                        .filter_bits()?
-                        .ok_or_else(|| "checkpoint corrupt: missing PBFG filter".to_string())?;
-                    if k != hashes || bits.len() != filter_bytes as usize {
-                        return Err(format!(
-                            "checkpoint corrupt: PBFG filter of {} bytes, {k} hashes",
-                            bits.len()
-                        ));
-                    }
-                    let at = idx.building_filter(set, slot);
-                    idx.building_bits[at].copy_from_slice(bits);
-                }
                 idx.building.push(Some(SgCandidate { seq, zone }));
                 idx.building_live += 1;
             } else {
                 idx.building.push(None);
             }
+        }
+        if building > 0 {
+            let rows = r.take(idx.building_bits.len())?;
+            idx.building_bits.copy_from_slice(rows);
         }
         let groups = r.len(1)?;
         for _ in 0..groups {
@@ -818,6 +854,31 @@ mod tests {
         let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
         assert_eq!(found, vec![SgCandidate { seq: 1, zone: 10 }]);
         assert_eq!(fetched, 0);
+    }
+
+    #[test]
+    fn an_sg_added_by_its_keys_is_the_sg_added_by_its_filters() {
+        let (mut d1, mut d2) = (dev(), dev());
+        let (mut by_filters, mut by_keys) = (index(), index());
+        // Seals a group of three and starts the next.
+        for seq in 0..4u64 {
+            let keys: Vec<u64> = (0..20).map(|i| seq * 1000 + i).collect();
+            let filters = filters_with_keys(&keys);
+            by_filters
+                .add_sg(&mut d1, seq, 10, &filters, Nanos::ZERO)
+                .unwrap();
+            let of_set = |set: usize| {
+                let keys = keys.iter().copied();
+                keys.filter(move |k| k % SETS as u64 == set as u64)
+            };
+            by_keys
+                .add_sg_keys(&mut d2, seq, 10, of_set, Nanos::ZERO)
+                .unwrap();
+        }
+        assert!(by_keys.building_bits.iter().any(|&b| b != 0));
+        assert_eq!(by_keys.building_bits, by_filters.building_bits);
+        let sealed = |d: &mut SimFlash| d.read_pages(PageAddr::new(0, 0), SETS, Nanos::ZERO);
+        assert_eq!(sealed(&mut d2).unwrap().0, sealed(&mut d1).unwrap().0);
     }
 
     #[test]
@@ -1168,8 +1229,8 @@ mod tests {
 
         impl Reference {
             /// Buffers the SG; when that seals the group, the pool pages
-            /// it must have appended: filter by filter, a dead slot as
-            /// zeros.
+            /// it must have appended: bit-sliced, bit `p` of slot `j` at
+            /// page bit `p * group_sgs + j`, a dead slot as zeros.
             fn add_sg(&mut self, sg: SgCandidate, filters: Vec<BloomFilter>) -> Option<Vec<u8>> {
                 let fb = filters[0].serialized_len();
                 self.building.slots.push(Some((sg, filters)));
@@ -1177,10 +1238,15 @@ mod tests {
                     return None;
                 }
                 let mut pages = vec![0u8; (SETS * PAGE) as usize];
+                let mut bytes = vec![0u8; fb];
                 for (set, page) in pages.chunks_exact_mut(PAGE as usize).enumerate() {
                     for (slot, sg) in self.building.slots.iter().enumerate() {
                         if let Some((_, filters)) = sg {
-                            filters[set].write_bytes(&mut page[slot * fb..][..fb]);
+                            filters[set].write_bytes(&mut bytes);
+                            for p in (0..fb * 8).filter(|p| bytes[p / 8] >> (p % 8) & 1 != 0) {
+                                let at = p * self.group_sgs + slot;
+                                page[at / 8] |= 1 << (at % 8);
+                            }
                         }
                     }
                 }

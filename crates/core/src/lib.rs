@@ -16,9 +16,9 @@
 //!   the device sees only large sequential writes and whole-zone resets
 //!   (DLWA = 1).
 //! * Lookups use the **PBFG** approximate index ([`index`]): one Bloom
-//!   filter per (SG, set), packed so the whole parallel filter group for a
-//!   set offset fits in one flash page; only hot PBFG pages are cached in
-//!   memory.
+//!   filter per (SG, set), stored bit-sliced so the whole parallel filter
+//!   group for a set offset fits in one flash page and one probe tests all
+//!   of it; only hot PBFG pages are cached in memory.
 //! * Eviction decisions use **hybrid hotness tracking** ([`hotness`]):
 //!   a 1-bit-per-object bitmap kept only for the oldest 30 % of the pool,
 //!   ANDed with index-cache recency, cooled every 10 % of cache writes.

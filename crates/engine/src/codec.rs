@@ -20,17 +20,42 @@ pub const PAGE_HEADER: usize = 2;
 /// Smallest valid object size.
 pub const MIN_OBJECT_SIZE: u32 = ENTRY_HEADER;
 
-/// Deterministic payload byte `i` for an object with `key`.
+/// Deterministic payload byte `i` for an object with `key`: the
+/// reference formula that [`fill_payload`] computes a run at a time.
 #[inline]
 pub fn payload_byte(key: u64, i: usize) -> u8 {
     let rotated = key.rotate_left((i % 61) as u32);
     (rotated as u8) ^ (i as u8).wrapping_mul(31)
 }
 
-/// Fills `buf` with the deterministic payload for `key`.
+/// Period of [`payload_byte`]'s first term.
+const ROTATIONS: usize = 61;
+
+/// [`payload_byte`]'s second term for `i` in `0..256 + 61`, so that a
+/// run of 61 bytes starting anywhere in `0..256` reads it unwrapped.
+const STRIDE: [u8; 256 + ROTATIONS] = {
+    let mut table = [0u8; 256 + ROTATIONS];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = (i as u8).wrapping_mul(31);
+        i += 1;
+    }
+    table
+};
+
+/// Fills `buf` with the deterministic payload for `key`, byte for byte
+/// [`payload_byte`]: the key's rotations are tabled once, then every
+/// 61-byte run is that table XORed with a slice of the second term.
 pub fn fill_payload(key: u64, buf: &mut [u8]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        *b = payload_byte(key, i);
+    let mut rotations = [0u8; ROTATIONS];
+    for (r, b) in rotations.iter_mut().take(buf.len()).enumerate() {
+        *b = key.rotate_left(r as u32) as u8;
+    }
+    for (run, bytes) in buf.chunks_mut(ROTATIONS).enumerate() {
+        let stride = &STRIDE[run * ROTATIONS % 256..];
+        for ((b, &r), &s) in bytes.iter_mut().zip(&rotations).zip(stride) {
+            *b = r ^ s;
+        }
     }
 }
 
@@ -39,6 +64,39 @@ pub fn verify_payload(key: u64, buf: &[u8]) -> bool {
     buf.iter()
         .enumerate()
         .all(|(i, &b)| b == payload_byte(key, i))
+}
+
+/// Writes one entry, header and payload, into `entry`, which is the
+/// entry's `size` bytes: the one entry writer behind
+/// [`PageBuf::try_push`] and [`encode_page`].
+fn write_entry(entry: &mut [u8], key: u64, size: u32) {
+    assert!(size >= MIN_OBJECT_SIZE, "object smaller than its header");
+    let (header, payload) = entry.split_at_mut(ENTRY_HEADER as usize);
+    header[..8].copy_from_slice(&key.to_le_bytes());
+    header[8..].copy_from_slice(&size.to_le_bytes());
+    fill_payload(key, payload);
+}
+
+/// Encodes `entries` as one page into `page`: the entry count, the
+/// entries in order, then zeros to the end. The bytes are those
+/// [`PageBuf`] finishes after the same pushes, written in place, so a
+/// caller that encodes many pages can reuse one buffer.
+///
+/// # Panics
+///
+/// Panics if the entries do not fit `page`, there are more than
+/// `u16::MAX` of them, or one is smaller than its header.
+pub fn encode_page(page: &mut [u8], entries: &[(u64, u32)]) {
+    let count = u16::try_from(entries.len()).expect("entry count fits the page header");
+    page[..PAGE_HEADER].copy_from_slice(&count.to_le_bytes());
+    let mut at = PAGE_HEADER;
+    for &(key, size) in entries {
+        let end = at + size as usize;
+        assert!(end <= page.len(), "entries overflow the page");
+        write_entry(&mut page[at..end], key, size);
+        at = end;
+    }
+    page[at..].fill(0);
 }
 
 /// Incrementally builds one on-flash page of object entries.
@@ -108,12 +166,9 @@ impl PageBuf {
         if (size as usize) > self.remaining() {
             return false;
         }
-        self.data.extend_from_slice(&key.to_le_bytes());
-        self.data.extend_from_slice(&size.to_le_bytes());
-        let payload_len = (size - ENTRY_HEADER) as usize;
         let start = self.data.len();
-        self.data.resize(start + payload_len, 0);
-        fill_payload(key, &mut self.data[start..]);
+        self.data.resize(start + size as usize, 0);
+        write_entry(&mut self.data[start..], key, size);
         self.count += 1;
         true
     }
@@ -257,6 +312,44 @@ mod tests {
         bytes[0] = 200; // lie about the count
                         // Iterator must terminate without panicking.
         assert!(parse_entries(&bytes).count() <= 200);
+    }
+
+    #[test]
+    fn fill_payload_matches_the_byte_formula() {
+        let mut rng = nemo_util::Xoshiro256StarStar::seed_from_u64(61);
+        let random = (0..16).map(|_| rng.next_u64());
+        for key in [0, u64::MAX, 0x0102_0304_0506_0708]
+            .into_iter()
+            .chain(random)
+        {
+            for len in 0..=300 {
+                let mut buf = vec![0xa5; len];
+                fill_payload(key, &mut buf);
+                let want: Vec<u8> = (0..len).map(|i| payload_byte(key, i)).collect();
+                assert_eq!(buf, want, "key {key:#x}, {len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_pages_match_page_buf() {
+        let entries = [(1u64, 100u32), (2, 250), (3, 12), (u64::MAX, 500)];
+        for n in 0..=entries.len() {
+            let mut page = PageBuf::new(1024);
+            for &(k, s) in &entries[..n] {
+                assert!(page.try_push(k, s));
+            }
+            // A reused buffer: the last page's bytes must not show.
+            let mut reused = vec![0xee; 1024];
+            encode_page(&mut reused, &entries[..n]);
+            assert_eq!(reused, page.finish(), "{n} entries");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the page")]
+    fn encoding_past_the_page_panics() {
+        encode_page(&mut [0u8; 100], &[(1, 50), (2, 50)]);
     }
 
     #[test]

@@ -433,7 +433,9 @@ pub(crate) fn validate_read(
 
 #[derive(Debug)]
 enum Backend {
-    /// Page data in memory; zone buffers allocated on first write.
+    /// Page data in memory; zone buffers allocated on first write and
+    /// kept across resets (a read never reaches past the write pointer,
+    /// so the old pages are unreachable until overwritten).
     Mem { zones: Vec<Option<Box<[u8]>>> },
     /// Page data in a sparse backing file behind a persistent superblock
     /// (exercises a real I/O path; zone map survives reopen).
@@ -774,9 +776,6 @@ impl ZonedFlash for SimFlash {
         z.write_ptr = 0;
         z.finished = false;
         z.resets += 1;
-        if let Backend::Mem { zones } = &mut self.backend {
-            zones[zone.0 as usize] = None;
-        }
         self.generation += 1;
         self.persist_zone(zone.0)?;
         self.sync_meta()?;
