@@ -22,7 +22,7 @@ pub fn fig8(_scale: RunScale) {
             for sg_mb in [64u64, 256, 1024, 4096] {
                 let page = set_kb * 1024;
                 let sets = (sg_mb * 1024 * 1024 / page as u64) as u32;
-                let mut sg = MemSg::for_fill_study(sets, page);
+                let mut sg = MemSg::new(sets, page);
                 let mut cdf = SampleCdf::new();
                 // Safety cap: a set must fill long before 4x capacity.
                 let cap = 4 * sg_mb * 1024 * 1024 / 200;

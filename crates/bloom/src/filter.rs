@@ -1,8 +1,7 @@
 //! The Bloom filter, and the bit-sliced layout the filters of a PBFG
-//! share: [`SlicedLayout`] writes, clears and reads a slot of it (or
-//! hashes a key straight into one), and [`ProbeTable`] matches a key
-//! against every slot at once, so callers handle a sliced region only as
-//! a whole.
+//! share: [`SlicedLayout`] hashes a key straight into a slot of it, or
+//! clears one, and [`ProbeTable`] matches a key against every slot at
+//! once, so callers handle a sliced region only as a whole.
 
 use crate::sizing;
 use nemo_util::hash_u64;
@@ -12,10 +11,9 @@ use nemo_util::hash_u64;
 /// Probe positions are derived as `h1 + i·h2 (mod m)` (Kirsch–Mitzenmacher),
 /// which matches the paper's observation that "each hash function is
 /// computed once and the results are shared across all filters in the PBFG"
-/// (§5.5): callers can precompute a [`ProbeSet`] once per key and test it
-/// against many filters, or a [`ProbeTable`] of the key's rows when the
-/// filters share one size and one bit-sliced region ([`SlicedLayout`]),
-/// as those of a PBFG do.
+/// (§5.5): the filters of a PBFG share one size and one bit-sliced region
+/// ([`SlicedLayout`]), and a [`ProbeTable`] of the key's rows tests them
+/// all at once.
 ///
 /// # Examples
 ///
@@ -33,20 +31,19 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     m_bits: u64,
     k: u32,
-    items: u64,
 }
 
-/// Precomputed probe pair for one key, shareable across equally-sized
-/// filters in a PBFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeSet {
+/// The probe pair of one key, shared by every probe of it into filters
+/// of any size.
+#[derive(Debug, Clone, Copy)]
+struct ProbeSet {
     h1: u64,
     h2: u64,
 }
 
 impl ProbeSet {
     /// Computes the probe pair for a key.
-    pub fn for_key(key: u64) -> Self {
+    fn for_key(key: u64) -> Self {
         Self {
             h1: hash_u64(key, 0x5111_71AF),
             h2: hash_u64(key, 0xB10F_0B57) | 1, // odd stride
@@ -89,33 +86,21 @@ impl BloomFilter {
             bits: vec![0; words],
             m_bits: words as u64 * 64,
             k,
-            items: 0,
         }
     }
 
     /// Inserts a key.
     pub fn insert(&mut self, key: u64) {
         let probes = ProbeSet::for_key(key);
-        self.insert_probes(&probes);
-    }
-
-    /// Inserts using a precomputed probe set.
-    pub fn insert_probes(&mut self, probes: &ProbeSet) {
         for i in 0..self.k {
             let pos = probes.position(i, self.m_bits);
             self.bits[(pos / 64) as usize] |= 1u64 << (pos % 64);
         }
-        self.items += 1;
     }
 
     /// Tests a key. False positives are possible; false negatives are not.
     pub fn contains(&self, key: u64) -> bool {
-        self.contains_probes(&ProbeSet::for_key(key))
-    }
-
-    /// Tests a precomputed probe set.
-    #[inline]
-    pub fn contains_probes(&self, probes: &ProbeSet) -> bool {
+        let probes = ProbeSet::for_key(key);
         (0..self.k).all(|i| {
             let pos = probes.position(i, self.m_bits);
             self.bits[(pos / 64) as usize] & (1u64 << (pos % 64)) != 0
@@ -125,12 +110,6 @@ impl BloomFilter {
     /// Clears all bits (the filter is reused when its SG is evicted).
     pub fn clear(&mut self) {
         self.bits.fill(0);
-        self.items = 0;
-    }
-
-    /// Number of keys inserted since creation or the last clear.
-    pub fn item_count(&self) -> u64 {
-        self.items
     }
 
     /// Filter size in bits (rounded up to whole words).
@@ -165,8 +144,6 @@ impl BloomFilter {
 
     /// Reconstructs a filter from bytes produced by [`Self::write_bytes`].
     ///
-    /// `item_count` is not stored in the serialized form and resets to 0.
-    ///
     /// # Panics
     ///
     /// Panics if `bytes` is not a multiple of 8 or `k == 0`.
@@ -181,18 +158,7 @@ impl BloomFilter {
             .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
             .collect();
         let m_bits = bits.len() as u64 * 64;
-        Self {
-            bits,
-            m_bits,
-            k,
-            items: 0,
-        }
-    }
-
-    /// Fraction of bits set — a saturation diagnostic.
-    pub fn fill_fraction(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.m_bits as f64
+        Self { bits, m_bits, k }
     }
 }
 
@@ -212,18 +178,18 @@ const CHUNK: usize = 56;
 /// exactly `slots` bits wide, so the region is `slots * filter_bytes`
 /// bytes, the size of the same filters packed back to back, and a probe
 /// tests every filter of the group with one load ([`ProbeTable::matches`]).
+/// A filter enters its slot as its keys ([`Self::insert`]), so a region
+/// starts zeroed and [`Self::clear_slot`] empties one slot again.
 ///
 /// # Examples
 ///
 /// ```
-/// use nemo_bloom::{BloomFilter, SlicedLayout};
+/// use nemo_bloom::SlicedLayout;
 ///
 /// let layout = SlicedLayout::new(50, 72);
 /// let mut region = vec![0u8; layout.region_bytes()];
-/// let mut bf = BloomFilter::for_items(40, 0.001);
-/// bf.insert(7);
-/// layout.write_slot(&mut region, 3, &bf);
-/// assert!(layout.read_slot(&region, 3, bf.hash_count()).contains(7));
+/// layout.insert(&mut region, 3, 7, 10);
+/// assert!(region.iter().any(|&b| b != 0));
 /// layout.clear_slot(&mut region, 3);
 /// assert!(region.iter().all(|&b| b == 0));
 /// ```
@@ -273,30 +239,6 @@ impl SlicedLayout {
         assert!(slot < self.slots as usize, "slot out of range");
     }
 
-    /// Stores `filter` in `slot`, which must be clear: a region starts
-    /// zeroed and [`Self::clear_slot`] clears one slot. Only the filter's
-    /// set bits are visited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is not one region, `slot` is out of range or
-    /// the filter is not `filter_bytes` long.
-    pub fn write_slot(&self, region: &mut [u8], slot: usize, filter: &BloomFilter) {
-        self.check(region, slot);
-        assert_eq!(filter.bit_len() as usize, self.filter_bits(), "filter size");
-        // Region bit of bit 0 of the word at hand.
-        let mut base = self.at(0, slot);
-        for &word in &filter.bits {
-            let mut rest = word;
-            while rest != 0 {
-                let at = base + rest.trailing_zeros() as usize * self.slots as usize;
-                rest &= rest - 1;
-                region[at / 8] |= 1 << (at % 8);
-            }
-            base += 64 * self.slots as usize;
-        }
-    }
-
     /// Adds `key` to the filter in `slot`, probed `k` times: the bits
     /// [`BloomFilter::insert`] sets, written straight into the region, so
     /// a filter known by its keys needs no [`BloomFilter`] of its own.
@@ -325,25 +267,6 @@ impl SlicedLayout {
             let at = self.at(p, slot);
             region[at / 8] &= !(1 << (at % 8));
         }
-    }
-
-    /// The filter in `slot`, probed `k` times. Its item count is 0, as
-    /// after [`BloomFilter::from_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is not one region, `slot` is out of range or
-    /// `k` is zero.
-    pub fn read_slot(&self, region: &[u8], slot: usize, k: u32) -> BloomFilter {
-        self.check(region, slot);
-        let mut filter = BloomFilter::with_geometry(self.filter_bits() as u64, k);
-        for p in 0..self.filter_bits() {
-            let at = self.at(p, slot);
-            if region[at / 8] & (1 << (at % 8)) != 0 {
-                filter.bits[p / 64] |= 1 << (p % 64);
-            }
-        }
-        filter
     }
 }
 
@@ -380,15 +303,13 @@ fn bits_from(region: &[u8], at: usize) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use nemo_bloom::{BloomFilter, ProbeTable, SlicedLayout};
+/// use nemo_bloom::{ProbeTable, SlicedLayout};
 ///
 /// let layout = SlicedLayout::new(50, 72);
 /// let mut region = vec![0u8; layout.region_bytes()];
-/// let mut bf = BloomFilter::for_items(40, 0.001);
-/// bf.insert(7);
-/// layout.write_slot(&mut region, 3, &bf);
+/// layout.insert(&mut region, 3, 7, 10);
 /// let mut found = Vec::new();
-/// ProbeTable::new(7, layout, bf.hash_count()).matches(&region, 50, |slot| found.push(slot));
+/// ProbeTable::new(7, layout, 10).matches(&region, 50, |slot| found.push(slot));
 /// assert_eq!(found, [3]);
 /// ```
 #[derive(Debug, Clone)]
@@ -418,12 +339,6 @@ impl ProbeTable {
             computed: 0,
             row: [0; MAX_PROBES as usize],
         }
-    }
-
-    /// The key's hash pair, for filters of any other size
-    /// ([`BloomFilter::contains_probes`]).
-    pub fn probe_set(&self) -> &ProbeSet {
-        &self.probes
     }
 
     /// How many rows have been computed so far.
@@ -527,8 +442,7 @@ mod tests {
         assert!(bf.contains(1));
         bf.clear();
         assert!(!bf.contains(1));
-        assert_eq!(bf.item_count(), 0);
-        assert_eq!(bf.fill_fraction(), 0.0);
+        assert!(bf.bits.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -570,6 +484,19 @@ mod tests {
         (layout, region)
     }
 
+    /// The bytes of the filter in `slot` of `region`, read bit by bit:
+    /// the inverse of `sliced`.
+    fn slot_bits(layout: SlicedLayout, region: &[u8], slot: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; layout.filter_bytes as usize];
+        for p in 0..layout.filter_bits() {
+            let at = layout.at(p, slot);
+            if region[at / 8] >> (at % 8) & 1 != 0 {
+                bytes[p / 8] |= 1 << (p % 8);
+            }
+        }
+        bytes
+    }
+
     /// The first `slots` slots of `region` whose filter contains `key`.
     fn matching(layout: SlicedLayout, region: &[u8], slots: usize, k: u32, key: u64) -> Vec<usize> {
         let mut got = Vec::new();
@@ -581,22 +508,22 @@ mod tests {
     fn probe_sharing_matches_direct_queries() {
         let mut filters: Vec<BloomFilter> =
             (0..8).map(|_| BloomFilter::for_items(40, 0.001)).collect();
+        let k = filters[0].hash_count();
+        let layout = SlicedLayout::new(8, filters[0].serialized_len() as u32);
+        let mut region = vec![0u8; layout.region_bytes()];
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
         for (i, f) in filters.iter_mut().enumerate() {
             for _ in 0..40 {
-                f.insert(rng.next_u64() ^ (i as u64) << 56);
+                let key = rng.next_u64() ^ (i as u64) << 56;
+                f.insert(key);
+                layout.insert(&mut region, i, key, k);
             }
         }
-        let (layout, region) = sliced(&filters.iter().collect::<Vec<_>>());
-        let k = filters[0].hash_count();
+        assert_eq!(region, sliced(&filters.iter().collect::<Vec<_>>()).1);
         for _ in 0..1000 {
             let key = rng.next_u64();
             // One table per key, shared by all eight filters.
-            let probes = ProbeTable::new(key, layout, k);
             let want: Vec<usize> = (0..8).filter(|&i| filters[i].contains(key)).collect();
-            for f in &filters {
-                assert_eq!(f.contains(key), f.contains_probes(probes.probe_set()));
-            }
             assert_eq!(matching(layout, &region, 8, k, key), want);
         }
     }
@@ -662,7 +589,10 @@ mod tests {
         // the filter's own serialized bytes.
         for (m_bits, k, n) in [(64u64, 3u32, 8usize), (256, 10, 16), (576, 10, 40)] {
             let (bf, keys, buf) = filled(m_bits, k, n, 21 + m_bits);
-            let (layout, region) = sliced(&[&bf]);
+            let layout = SlicedLayout::new(1, m_bits as u32 / 8);
+            let mut region = vec![0u8; layout.region_bytes()];
+            keys.iter()
+                .for_each(|&key| layout.insert(&mut region, 0, key, k));
             assert_eq!(region, buf);
             for &key in &keys {
                 assert_eq!(matching(layout, &region, 1, k, key), [0]);
@@ -705,25 +635,30 @@ mod tests {
 
     #[test]
     fn slots_write_clear_and_read_back() {
-        let (a, _, _) = filled(576, 10, 40, 1);
-        let (b, _, _) = filled(576, 10, 40, 2);
+        // Slots written from their keys hold the bits of the filters of
+        // those keys, and clearing one leaves its neighbours alone.
+        let (a, a_keys, _) = filled(576, 10, 40, 1);
+        let (b, b_keys, _) = filled(576, 10, 40, 2);
         let (layout, want) = sliced(&[&a, &b, &a]);
         let mut region = vec![0u8; layout.region_bytes()];
-        for (slot, f) in [&a, &b, &a].into_iter().enumerate() {
-            layout.write_slot(&mut region, slot, f);
+        for (slot, keys) in [&a_keys, &b_keys, &a_keys].into_iter().enumerate() {
+            keys.iter()
+                .for_each(|&key| layout.insert(&mut region, slot, key, 10));
         }
         assert_eq!(region, want);
-        assert_eq!(bits(&layout.read_slot(&region, 1, 10)), bits(&b));
+        assert_eq!(slot_bits(layout, &region, 1), bits(&b));
         layout.clear_slot(&mut region, 1);
         let empty = BloomFilter::with_geometry(576, 10);
         assert_eq!(region, sliced(&[&a, &empty, &a]).1);
-        assert_eq!(layout.read_slot(&region, 1, 10), empty);
-        assert_eq!(bits(&layout.read_slot(&region, 2, 10)), bits(&a));
+        assert_eq!(slot_bits(layout, &region, 1), bits(&empty));
+        assert_eq!(slot_bits(layout, &region, 2), bits(&a));
     }
 
     /// Filters at random fills (empty to saturated) in a region of
-    /// `width` slots, some cleared again; every query of present and
-    /// absent keys, over all slots or a prefix, answers as the filters do.
+    /// `width` slots, each slot written from its filter's keys and some
+    /// cleared again; every slot holds its filter's bits, and every query
+    /// of present and absent keys, over all slots or a prefix, answers as
+    /// the filters do.
     fn sliced_matches_contains(width: usize, seed: u64) {
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let m_bits = [64u64, 256, 576][rng.next_below(3) as usize];
@@ -737,14 +672,9 @@ mod tests {
             .collect();
         let layout = SlicedLayout::new(width as u32, m_bits as u32 / 8);
         let mut region = vec![0u8; layout.region_bytes()];
-        // Half the slots from their filters, half from their keys.
-        for (slot, (f, keys)) in filters.iter().enumerate() {
-            if rng.chance(0.5) {
-                layout.write_slot(&mut region, slot, f);
-            } else {
-                keys.iter()
-                    .for_each(|&key| layout.insert(&mut region, slot, key, k));
-            }
+        for (slot, (_, keys)) in filters.iter().enumerate() {
+            keys.iter()
+                .for_each(|&key| layout.insert(&mut region, slot, key, k));
         }
         for _ in 0..rng.next_below(width as u64 / 4 + 2) {
             let slot = rng.next_below(width as u64) as usize;
@@ -752,11 +682,7 @@ mod tests {
             filters[slot].0.clear();
         }
         for (slot, (f, _)) in filters.iter().enumerate() {
-            assert_eq!(
-                bits(&layout.read_slot(&region, slot, k)),
-                bits(f),
-                "slot {slot}"
-            );
+            assert_eq!(slot_bits(layout, &region, slot), bits(f), "slot {slot}");
         }
         let present = filters.iter().filter_map(|(_, keys)| keys.first().copied());
         let absent: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();

@@ -29,7 +29,7 @@
 mod filter;
 pub mod sizing;
 
-pub use filter::{BloomFilter, ProbeSet, ProbeTable, SlicedLayout, MAX_PROBES};
+pub use filter::{BloomFilter, ProbeTable, SlicedLayout, MAX_PROBES};
 
 /// How set-level Bloom filters are packed into flash pages.
 ///

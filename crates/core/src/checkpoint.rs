@@ -1,7 +1,7 @@
 //! Binary serialization for warm-restart checkpoints.
 //!
 //! A checkpoint is a self-describing snapshot of the engine's in-memory
-//! state: `[8 B magic "NEMOCKP3"][4 B CRC32 over payload][payload]`. The
+//! state: `[8 B magic "NEMOCKP4"][4 B CRC32 over payload][payload]`. The
 //! payload is written and read with the little-endian primitives below;
 //! every structure serializes itself field-by-field (no reflection, no
 //! external dependencies), and the reader treats any truncation,
@@ -9,7 +9,6 @@
 //! reported as an error string — recovery responds by falling back to a
 //! zone scan, never by refusing to open the cache.
 
-use nemo_bloom::BloomFilter;
 use nemo_util::crc32::crc32;
 
 /// Checkpoint magic, versioned in the last byte. Version 1 carried a
@@ -17,7 +16,9 @@ use nemo_util::crc32::crc32;
 /// Version 2 stored the building group filter by filter, and pointed at
 /// index-pool pages that held their PBFG's filters back to back rather
 /// than bit-sliced; its pool cannot be queried, so it must rescan.
-pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP3";
+/// Version 3 stored a Bloom filter per set with every buffered SG; an SG
+/// is now indexed from its pages when it flushes, so it carries none.
+pub(crate) const MAGIC: &[u8; 8] = b"NEMOCKP4";
 
 const HEADER: usize = MAGIC.len() + 4;
 
@@ -48,21 +49,6 @@ impl Writer {
 
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Writes an optional Bloom filter as `flag, hashes, len, bits`.
-    pub fn filter_opt(&mut self, f: Option<&BloomFilter>) {
-        match f {
-            Some(f) => {
-                let mut bits = vec![0u8; f.serialized_len()];
-                f.write_bytes(&mut bits);
-                self.u8(1);
-                self.u32(f.hash_count());
-                self.u32(bits.len() as u32);
-                self.bytes(&bits);
-            }
-            None => self.u8(0),
-        }
     }
 
     /// Stamps the payload CRC and returns the finished checkpoint.
@@ -140,22 +126,6 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Reads an optional Bloom filter written by [`Writer::filter_opt`].
-    pub fn filter_opt(&mut self) -> Result<Option<BloomFilter>, String> {
-        if self.u8()? == 0 {
-            return Ok(None);
-        }
-        let hashes = self.u32()?;
-        if hashes == 0 || hashes > 64 {
-            return Err(format!("checkpoint corrupt: filter hash count {hashes}"));
-        }
-        let n = self.len(1)?;
-        if n == 0 || n % 8 != 0 {
-            return Err(format!("checkpoint corrupt: filter length {n}"));
-        }
-        Ok(Some(BloomFilter::from_bytes(self.take(n)?, hashes)))
-    }
-
     /// Fails if payload bytes remain unread — a length-field corruption
     /// that happened to parse must not go unnoticed.
     pub fn done(&self) -> Result<(), String> {
@@ -179,20 +149,14 @@ mod tests {
         w.u8(7);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        let mut f = BloomFilter::for_items(10, 0.01);
-        f.insert(42);
-        w.filter_opt(Some(&f));
-        w.filter_opt(None);
+        w.bytes(b"raw");
         let bytes = w.finish();
 
         let mut r = Reader::parse(&bytes).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        let back = r.filter_opt().unwrap().expect("present");
-        assert!(back.contains(42));
-        assert_eq!(back.hash_count(), f.hash_count());
-        assert!(r.filter_opt().unwrap().is_none());
+        assert_eq!(r.take(3).unwrap(), b"raw");
         r.done().unwrap();
     }
 

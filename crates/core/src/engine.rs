@@ -294,12 +294,7 @@ impl<D: ZonedFlash> Nemo<D> {
     }
 
     fn fresh_sg(cfg: &NemoConfig) -> MemSg {
-        MemSg::new(
-            cfg.sets_per_sg(),
-            cfg.geometry.page_size(),
-            cfg.bloom_fpr,
-            cfg.expected_objects_per_set,
-        )
+        MemSg::new(cfg.sets_per_sg(), cfg.geometry.page_size())
     }
 
     /// The configuration in effect.
@@ -350,8 +345,8 @@ impl<D: ZonedFlash> Nemo<D> {
 
     /// Flushes the front SG: finish the eviction scan of the oldest
     /// on-flash SG if no zone is free yet, re-admit its write-backs into
-    /// the sealed front, then append the front SG and its filters to
-    /// flash.
+    /// the sealed front, then append the front SG to flash and index it
+    /// from the pages just appended.
     ///
     /// A zone whose append fails permanently is quarantined and the flush
     /// moves on to the next free zone, evicting further SGs if it must.
@@ -424,10 +419,9 @@ impl<D: ZonedFlash> Nemo<D> {
         });
         self.front_sacrifices = 0;
 
-        let added = self
-            .index
-            .add_sg(&mut self.dev, seq, zone, front.filters(), now);
-        self.stats.device_retries += self.index.take_device_retries();
+        let image = std::mem::take(&mut self.flush_buf);
+        let added = self.index_sg(seq, zone, &image, now);
+        self.flush_buf = image;
 
         self.pool.push_back(FlashSg {
             seq,
@@ -471,6 +465,28 @@ impl<D: ZonedFlash> Nemo<D> {
         // before the next flush needs one.
         self.maybe_start_scan();
         Ok(())
+    }
+
+    /// Adds the SG whose zone holds the page image `image` (set `s` in
+    /// page `s`) to the PBFG index: the filter of each set holds exactly
+    /// the keys its page does, and a set past the image's end (a torn
+    /// append) holds none. A flush and a zone scan both index an SG this
+    /// way, so a rebuilt index is the one the flushes wrote.
+    fn index_sg(
+        &mut self,
+        seq: u64,
+        zone: u32,
+        image: &[u8],
+        now: Nanos,
+    ) -> Result<(u64, Nanos), FlashError> {
+        let psz = self.cfg.geometry.page_size() as usize;
+        let keys = |set: usize| {
+            let page = image.get(set * psz..(set + 1) * psz).unwrap_or(&[]);
+            codec::parse_entries(page).map(|(key, _size)| key)
+        };
+        let added = self.index.add_sg(&mut self.dev, seq, zone, keys, now);
+        self.stats.device_retries += self.index.take_device_retries();
+        added
     }
 
     /// Starts an eviction scan of the oldest on-flash SG when the device
@@ -1114,8 +1130,8 @@ impl<D: ZonedFlash> Nemo<D> {
         (engine, report)
     }
 
-    /// Re-reads one data zone's pages, rebuilds per-set Bloom filters
-    /// from the entry headers, and registers the zone as an SG under a
+    /// Re-reads one data zone's pages, indexes them as a flush does
+    /// ([`Self::index_sg`]), and registers the zone as an SG under a
     /// fresh sequence number. A zone that parses to zero objects (torn
     /// append, never-completed SG) is reset and returned to the free
     /// list; a zone that cannot be read even after retries is
@@ -1159,16 +1175,9 @@ impl<D: ZonedFlash> Nemo<D> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        // A set past the write pointer (a torn append) holds no keys.
-        let keys = |set: usize| {
-            let page = buf.get(set * psz..(set + 1) * psz).unwrap_or(&[]);
-            codec::parse_entries(page).map(|(key, _size)| key)
-        };
-        self.index
-            .add_sg_keys(&mut self.dev, seq, zone, keys, Nanos::ZERO)
+        self.index_sg(seq, zone, &buf, Nanos::ZERO)
             .expect("index pool append: the index pool must be writable to recover");
         self.page_buf = buf;
-        self.stats.device_retries += self.index.take_device_retries();
         self.pool.push_back(FlashSg { seq, zone, objects });
         report.objects_recovered += objects;
     }
@@ -1184,6 +1193,24 @@ impl Restored {
                 "checkpoint corrupt: {} buffered SGs, config wants {}",
                 self.queue.len(),
                 cfg.effective_queue_len()
+            ));
+        }
+        // Decoders take an SG's shape from the bytes; the engine indexes
+        // every set the config names.
+        let (sets, page_size) = (cfg.sets_per_sg(), cfg.geometry.page_size());
+        for sg in &self.queue {
+            if (sg.set_count(), sg.page_size()) != (sets, page_size) {
+                return Err(format!(
+                    "checkpoint corrupt: buffered SG of {} sets of {} bytes, config wants {sets} of {page_size}",
+                    sg.set_count(),
+                    sg.page_size()
+                ));
+            }
+        }
+        if self.tracker.sets_per_sg() != sets {
+            return Err(format!(
+                "checkpoint corrupt: hotness bitmaps of {} sets, config wants {sets}",
+                self.tracker.sets_per_sg()
             ));
         }
         let mut owned = vec![0u32; cfg.geometry.zone_count() as usize];
@@ -2051,6 +2078,61 @@ mod tests {
         churn(&mut e, 20_000, 0.0004);
     }
 
+    /// The zones of every candidate a walk over the whole index yields
+    /// for `key`, ascending.
+    fn candidate_zones(n: &mut Nemo, key: u64) -> Vec<u32> {
+        let mut walk = n.index.walk(n.set_index_of(key), key);
+        let (mut zones, mut group) = (Vec::new(), Vec::new());
+        loop {
+            let dev = &mut n.dev;
+            n.index
+                .next_group(dev, &mut walk, &mut group, Nanos::ZERO)
+                .unwrap();
+            if group.is_empty() {
+                zones.sort_unstable();
+                return zones;
+            }
+            zones.extend(group.iter().map(|c| c.zone));
+        }
+    }
+
+    #[test]
+    fn a_cold_rebuild_indexes_every_sg_as_its_flush_did() {
+        // Churn, noting the keys probabilistic flushing sacrifices: the
+        // oldest entries of the front SG's set, taken by a put that
+        // flushed nothing.
+        let mut n = Nemo::new(small_cfg());
+        let mut gen = TraceGenerator::new(TraceConfig::twitter_merged(0.0004));
+        let (mut put, mut sacrificed) = (Vec::new(), Vec::new());
+        for _ in 0..60_000 {
+            let r = gen.next_request();
+            if n.get(r.key, Nanos::ZERO).hit {
+                continue;
+            }
+            let set = n.set_index_of(r.key);
+            let front = n.queue.front().expect("queue never empty").set(set);
+            let oldest: Vec<u64> = front.entries().iter().map(|&(k, _)| k).collect();
+            let before = n.report.sacrificed_objects;
+            n.put(r.key, r.size, Nanos::ZERO);
+            let lost = (n.report.sacrificed_objects - before) as usize;
+            let oldest = oldest.into_iter().filter(|&k| k != r.key);
+            sacrificed.extend(oldest.take(lost));
+            put.push(r.key);
+        }
+        assert!(sacrificed.len() > 100, "{} sacrificed", sacrificed.len());
+        // Live or long gone, sacrificed, and never admitted.
+        let absent = (0..2_000u64).map(|k| k.wrapping_mul(0xDEAD_BEEF_1234_5677));
+        let keys = put.iter().rev().step_by(7).chain(&sacrificed).copied();
+        let keys: Vec<u64> = keys.chain(absent).collect();
+        let flushed: Vec<Vec<u32>> = keys.iter().map(|&k| candidate_zones(&mut n, k)).collect();
+        assert!(flushed.iter().any(|zones| !zones.is_empty()));
+        let (mut rebuilt, rec) = Nemo::recover(small_cfg(), n.into_device(), None);
+        assert_eq!(rec.mode, RecoveryMode::Cold);
+        for (&key, want) in keys.iter().zip(&flushed) {
+            assert_eq!(&candidate_zones(&mut rebuilt, key), want, "key {key:#x}");
+        }
+    }
+
     #[test]
     fn corrupt_or_mismatched_checkpoints_degrade_to_cold_scan() {
         let cfg = small_cfg();
@@ -2102,6 +2184,53 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_whose_sg_shape_differs_from_the_config_falls_to_the_cold_tier() {
+        // A buffered SG and the hotness bitmaps take their shape from the
+        // image. Forge images whose shapes differ from the config, with a
+        // valid CRC: an SG short of a set (the first put to the last set,
+        // or the first flush, would index past it), an SG of pages twice
+        // the device's (a flush would encode past the page), and bitmaps
+        // of half the sets.
+        let cfg = small_cfg();
+        let (sets, psz) = (cfg.sets_per_sg(), cfg.geometry.page_size());
+        let n = Nemo::new(cfg.clone());
+        let image = n.checkpoint_bytes();
+        let payload = |encode: &dyn Fn(&mut checkpoint::Writer)| {
+            let mut w = checkpoint::Writer::new();
+            encode(&mut w);
+            w.finish().split_off(12)
+        };
+        // The buffered SGs come right before the index, and the bitmaps
+        // are last.
+        let index = payload(&|w| n.index.checkpoint_encode(w));
+        let tail = index.len() + payload(&|w| n.tracker.checkpoint_encode(w)).len();
+        let queue = payload(&|w| n.queue.iter().for_each(|sg| sg.checkpoint_encode(w)));
+        let queue_at = image.len() - tail - queue.len();
+        let forged = |sg: &MemSg, tracker: &HotnessTracker| {
+            let mut w = checkpoint::Writer::new();
+            w.bytes(&image[12..queue_at]);
+            (0..n.queue.len()).for_each(|_| sg.checkpoint_encode(&mut w));
+            w.bytes(&index);
+            tracker.checkpoint_encode(&mut w);
+            w.finish()
+        };
+        let (sg, tracker) = (MemSg::new(sets, psz), HotnessTracker::new(sets, 16));
+        assert!(forged(&sg, &tracker) == image, "not a forge of `image`");
+        for (sg, tracker, complaint) in [
+            (MemSg::new(sets - 1, psz), tracker.clone(), "buffered SG"),
+            (MemSg::new(sets, 2 * psz), tracker.clone(), "buffered SG"),
+            (sg, HotnessTracker::new(sets / 2, 16), "hotness"),
+        ] {
+            let dev = Nemo::new(cfg.clone()).into_device();
+            let (mut e, rec) = Nemo::recover(cfg.clone(), dev, Some(&forged(&sg, &tracker)));
+            assert_eq!(rec.mode, RecoveryMode::Cold);
+            let error = rec.checkpoint_error.expect("the image was refused");
+            assert!(error.contains(complaint), "{error}");
+            churn(&mut e, 20_000, 0.0004);
+        }
+    }
+
+    #[test]
     fn checkpoints_of_the_previous_format_fall_to_the_rescan_tier() {
         let cfg = small_cfg();
         let filled = || {
@@ -2121,14 +2250,15 @@ mod tests {
             churn(&mut e, 5_000, 0.0004);
         };
         // A `NEMOCKP1` image (per-group key filters, three more
-        // fingerprint words) and a `NEMOCKP2` one (building filters one
-        // by one, index-pool pages packed filter by filter) are told
+        // fingerprint words), a `NEMOCKP2` one (building filters one by
+        // one, index-pool pages packed filter by filter) and a `NEMOCKP3`
+        // one (a Bloom filter per set of every buffered SG) are told
         // apart by their magic, whatever follows: here a payload whose
         // CRC even holds.
-        for version in [b'1', b'2'] {
+        for version in [b'1', b'2', b'3'] {
             let n = filled();
             let mut old = n.checkpoint_bytes();
-            assert_eq!(&old[..8], b"NEMOCKP3");
+            assert_eq!(&old[..8], b"NEMOCKP4");
             old[7] = version;
             cold_with(n, &old, "magic");
         }
@@ -2164,5 +2294,29 @@ mod tests {
             }
         }
         assert!(data_reads < 5, "false hits should be rare: {data_reads}");
+    }
+
+    #[test]
+    fn a_sacrificed_key_costs_no_set_read_after_its_flush() {
+        // Fill the front SG's set until probabilistic flushing sacrifices
+        // its oldest entry, the first key put there.
+        let mut n = Nemo::new(small_cfg());
+        let sets = n.cfg.sets_per_sg();
+        let mut keys = (1..u64::MAX).filter(|&k| MemSg::set_index_of(k, sets) == 3);
+        let victim = keys.next().expect("a key of set 3");
+        n.put(victim, 250, Nanos::ZERO);
+        while n.report().sacrificed_objects == 0 {
+            n.put(keys.next().expect("keys of set 3"), 250, Nanos::ZERO);
+        }
+        assert!(n.queue.iter().all(|sg| !sg.set(3).contains(victim)));
+        n.drain(Nanos::ZERO);
+        assert!(n.pool_len() > 0, "the set's SGs flushed");
+        // The flushed filters hold what the pages hold: the walk finds
+        // no candidate, so no page is read.
+        let before = n.report().bloom_fp_reads;
+        let out = n.get(victim, Nanos::ZERO);
+        assert!(!out.hit);
+        assert_eq!(out.set_reads, 0);
+        assert_eq!(n.report().bloom_fp_reads, before);
     }
 }

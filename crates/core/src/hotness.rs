@@ -119,6 +119,11 @@ impl HotnessTracker {
         self.maps.len() as u64 * self.sets_per_sg as u64 * 8
     }
 
+    /// Sets per SG each bitmap covers.
+    pub(crate) fn sets_per_sg(&self) -> u32 {
+        self.sets_per_sg
+    }
+
     /// Sequence numbers of every tracked SG — for recovery invariant
     /// checks.
     pub(crate) fn tracked_seqs(&self) -> Vec<u64> {

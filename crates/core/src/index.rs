@@ -1,7 +1,10 @@
 //! The PBFG approximate index (paper §4.3, challenge C2).
 //!
-//! Every flushed SG contributes one Bloom filter per set. Filters sharing
-//! an intra-SG set offset form a *set-level PBFG*; the PBFGs of up to 50
+//! Every flushed SG contributes one Bloom filter per set, built from the
+//! keys that set's page holds ([`PbfgIndex::add_sg`]): a flush and a
+//! zone scan index an SG the same way, so a rebuilt index is the index
+//! the flushes wrote. Filters sharing an intra-SG set offset form a
+//! *set-level PBFG*; the PBFGs of up to 50
 //! SGs form an *index group*, laid out on flash so one PBFG is exactly one
 //! page (Fig. 10's "packed" layout). The full index lives in an on-flash
 //! index pool; an in-memory FIFO cache keeps the configured fraction of
@@ -28,7 +31,7 @@
 //! the caller stops stepping at the first copy of the key, which is the
 //! live one: the groups behind it are neither probed nor fetched.
 
-use nemo_bloom::{BloomFilter, ProbeTable, SlicedLayout};
+use nemo_bloom::{ProbeTable, SlicedLayout};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
@@ -278,9 +281,11 @@ impl PbfgIndex {
         }
     }
 
-    /// Adds a flushed SG's filters; seals and persists the group when it
-    /// reaches `sgs_per_group`. Returns flash bytes written (0 until a
-    /// group seals) and the completion time.
+    /// Adds a flushed SG by its keys: the filter of set `s` holds
+    /// `keys(s)`, hashed straight into the SG's slot of the set's region.
+    /// Seals and persists the group when it reaches `sgs_per_group`.
+    /// Returns flash bytes written (0 until a group seals) and the
+    /// completion time.
     ///
     /// # Errors
     ///
@@ -290,44 +295,7 @@ impl PbfgIndex {
     /// is lost, and the group stays in memory, full and queryable. The
     /// next call retries the seal first, and while that keeps failing
     /// takes no further SG: the index cannot grow without its pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `filters` holds one filter per set, each of the
-    /// index's filter size and hash count.
-    pub fn add_sg<D: ZonedFlash>(
-        &mut self,
-        dev: &mut D,
-        seq: u64,
-        zone: u32,
-        filters: &[BloomFilter],
-        now: Nanos,
-    ) -> Result<(u64, Nanos), FlashError> {
-        assert_eq!(
-            filters.len(),
-            self.sets_per_sg as usize,
-            "one filter per set"
-        );
-        for f in filters {
-            assert!(
-                f.serialized_len() == self.filter_bytes as usize && f.hash_count() == self.hashes,
-                "set-level filter geometry"
-            );
-        }
-        self.add_sg_with(dev, seq, zone, now, |layout, row, set, slot| {
-            layout.write_slot(row, slot, &filters[set]);
-        })
-    }
-
-    /// [`Self::add_sg`] for an SG known by its keys: the filter of set
-    /// `s` holds `keys(s)`, hashed straight into the group's regions.
-    /// This is how a zone scan re-indexes an SG, with no filter of its
-    /// own to build and transpose.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::add_sg`].
-    pub fn add_sg_keys<D: ZonedFlash, I: IntoIterator<Item = u64>>(
+    pub fn add_sg<D: ZonedFlash, I: IntoIterator<Item = u64>>(
         &mut self,
         dev: &mut D,
         seq: u64,
@@ -335,33 +303,17 @@ impl PbfgIndex {
         mut keys: impl FnMut(usize) -> I,
         now: Nanos,
     ) -> Result<(u64, Nanos), FlashError> {
-        let hashes = self.hashes;
-        self.add_sg_with(dev, seq, zone, now, |layout, row, set, slot| {
-            for key in keys(set) {
-                layout.insert(row, slot, key, hashes);
-            }
-        })
-    }
-
-    /// Takes the SG into the next building slot, `fill` writing its
-    /// filter into each set's region (`fill(layout, region, set, slot)`);
-    /// seals the group around it as [`Self::add_sg`] says.
-    fn add_sg_with<D: ZonedFlash>(
-        &mut self,
-        dev: &mut D,
-        seq: u64,
-        zone: u32,
-        now: Nanos,
-        mut fill: impl FnMut(SlicedLayout, &mut [u8], usize, usize),
-    ) -> Result<(u64, Nanos), FlashError> {
         let (mut wrote, mut done) = (0, now);
         if self.building.len() as u32 >= self.sgs_per_group {
             (wrote, done) = self.persist_building(dev, now)?;
         }
         let slot = self.building.len();
-        let layout = self.layout;
+        let (layout, hashes) = (self.layout, self.hashes);
         for set in 0..self.sets_per_sg as usize {
-            fill(layout, self.building_row(set), set, slot);
+            let region = self.building_row(set);
+            for key in keys(set) {
+                layout.insert(region, slot, key, hashes);
+            }
         }
         self.building.push(Some(SgCandidate { seq, zone }));
         self.building_live += 1;
@@ -792,6 +744,7 @@ impl PbfgIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nemo_bloom::BloomFilter;
     use nemo_flash::{Geometry, LatencyModel, SimFlash};
 
     const SETS: u32 = 8;
@@ -806,6 +759,20 @@ mod tests {
         PbfgIndex::new(vec![0, 1, 2, 3], SETS, 512, 64, 5, 3)
     }
 
+    /// The keys of set `set` among `keys`: these tests place key `k` in
+    /// set `k % SETS`.
+    fn of_set(keys: &[u64]) -> impl FnMut(usize) -> Vec<u64> + '_ {
+        |set| {
+            let set = set as u64;
+            keys.iter()
+                .copied()
+                .filter(|k| k % SETS as u64 == set)
+                .collect()
+        }
+    }
+
+    /// The reference filters of one SG holding `keys`, one per set, of
+    /// the geometry `index()` gives its filters.
     fn filters_with_keys(keys: &[u64]) -> Vec<BloomFilter> {
         let mut fs: Vec<BloomFilter> = (0..SETS)
             .map(|_| BloomFilter::with_geometry(512, 5))
@@ -815,6 +782,32 @@ mod tests {
             fs[set].insert(k);
         }
         fs
+    }
+
+    /// The PBFGs of a group of `group_sgs` slots as the reference builds
+    /// them: one region per set at the start of each `stride` bytes, bit
+    /// `p` of slot `j`'s filter at region bit `p * group_sgs + j`,
+    /// transposed bit by bit from the filter's bytes; a dead (`None`) or
+    /// unfilled slot stays zero.
+    fn sliced_regions<'a>(
+        slots: impl IntoIterator<Item = Option<&'a [BloomFilter]>>,
+        sets: usize,
+        group_sgs: usize,
+        stride: usize,
+    ) -> Vec<u8> {
+        let mut out = vec![0u8; sets * stride];
+        for (slot, filters) in slots.into_iter().enumerate() {
+            let Some(filters) = filters else { continue };
+            for (region, f) in out.chunks_exact_mut(stride).zip(filters) {
+                let mut bytes = vec![0u8; f.serialized_len()];
+                f.write_bytes(&mut bytes);
+                for p in (0..bytes.len() * 8).filter(|p| bytes[p / 8] >> (p % 8) & 1 != 0) {
+                    let at = p * group_sgs + slot;
+                    region[at / 8] |= 1 << (at % 8);
+                }
+            }
+        }
+        out
     }
 
     /// Walks to exhaustion: every candidate, newest first, and the pool
@@ -849,7 +842,7 @@ mod tests {
     fn building_group_answers_from_memory() {
         let mut d = dev();
         let mut idx = index();
-        idx.add_sg(&mut d, 1, 10, &filters_with_keys(&[8, 16]), Nanos::ZERO)
+        idx.add_sg(&mut d, 1, 10, of_set(&[8, 16]), Nanos::ZERO)
             .unwrap();
         let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
         assert_eq!(found, vec![SgCandidate { seq: 1, zone: 10 }]);
@@ -858,27 +851,28 @@ mod tests {
 
     #[test]
     fn an_sg_added_by_its_keys_is_the_sg_added_by_its_filters() {
-        let (mut d1, mut d2) = (dev(), dev());
-        let (mut by_filters, mut by_keys) = (index(), index());
+        // The sealed pages and the building buffer hold, bit for bit, the
+        // reference filters of the keys each SG was added with.
+        let mut d = dev();
+        let mut idx = index();
+        let mut filters = Vec::new();
         // Seals a group of three and starts the next.
         for seq in 0..4u64 {
             let keys: Vec<u64> = (0..20).map(|i| seq * 1000 + i).collect();
-            let filters = filters_with_keys(&keys);
-            by_filters
-                .add_sg(&mut d1, seq, 10, &filters, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, of_set(&keys), Nanos::ZERO)
                 .unwrap();
-            let of_set = |set: usize| {
-                let keys = keys.iter().copied();
-                keys.filter(move |k| k % SETS as u64 == set as u64)
-            };
-            by_keys
-                .add_sg_keys(&mut d2, seq, 10, of_set, Nanos::ZERO)
-                .unwrap();
+            filters.push(filters_with_keys(&keys));
         }
-        assert!(by_keys.building_bits.iter().any(|&b| b != 0));
-        assert_eq!(by_keys.building_bits, by_filters.building_bits);
-        let sealed = |d: &mut SimFlash| d.read_pages(PageAddr::new(0, 0), SETS, Nanos::ZERO);
-        assert_eq!(sealed(&mut d2).unwrap().0, sealed(&mut d1).unwrap().0);
+        let want = |sgs: &[Vec<BloomFilter>], stride| {
+            sliced_regions(sgs.iter().map(|f| Some(&f[..])), SETS as usize, 3, stride)
+        };
+        let sealed = d.read_pages(PageAddr::new(0, 0), SETS, Nanos::ZERO);
+        assert!(
+            sealed.unwrap().0 == want(&filters[..3], 512),
+            "sealed pages differ"
+        );
+        assert!(idx.building_bits.iter().any(|&b| b != 0));
+        assert_eq!(idx.building_bits, want(&filters[3..], idx.row_bytes()));
     }
 
     #[test]
@@ -887,9 +881,9 @@ mod tests {
         let mut idx = index();
         let mut wrote = 0;
         for seq in 0..3u64 {
-            let filters = filters_with_keys(&[seq * SETS as u64]);
+            let keys = [seq * SETS as u64];
             let (b, _) = idx
-                .add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
+                .add_sg(&mut d, seq, 10 + seq as u32, of_set(&keys), Nanos::ZERO)
                 .unwrap();
             wrote += b;
         }
@@ -905,8 +899,8 @@ mod tests {
         idx.set_cache_capacity(64);
         for seq in 0..3u64 {
             // keys 8,9,10 -> sets 0,1,2
-            let filters = filters_with_keys(&[seq + 8]);
-            idx.add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
+            let keys = [seq + 8];
+            idx.add_sg(&mut d, seq, 10 + seq as u32, of_set(&keys), Nanos::ZERO)
                 .unwrap();
         }
         let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
@@ -923,7 +917,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(0);
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, of_set(&[1]), Nanos::ZERO)
                 .unwrap();
         }
         assert_eq!(drain(&mut idx, &mut d, 1, 1).1, 1);
@@ -937,8 +931,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         for seq in 0..3u64 {
-            let filters = filters_with_keys(&[8]);
-            idx.add_sg(&mut d, seq, 10 + seq as u32, &filters, Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10 + seq as u32, of_set(&[8]), Nanos::ZERO)
                 .unwrap();
         }
         for seq in 0..3u64 {
@@ -954,14 +947,8 @@ mod tests {
         let mut idx = index();
         // Key 8 in every SG of the building group.
         for seq in [4u64, 9, 7] {
-            idx.add_sg(
-                &mut d,
-                seq,
-                seq as u32,
-                &filters_with_keys(&[8]),
-                Nanos::ZERO,
-            )
-            .unwrap();
+            idx.add_sg(&mut d, seq, seq as u32, of_set(&[8]), Nanos::ZERO)
+                .unwrap();
         }
         let mut walk = idx.walk(0, 8);
         assert_eq!(step(&mut idx, &mut d, &mut walk).0, vec![9, 7, 4]);
@@ -977,7 +964,7 @@ mod tests {
         let mut seq = 0u64;
         for _ in 0..8 {
             for _ in 0..3 {
-                idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[1]), Nanos::ZERO)
+                idx.add_sg(&mut d, seq, 10, of_set(&[1]), Nanos::ZERO)
                     .unwrap();
                 seq += 1;
             }
@@ -994,7 +981,7 @@ mod tests {
     fn three_generations(d: &mut SimFlash, keys: impl Fn(u64) -> Vec<u64>) -> PbfgIndex {
         let mut idx = index();
         for seq in 0..7u64 {
-            idx.add_sg(d, seq, 10, &filters_with_keys(&keys(seq)), Nanos::ZERO)
+            idx.add_sg(d, seq, 10, of_set(&keys(seq)), Nanos::ZERO)
                 .unwrap();
         }
         assert_eq!(idx.group_count(), 2);
@@ -1107,12 +1094,12 @@ mod tests {
         let mut d = dev();
         let mut idx = index();
         idx.set_cache_capacity(64);
-        idx.add_sg(&mut d, 0, 10, &filters_with_keys(&[8]), Nanos::ZERO)
+        idx.add_sg(&mut d, 0, 10, of_set(&[8]), Nanos::ZERO)
             .unwrap();
         // Building: always "recently active".
         assert!(idx.is_recently_active(0, 0));
         for seq in 1..3u64 {
-            idx.add_sg(&mut d, seq, 10, &filters_with_keys(&[8]), Nanos::ZERO)
+            idx.add_sg(&mut d, seq, 10, of_set(&[8]), Nanos::ZERO)
                 .unwrap();
         }
         // Persisted but not yet cached.
@@ -1131,7 +1118,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         let add = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
-            idx.add_sg(d, seq, 10, &filters_with_keys(&[seq + 8]), Nanos::ZERO)
+            idx.add_sg(d, seq, 10, of_set(&[seq + 8]), Nanos::ZERO)
         };
         let finds = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
             drain(idx, d, seq as u32 % SETS, seq + 8).0 == vec![SgCandidate { seq, zone: 10 }]
@@ -1171,11 +1158,14 @@ mod tests {
     }
 
     /// The walk against a reference that keeps one `BloomFilter` per
-    /// (SG, set), answers with `BloomFilter::contains` and models the
-    /// PBFG cache as a set of page names.
+    /// (SG, set) of the keys the index was given, answers with
+    /// `BloomFilter::contains` and models the PBFG cache as a set of page
+    /// names.
     mod differential {
         use super::super::*;
+        use super::sliced_regions;
         use crate::checkpoint::{Reader, Writer};
+        use nemo_bloom::BloomFilter;
         use nemo_flash::{Geometry, LatencyModel, SimFlash};
         use nemo_util::Xoshiro256StarStar;
         use proptest::prelude::*;
@@ -1232,24 +1222,13 @@ mod tests {
             /// it must have appended: bit-sliced, bit `p` of slot `j` at
             /// page bit `p * group_sgs + j`, a dead slot as zeros.
             fn add_sg(&mut self, sg: SgCandidate, filters: Vec<BloomFilter>) -> Option<Vec<u8>> {
-                let fb = filters[0].serialized_len();
                 self.building.slots.push(Some((sg, filters)));
                 if self.building.slots.len() < self.group_sgs {
                     return None;
                 }
-                let mut pages = vec![0u8; (SETS * PAGE) as usize];
-                let mut bytes = vec![0u8; fb];
-                for (set, page) in pages.chunks_exact_mut(PAGE as usize).enumerate() {
-                    for (slot, sg) in self.building.slots.iter().enumerate() {
-                        if let Some((_, filters)) = sg {
-                            filters[set].write_bytes(&mut bytes);
-                            for p in (0..fb * 8).filter(|p| bytes[p / 8] >> (p % 8) & 1 != 0) {
-                                let at = p * self.group_sgs + slot;
-                                page[at / 8] |= 1 << (at % 8);
-                            }
-                        }
-                    }
-                }
+                let slots = self.building.slots.iter();
+                let slots = slots.map(|sg| sg.as_ref().map(|(_, f)| f.as_slice()));
+                let pages = sliced_regions(slots, SETS as usize, self.group_sgs, PAGE as usize);
                 self.building.id = self.stats.pool_pages_written / SETS as u64;
                 self.groups.push(std::mem::take(&mut self.building));
                 self.stats.pool_pages_written += SETS as u64;
@@ -1400,12 +1379,17 @@ mod tests {
                         .map(|_| BloomFilter::with_geometry(fb as u64 * 8, hashes))
                         .collect();
                     // From sparse to saturated filters.
-                    for _ in 0..rng.next_below(4 * fb as u64 / 8 + 2) {
-                        let k = rng.next_below(KEYS);
+                    let n = rng.next_below(4 * fb as u64 / 8 + 2);
+                    let keys: Vec<u64> = (0..n).map(|_| rng.next_below(KEYS)).collect();
+                    for &k in &keys {
                         filters[(k % SETS as u64) as usize].insert(k);
                     }
+                    let of_set = |set: usize| {
+                        let keys = keys.iter().copied();
+                        keys.filter(move |k| k % SETS as u64 == set as u64)
+                    };
                     let (wrote, _) = idx
-                        .add_sg(&mut dev, sg.seq, sg.zone, &filters, Nanos::ZERO)
+                        .add_sg(&mut dev, sg.seq, sg.zone, of_set, Nanos::ZERO)
                         .unwrap();
                     let sealed = reference.add_sg(sg, filters);
                     assert_eq!(wrote, sealed.as_ref().map_or(0, |pages| pages.len() as u64));

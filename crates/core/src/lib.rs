@@ -16,7 +16,8 @@
 //!   the device sees only large sequential writes and whole-zone resets
 //!   (DLWA = 1).
 //! * Lookups use the **PBFG** approximate index ([`index`]): one Bloom
-//!   filter per (SG, set), stored bit-sliced so the whole parallel filter
+//!   filter per (SG, set), built from the keys the flushed set page
+//!   holds and stored bit-sliced so the whole parallel filter
 //!   group for a set offset fits in one flash page and one probe tests all
 //!   of it; only hot PBFG pages are cached in memory.
 //! * Eviction decisions use **hybrid hotness tracking** ([`hotness`]):

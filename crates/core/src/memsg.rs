@@ -1,7 +1,11 @@
 //! In-memory Set-Groups: the mutable aggregation stage of Nemo's write
 //! path (paper §4.1–4.2).
+//!
+//! A buffered SG is its set buffers and nothing else. Its PBFG filters
+//! are built when it flushes, from the keys its pages hold, the same way
+//! a zone scan rebuilds them, so an object sacrificed or replaced before
+//! the flush leaves no bit behind.
 
-use nemo_bloom::BloomFilter;
 use nemo_engine::codec::PAGE_HEADER;
 
 /// One set's staging buffer inside an in-memory SG.
@@ -108,7 +112,7 @@ impl SetBuffer {
 /// ```
 /// use nemo_core::MemSg;
 ///
-/// let mut sg = MemSg::new(16, 4096, 0.001, 40);
+/// let mut sg = MemSg::new(16, 4096);
 /// let set = MemSg::set_index_of(12345, 16);
 /// assert!(sg.insert(12345, 250));
 /// assert!(sg.set(set).contains(12345));
@@ -116,52 +120,24 @@ impl SetBuffer {
 #[derive(Debug, Clone)]
 pub struct MemSg {
     sets: Vec<SetBuffer>,
-    filters: Vec<BloomFilter>,
     objects: u64,
     bytes: u64,
 }
 
 impl MemSg {
     /// Creates an SG with `sets_per_sg` sets of `page_size` bytes each.
-    /// Filters are sized for `expected_objects_per_set` at `bloom_fpr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(
-        sets_per_sg: u32,
-        page_size: u32,
-        bloom_fpr: f64,
-        expected_objects_per_set: u32,
-    ) -> Self {
-        assert!(sets_per_sg > 0, "sets_per_sg must be positive");
-        assert!(expected_objects_per_set > 0, "expected objects per set");
-        Self {
-            sets: (0..sets_per_sg)
-                .map(|_| SetBuffer::new(page_size as usize))
-                .collect(),
-            filters: (0..sets_per_sg)
-                .map(|_| BloomFilter::for_items(expected_objects_per_set as u64, bloom_fpr))
-                .collect(),
-            objects: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Creates an SG without Bloom filters, for standalone fill-rate
-    /// studies (Fig. 8) where only set occupancy matters. Large SGs (up to
-    /// the paper's 4 GB) stay cheap this way.
+    /// Large SGs (up to the paper's 4 GB, for the Fig. 8 fill study)
+    /// cost only their set buffers.
     ///
     /// # Panics
     ///
     /// Panics if `sets_per_sg` is zero.
-    pub fn for_fill_study(sets_per_sg: u32, page_size: u32) -> Self {
+    pub fn new(sets_per_sg: u32, page_size: u32) -> Self {
         assert!(sets_per_sg > 0, "sets_per_sg must be positive");
         Self {
             sets: (0..sets_per_sg)
                 .map(|_| SetBuffer::new(page_size as usize))
                 .collect(),
-            filters: Vec::new(),
             objects: 0,
             bytes: 0,
         }
@@ -176,6 +152,11 @@ impl MemSg {
     /// Number of sets.
     pub fn set_count(&self) -> u32 {
         self.sets.len() as u32
+    }
+
+    /// Bytes of the page each set fills.
+    pub(crate) fn page_size(&self) -> u32 {
+        self.sets[0].capacity as u32
     }
 
     /// Inserts `key` into its hashed set; returns `false` if that set has
@@ -206,9 +187,6 @@ impl MemSg {
             self.bytes -= old_size;
         } else {
             self.objects += 1;
-            if !self.filters.is_empty() {
-                self.filters[set as usize].insert(key);
-            }
         }
         self.bytes += size as u64;
         true
@@ -240,11 +218,6 @@ impl MemSg {
         &self.sets[set as usize]
     }
 
-    /// The per-set Bloom filters (copied into the index group at flush).
-    pub fn filters(&self) -> &[BloomFilter] {
-        &self.filters
-    }
-
     /// Live objects in the SG.
     pub fn object_count(&self) -> u64 {
         self.objects
@@ -274,11 +247,11 @@ impl MemSg {
         self.sets.iter().any(|s| !s.has_room(typical_size))
     }
 
-    /// Serializes the SG (entry lists in insertion order plus raw filter
-    /// bits) for a warm-restart checkpoint.
+    /// Serializes the SG (its shape, then the entry lists in insertion
+    /// order) for a warm-restart checkpoint.
     pub(crate) fn checkpoint_encode(&self, w: &mut crate::checkpoint::Writer) {
-        w.u32(self.sets.len() as u32);
-        w.u32(self.sets[0].capacity as u32);
+        w.u32(self.set_count());
+        w.u32(self.page_size());
         for s in &self.sets {
             w.u32(s.entries.len() as u32);
             for &(key, size) in &s.entries {
@@ -286,29 +259,21 @@ impl MemSg {
                 w.u32(size);
             }
         }
-        w.u8(u8::from(!self.filters.is_empty()));
-        for f in &self.filters {
-            w.filter_opt(Some(f));
-        }
     }
 
     /// Rebuilds an SG from [`MemSg::checkpoint_encode`] bytes. Entries are
-    /// replayed through [`MemSg::insert_at`] (so FIFO order and byte
-    /// accounting are exact), then the filter bits are restored verbatim.
+    /// replayed through [`MemSg::insert_at`], so FIFO order and byte
+    /// accounting are exact. The shape is the image's; the caller checks
+    /// it against the configuration.
     pub(crate) fn checkpoint_decode(r: &mut crate::checkpoint::Reader<'_>) -> Result<Self, String> {
         let sets = r.len(4)? as u32;
-        let capacity = r.u32()? as usize;
-        if sets == 0 || capacity <= PAGE_HEADER {
+        let page_size = r.u32()?;
+        if sets == 0 || page_size as usize <= PAGE_HEADER {
             return Err(format!(
-                "checkpoint corrupt: SG with {sets} sets of {capacity} bytes"
+                "checkpoint corrupt: SG with {sets} sets of {page_size} bytes"
             ));
         }
-        let mut sg = Self {
-            sets: (0..sets).map(|_| SetBuffer::new(capacity)).collect(),
-            filters: Vec::new(),
-            objects: 0,
-            bytes: 0,
-        };
+        let mut sg = Self::new(sets, page_size);
         for set in 0..sets {
             let n = r.len(12)?;
             for _ in 0..n {
@@ -318,16 +283,6 @@ impl MemSg {
                     return Err(format!("checkpoint corrupt: set {set} overflows its page"));
                 }
             }
-        }
-        if r.u8()? != 0 {
-            let mut filters = Vec::with_capacity(sets as usize);
-            for _ in 0..sets {
-                filters.push(
-                    r.filter_opt()?
-                        .ok_or_else(|| "checkpoint corrupt: missing set filter".to_string())?,
-                );
-            }
-            sg.filters = filters;
         }
         Ok(sg)
     }
@@ -368,7 +323,7 @@ mod tests {
 
     #[test]
     fn sg_insert_and_bookkeeping() {
-        let mut sg = MemSg::new(8, 512, 0.01, 10);
+        let mut sg = MemSg::new(8, 512);
         assert!(sg.insert(10, 100));
         assert!(sg.insert(11, 100));
         assert_eq!(sg.object_count(), 2);
@@ -381,7 +336,7 @@ mod tests {
 
     #[test]
     fn sacrifice_updates_counts() {
-        let mut sg = MemSg::new(4, 512, 0.01, 10);
+        let mut sg = MemSg::new(4, 512);
         let set = MemSg::set_index_of(5, 4);
         sg.insert(5, 100);
         let (k, s) = sg.sacrifice_at(set).expect("entry to evict");
@@ -392,7 +347,7 @@ mod tests {
 
     #[test]
     fn fill_rate_reaches_one_when_all_sets_full() {
-        let mut sg = MemSg::new(2, 514, 0.01, 10);
+        let mut sg = MemSg::new(2, 514);
         // Each set takes exactly 512 B of objects (2 B header + 512 = 514).
         for set in 0..2 {
             // Find keys hashing to `set`.
@@ -412,7 +367,7 @@ mod tests {
     fn short_term_skew_exists_like_fig8() {
         // Insert unique objects until the first set fills; the mean fill
         // of the other sets must be far below 100% (the paper's C1).
-        let mut sg = MemSg::new(256, 4096, 0.001, 40);
+        let mut sg = MemSg::new(256, 4096);
         let mut trace = SyntheticInsertTrace::paper_synthetic(77);
         loop {
             let r = trace.next().expect("infinite trace");
@@ -433,7 +388,7 @@ mod tests {
     fn set_overflow_leaves_counters_untouched() {
         // A refused insert (set overflow) must not perturb object/byte
         // accounting — the flush-fill study depends on these counters.
-        let mut sg = MemSg::new(1, 300, 0.01, 10);
+        let mut sg = MemSg::new(1, 300);
         assert!(sg.insert_at(0, 1, 200));
         let (objs, bytes) = (sg.object_count(), sg.byte_count());
         assert!(!sg.insert_at(0, 2, 200), "2 + 200 + 200 > 300 must refuse");
@@ -450,7 +405,7 @@ mod tests {
     fn flush_fill_accounting_counts_headers_once_per_set() {
         // fill_rate is E(FR_SG) from Eq. 9: (headers + object bytes) over
         // page capacity, headers counted once per set regardless of count.
-        let mut sg = MemSg::for_fill_study(4, 1000);
+        let mut sg = MemSg::new(4, 1000);
         sg.insert_at(0, 1, 400);
         sg.insert_at(0, 2, 300);
         sg.insert_at(1, 3, 500);
@@ -467,7 +422,7 @@ mod tests {
     fn sacrifice_then_refill_round_trips_accounting() {
         // Probabilistic flushing sacrifices the oldest entry; the freed
         // room must be reusable and the counters must round-trip.
-        let mut sg = MemSg::for_fill_study(1, 300);
+        let mut sg = MemSg::new(1, 300);
         assert!(sg.insert_at(0, 1, 140));
         assert!(sg.insert_at(0, 2, 140));
         assert!(!sg.insert_at(0, 3, 140), "full set refuses");
@@ -480,18 +435,5 @@ mod tests {
         assert_eq!(sg.object_count(), 0);
         assert_eq!(sg.byte_count(), 0);
         assert!((sg.fill_rate() - PAGE_HEADER as f64 / 300.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn filters_track_inserted_keys() {
-        let mut sg = MemSg::new(16, 4096, 0.001, 40);
-        for k in 0..200u64 {
-            sg.insert(k, 100);
-        }
-        let filters = sg.filters();
-        for k in 0..200u64 {
-            let set = MemSg::set_index_of(k, 16);
-            assert!(filters[set as usize].contains(k), "no false negatives");
-        }
     }
 }

@@ -95,7 +95,7 @@ proptest! {
     fn memsg_counters_are_consistent(
         ops in prop::collection::vec((any::<u64>(), 24u32..600, any::<bool>()), 1..300)
     ) {
-        let mut sg = MemSg::for_fill_study(8, 4096);
+        let mut sg = MemSg::new(8, 4096);
         for (key, size, sacrifice) in ops {
             if sacrifice {
                 let set = MemSg::set_index_of(key, 8);
@@ -308,7 +308,7 @@ proptest! {
     fn memsg_counters_survive_long_interleavings(
         ops in prop::collection::vec((any::<u64>(), 24u32..600, any::<bool>()), 5000..8000)
     ) {
-        let mut sg = MemSg::for_fill_study(32, 4096);
+        let mut sg = MemSg::new(32, 4096);
         for (key, size, sacrifice) in ops {
             if sacrifice {
                 let set = MemSg::set_index_of(key, 32);
