@@ -25,8 +25,7 @@ use crate::hset::{HsetRegion, SetWriteKind};
 use crate::SET_SALT;
 use nemo_bloom::BloomFilter;
 use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
-use nemo_engine::retry::{backoff, retry_transient};
-use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
+use nemo_engine::{device, CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{Geometry, LatencyModel, Nanos, SimFlash, ZonedFlash};
 use nemo_metrics::DiscreteCdf;
 use nemo_util::hash_u64;
@@ -282,11 +281,6 @@ impl<D: ZonedFlash> FairyWren<D> {
 
     // --- core mechanics ---------------------------------------------------
 
-    /// Folds zones retired by the set region into the engine's counters.
-    fn sync_retired(&mut self) {
-        self.stats.quarantined_zones += self.hset.take_retired();
-    }
-
     /// Rewrites `set` merged with `incoming` objects; displaced hot objects
     /// from cold sets move to the hot partner's staging.
     fn rmw_set(
@@ -299,21 +293,13 @@ impl<D: ZonedFlash> FairyWren<D> {
         let page_size = self.dev.geometry().page_size() as usize;
         let mut entries: Vec<(u64, u32)> = match self.hset.location(set) {
             Some(addr) => {
-                let dev = &mut self.dev;
-                let retries = &mut self.stats.device_retries;
                 let buf = &mut self.read_buf;
-                if retry_transient(retries, |attempt| {
-                    dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-                })
-                .is_ok()
-                {
-                    self.stats.flash_bytes_read += self.read_buf.len() as u64;
+                if device::read(&mut self.dev, &mut self.stats, addr, buf, now).is_ok() {
                     codec::parse_entries(&self.read_buf).collect()
                 } else {
                     // Old copy unreadable: retire its zone and rebuild the
                     // set from the incoming objects alone.
-                    self.hset.retire_zone(&self.dev, addr.zone);
-                    self.sync_retired();
+                    self.hset.retire_zone(&self.dev, &mut self.stats, addr.zone);
                     Vec::new()
                 }
             }
@@ -347,16 +333,9 @@ impl<D: ZonedFlash> FairyWren<D> {
             debug_assert!(pushed);
         }
         let bytes = page.finish();
-        let appended = self.hset.append_set(
-            &mut self.dev,
-            set,
-            &bytes,
-            now,
-            &mut self.stats.device_retries,
-        );
-        self.sync_retired();
-        appended.map_err(|e| EngineError::device("rewriting a set", e))?;
-        self.stats.flash_bytes_written += bytes.len() as u64;
+        self.hset
+            .append_set(&mut self.dev, &mut self.stats, set, &bytes, now)
+            .map_err(|e| EngineError::device("rewriting a set", e))?;
         self.maybe_cool(bytes.len() as u64);
         self.objects_in_sets = self.objects_in_sets + entries.len() as u64 - old_count;
         match kind {
@@ -445,8 +424,7 @@ impl<D: ZonedFlash> FairyWren<D> {
                 self.rmw_set(set, &incoming, SetWriteKind::Active, now)?;
             }
             self.hset
-                .release_zone(&mut self.dev, victim, now, &mut self.stats.device_retries);
-            self.sync_retired();
+                .release_zone(&mut self.dev, &mut self.stats, victim, now);
         }
         Ok(())
     }
@@ -470,7 +448,7 @@ impl<D: ZonedFlash> FairyWren<D> {
             self.rmw_set(set, &objs, SetWriteKind::Passive, now)?;
         }
         self.log
-            .release_zone(&mut self.dev, victim, now, &mut self.stats.device_retries)
+            .release_zone(&mut self.dev, &mut self.stats, victim, now)
             .map_err(|e| EngineError::device("resetting a log zone", e))?;
         Ok(())
     }
@@ -489,23 +467,17 @@ impl<D: ZonedFlash> FairyWren<D> {
             return None;
         }
         let addr = self.hset.location(set)?;
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
         let buf = &mut self.read_buf;
-        let done = match retry_transient(retries, |attempt| {
-            dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-        }) {
+        let done = match device::read(&mut self.dev, &mut self.stats, addr, buf, now) {
             Ok(done) => done,
             Err(e) => {
                 if !e.is_transient() {
-                    self.hset.retire_zone(&self.dev, addr.zone);
-                    self.sync_retired();
+                    self.hset.retire_zone(&self.dev, &mut self.stats, addr.zone);
                 }
                 *faulted = true;
                 return None;
             }
         };
-        self.stats.flash_bytes_read += self.read_buf.len() as u64;
         self.stats.candidate_reads += 1;
         if codec::find_payload(&self.read_buf, key).is_some() {
             Some(GetOutcome {
@@ -542,18 +514,14 @@ impl<D: ZonedFlash + Send> CacheEngine for FairyWren<D> {
                     Ok(GetOutcome::memory_hit(now))
                 }
                 Some(addr) => {
-                    let dev = &mut self.dev;
-                    let retries = &mut self.stats.device_retries;
                     let buf = &mut self.read_buf;
-                    let Ok(done) = retry_transient(retries, |attempt| {
-                        dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-                    }) else {
+                    let Ok(done) = device::read(&mut self.dev, &mut self.stats, addr, buf, now)
+                    else {
                         self.stats.fault_induced_misses += 1;
                         return Ok(GetOutcome::memory_miss(now));
                     };
                     self.stats.hits += 1;
                     self.mark_hot(key);
-                    self.stats.flash_bytes_read += self.read_buf.len() as u64;
                     self.stats.candidate_reads += 1;
                     Ok(GetOutcome {
                         hit: true,
@@ -616,16 +584,8 @@ impl<D: ZonedFlash + Send> CacheEngine for FairyWren<D> {
         }
         let ins = self
             .log
-            .insert(
-                &mut self.dev,
-                cold,
-                key,
-                size,
-                now,
-                &mut self.stats.device_retries,
-            )
+            .insert(&mut self.dev, &mut self.stats, cold, key, size, now)
             .map_err(|e| EngineError::device("appending to the hierarchical log", e))?;
-        self.stats.flash_bytes_written += ins.flushed_bytes;
         self.maybe_cool(ins.flushed_bytes);
         self.flush_ready_hot_sets(now)?;
         Ok(ins.done_at)
@@ -653,12 +613,8 @@ impl<D: ZonedFlash + Send> CacheEngine for FairyWren<D> {
     }
 
     fn drain(&mut self, now: Nanos) {
-        match self
-            .log
-            .flush(&mut self.dev, now, &mut self.stats.device_retries)
-        {
-            Ok(ins) => self.stats.flash_bytes_written += ins.flushed_bytes,
-            Err(e) => panic!("engine failed fatally on drain: {e}"),
+        if let Err(e) = self.log.flush(&mut self.dev, &mut self.stats, now) {
+            panic!("engine failed fatally on drain: {e}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! `E(L_i)` of the paper's §3.2 model.
 
 use nemo_engine::codec::PageBuf;
-use nemo_engine::retry::{backoff, retry_transient};
+use nemo_engine::{device, EngineStats};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, HashSet};
 
@@ -128,9 +128,9 @@ impl HierLog {
 
     /// Inserts an object bound for `set`.
     ///
-    /// Transient device errors are retried (counted into `retries`); a
-    /// permanent append failure is fatal for the log ring and is returned
-    /// to the caller.
+    /// A buffer flush goes through [`device::append`], charged to
+    /// `stats`; a permanent append failure is fatal for the log ring and
+    /// is returned to the caller.
     ///
     /// # Errors
     ///
@@ -143,18 +143,18 @@ impl HierLog {
     pub fn insert<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         set: u64,
         key: u64,
         size: u32,
         now: Nanos,
-        retries: &mut u64,
     ) -> Result<LogInsert, FlashError> {
         let mut result = LogInsert {
             done_at: now,
             flushed_bytes: 0,
         };
         if (size as usize) > self.page.remaining() {
-            let flushed = self.flush(dev, now, retries)?;
+            let flushed = self.flush(dev, stats, now)?;
             result.done_at = flushed.done_at;
             result.flushed_bytes = flushed.flushed_bytes;
         }
@@ -188,8 +188,8 @@ impl HierLog {
     pub fn flush<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         now: Nanos,
-        retries: &mut u64,
     ) -> Result<LogInsert, FlashError> {
         if self.page.is_empty() {
             return Ok(LogInsert {
@@ -209,9 +209,7 @@ impl HierLog {
         let zone = self.zone_ids[self.open_idx];
         let page = std::mem::replace(&mut self.page, PageBuf::new(self.page_size));
         let bytes = page.finish();
-        let (addr, done) = retry_transient(retries, |attempt| {
-            dev.append(ZoneId(zone), &bytes, backoff(now, attempt))
-        })?;
+        let (addr, done) = device::append(dev, stats, ZoneId(zone), &bytes, now)?;
         // Bind buffered objects that are still live to their flash address
         // and remember which sets now have data in this zone.
         let zone_set = self.zone_sets.entry(zone).or_default();
@@ -274,9 +272,9 @@ impl HierLog {
     pub fn release_zone<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         zone: u32,
         now: Nanos,
-        retries: &mut u64,
     ) -> Result<Nanos, FlashError> {
         debug_assert!(
             !self
@@ -287,9 +285,7 @@ impl HierLog {
             "releasing a log zone with live objects"
         );
         self.zone_sets.remove(&zone);
-        retry_transient(retries, |attempt| {
-            dev.reset_zone(ZoneId(zone), backoff(now, attempt))
-        })
+        device::reset(dev, stats, ZoneId(zone), now)
     }
 
     /// Modelled metadata bytes of the log index (paper §2.3 prices a
@@ -315,8 +311,9 @@ mod tests {
     #[test]
     fn insert_and_lookup_buffered() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
-        l.insert(&mut d, 5, 100, 64, Nanos::ZERO, &mut 0).unwrap();
+        l.insert(&mut d, &mut io, 5, 100, 64, Nanos::ZERO).unwrap();
         let obj = l.lookup(5, 100).expect("present");
         assert_eq!(obj.addr, None);
         assert_eq!(l.object_count(), 1);
@@ -325,9 +322,10 @@ mod tests {
     #[test]
     fn flush_binds_addresses() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
-        l.insert(&mut d, 5, 100, 64, Nanos::ZERO, &mut 0).unwrap();
-        l.flush(&mut d, Nanos::ZERO, &mut 0).unwrap();
+        l.insert(&mut d, &mut io, 5, 100, 64, Nanos::ZERO).unwrap();
+        l.flush(&mut d, &mut io, Nanos::ZERO).unwrap();
         let obj = l.lookup(5, 100).expect("present");
         assert_eq!(obj.addr, Some(PageAddr::new(0, 0)));
         assert_eq!(l.sets_touching(0), vec![5]);
@@ -336,9 +334,10 @@ mod tests {
     #[test]
     fn duplicate_key_replaces_older_version() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
-        l.insert(&mut d, 5, 100, 64, Nanos::ZERO, &mut 0).unwrap();
-        l.insert(&mut d, 5, 100, 80, Nanos::ZERO, &mut 0).unwrap();
+        l.insert(&mut d, &mut io, 5, 100, 64, Nanos::ZERO).unwrap();
+        l.insert(&mut d, &mut io, 5, 100, 80, Nanos::ZERO).unwrap();
         assert_eq!(l.object_count(), 1);
         assert_eq!(l.lookup(5, 100).expect("live").size, 80);
     }
@@ -346,9 +345,10 @@ mod tests {
     #[test]
     fn drain_set_empties_chain() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
         for k in 0..5u64 {
-            l.insert(&mut d, 9, k, 64, Nanos::ZERO, &mut 0).unwrap();
+            l.insert(&mut d, &mut io, 9, k, 64, Nanos::ZERO).unwrap();
         }
         let objs = l.drain_set(9);
         assert_eq!(objs.len(), 5);
@@ -360,12 +360,13 @@ mod tests {
     #[test]
     fn reclaim_protocol() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
         // 3 zones x 4 pages x 512B; each insert of 400 B fills most of a
         // page. Fill until a reclaim is demanded.
         let mut k = 0u64;
         while !l.must_reclaim_before(&d, 400) {
-            l.insert(&mut d, k % 7, k, 400, Nanos::ZERO, &mut 0)
+            l.insert(&mut d, &mut io, k % 7, k, 400, Nanos::ZERO)
                 .unwrap();
             k += 1;
             assert!(k < 100, "reclaim never triggered");
@@ -374,19 +375,22 @@ mod tests {
         for set in l.sets_touching(victim) {
             l.drain_set(set);
         }
-        l.release_zone(&mut d, victim, Nanos::ZERO, &mut 0).unwrap();
+        l.release_zone(&mut d, &mut io, victim, Nanos::ZERO)
+            .unwrap();
         assert!(!l.must_reclaim_before(&d, 400));
         // Ring continues working after reclaim.
-        l.insert(&mut d, 1, 10_000, 400, Nanos::ZERO, &mut 0)
+        l.insert(&mut d, &mut io, 1, 10_000, 400, Nanos::ZERO)
             .unwrap();
     }
 
     #[test]
     fn mean_chain_len_tracks_objects() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut l = log();
         for k in 0..6u64 {
-            l.insert(&mut d, k % 2, k, 64, Nanos::ZERO, &mut 0).unwrap();
+            l.insert(&mut d, &mut io, k % 2, k, 64, Nanos::ZERO)
+                .unwrap();
         }
         assert!((l.mean_chain_len() - 3.0).abs() < 1e-9);
     }

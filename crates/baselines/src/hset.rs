@@ -10,7 +10,7 @@
 //! Case 3.2), so GC policy lives in the engines and this type only provides
 //! the mechanics.
 
-use nemo_engine::retry::{backoff, retry_transient};
+use nemo_engine::{device, EngineStats};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
 
@@ -37,9 +37,6 @@ pub struct HsetRegion {
     zone_valid: HashMap<u32, u32>,
     free: VecDeque<u32>,
     open: Option<u32>,
-    /// Zones retired after permanent device failures, pending collection
-    /// by the owning engine via [`Self::take_retired`].
-    retired: u64,
 }
 
 impl HsetRegion {
@@ -61,7 +58,6 @@ impl HsetRegion {
             page_set: HashMap::new(),
             zone_valid,
             open: None,
-            retired: 0,
         }
     }
 
@@ -93,7 +89,7 @@ impl HsetRegion {
     /// Appends `bytes` (one page) as the new copy of `set`, invalidating
     /// the previous copy.
     ///
-    /// Transient append errors are retried (counted into `retries`); a
+    /// The append goes through [`device::append`], charged to `stats`; a
     /// frontier zone that fails permanently is retired (its valid sets
     /// are dropped) and the append moves to the next free zone.
     ///
@@ -110,19 +106,17 @@ impl HsetRegion {
     pub fn append_set<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         set: u64,
         bytes: &[u8],
         now: Nanos,
-        retries: &mut u64,
     ) -> Result<(PageAddr, Nanos), FlashError> {
         assert!(set < self.n_sets, "set out of range");
         loop {
             let Some(zone) = self.frontier(dev) else {
                 return Err(FlashError::io_permanent("no usable set zones remain"));
             };
-            match retry_transient(retries, |attempt| {
-                dev.append(ZoneId(zone), bytes, backoff(now, attempt))
-            }) {
+            match device::append(dev, stats, ZoneId(zone), bytes, now) {
                 Ok((addr, done)) => {
                     if dev.write_pointer(ZoneId(zone)) == dev.geometry().pages_per_zone() {
                         self.open = None;
@@ -137,7 +131,7 @@ impl HsetRegion {
                     *self.zone_valid.get_mut(&addr.zone).expect("tracked zone") += 1;
                     return Ok((addr, done));
                 }
-                Err(_) => self.retire_zone(dev, zone),
+                Err(_) => self.retire_zone(dev, stats, zone),
             }
         }
     }
@@ -154,8 +148,9 @@ impl HsetRegion {
     }
 
     /// Permanently removes `zone` from the region after a device failure,
-    /// dropping any valid sets it still held (their next lookup misses).
-    pub fn retire_zone<D: ZonedFlash>(&mut self, dev: &D, zone: u32) {
+    /// dropping any valid sets it still held (their next lookup misses),
+    /// and counts it in `stats.quarantined_zones`.
+    pub fn retire_zone<D: ZonedFlash>(&mut self, dev: &D, stats: &mut EngineStats, zone: u32) {
         if !self.zone_ids.contains(&zone) {
             return;
         }
@@ -174,13 +169,7 @@ impl HsetRegion {
             }
         }
         self.zone_valid.remove(&zone);
-        self.retired += 1;
-    }
-
-    /// Zones retired since the last call (engines fold this into
-    /// `EngineStats::quarantined_zones`).
-    pub fn take_retired(&mut self) -> u64 {
-        std::mem::take(&mut self.retired)
+        stats.quarantined_zones += 1;
     }
 
     /// Greedy GC victim: the full zone with the fewest valid pages
@@ -209,7 +198,8 @@ impl HsetRegion {
 
     /// Resets a fully collected zone and returns it to the free list.
     /// A zone whose reset fails permanently is retired instead of being
-    /// reused (transient errors are retried, counted into `retries`).
+    /// reused (the reset goes through [`device::reset`], charged to
+    /// `stats`).
     ///
     /// # Panics
     ///
@@ -217,23 +207,21 @@ impl HsetRegion {
     pub fn release_zone<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         zone: u32,
         now: Nanos,
-        retries: &mut u64,
     ) -> Nanos {
         assert_eq!(
             self.zone_valid[&zone], 0,
             "releasing zone {zone} with valid sets"
         );
-        match retry_transient(retries, |attempt| {
-            dev.reset_zone(ZoneId(zone), backoff(now, attempt))
-        }) {
+        match device::reset(dev, stats, ZoneId(zone), now) {
             Ok(done) => {
                 self.free.push_back(zone);
                 done
             }
             Err(_) => {
-                self.retire_zone(dev, zone);
+                self.retire_zone(dev, stats, zone);
                 now
             }
         }
@@ -292,9 +280,10 @@ mod tests {
     #[test]
     fn append_tracks_location_and_validity() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2, 3], 16);
         let (addr, _) = r
-            .append_set(&mut d, 7, &page_with(7), Nanos::ZERO, &mut 0)
+            .append_set(&mut d, &mut io, 7, &page_with(7), Nanos::ZERO)
             .unwrap();
         assert_eq!(r.location(7), Some(addr));
         assert_eq!(r.zone_valid[&addr.zone], 1);
@@ -303,12 +292,13 @@ mod tests {
     #[test]
     fn rewrite_invalidates_old_copy() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2, 3], 16);
         let (a1, _) = r
-            .append_set(&mut d, 7, &page_with(7), Nanos::ZERO, &mut 0)
+            .append_set(&mut d, &mut io, 7, &page_with(7), Nanos::ZERO)
             .unwrap();
         let (a2, _) = r
-            .append_set(&mut d, 7, &page_with(7), Nanos::ZERO, &mut 0)
+            .append_set(&mut d, &mut io, 7, &page_with(7), Nanos::ZERO)
             .unwrap();
         assert_ne!(a1, a2);
         assert_eq!(r.location(7), Some(a2));
@@ -319,11 +309,12 @@ mod tests {
     #[test]
     fn gc_cycle_reclaims_space() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2, 3], 4);
         // Hammer 4 sets until GC is needed (4 zones x 4 pages = 16 pages).
         let mut writes = 0;
         while !r.needs_gc(&d) {
-            r.append_set(&mut d, writes % 4, &page_with(writes), Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, writes % 4, &page_with(writes), Nanos::ZERO)
                 .unwrap();
             writes += 1;
             assert!(writes < 64, "needs_gc never fired");
@@ -334,25 +325,26 @@ mod tests {
         for s in sets {
             let addr = r.location(s).expect("valid set has a location");
             let (bytes, _) = d.read_pages(addr, 1, Nanos::ZERO).expect("read");
-            r.append_set(&mut d, s, &bytes, Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, s, &bytes, Nanos::ZERO)
                 .unwrap();
         }
-        r.release_zone(&mut d, victim, Nanos::ZERO, &mut 0);
+        r.release_zone(&mut d, &mut io, victim, Nanos::ZERO);
         assert!(r.free_zones() >= 1);
     }
 
     #[test]
     fn victim_prefers_fewest_valid() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2], 8);
         // Fill zone 0 with sets 0-3, then rewrite 3 of them so zone 0
         // holds mostly garbage.
         for s in 0..4u64 {
-            r.append_set(&mut d, s, &page_with(s), Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, s, &page_with(s), Nanos::ZERO)
                 .unwrap();
         }
         for s in 0..3u64 {
-            r.append_set(&mut d, s, &page_with(s), Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, s, &page_with(s), Nanos::ZERO)
                 .unwrap();
         }
         // Zones 0 and 1 are now full; zone 0 has 1 valid, zone 1 has 3.
@@ -362,9 +354,10 @@ mod tests {
     #[test]
     fn mean_valid_fraction_sane() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2], 8);
         for s in 0..4u64 {
-            r.append_set(&mut d, s, &page_with(s), Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, s, &page_with(s), Nanos::ZERO)
                 .unwrap();
         }
         let f = r.mean_valid_fraction(&d);
@@ -375,11 +368,12 @@ mod tests {
     #[should_panic(expected = "valid sets")]
     fn release_with_valid_pages_panics() {
         let mut d = dev();
+        let mut io = EngineStats::default();
         let mut r = HsetRegion::new(vec![0, 1, 2], 8);
         for s in 0..4u64 {
-            r.append_set(&mut d, s, &page_with(s), Nanos::ZERO, &mut 0)
+            r.append_set(&mut d, &mut io, s, &page_with(s), Nanos::ZERO)
                 .unwrap();
         }
-        r.release_zone(&mut d, 0, Nanos::ZERO, &mut 0);
+        r.release_zone(&mut d, &mut io, 0, Nanos::ZERO);
     }
 }

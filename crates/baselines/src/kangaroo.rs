@@ -9,8 +9,7 @@ use crate::hset::{HsetRegion, SetWriteKind};
 use crate::SET_SALT;
 use nemo_bloom::BloomFilter;
 use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
-use nemo_engine::retry::{backoff, retry_transient};
-use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
+use nemo_engine::{device, CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{Geometry, LatencyModel, Nanos, SimFlash, ZonedFlash};
 use nemo_metrics::DiscreteCdf;
 use nemo_util::hash_u64;
@@ -181,11 +180,6 @@ impl<D: ZonedFlash> Kangaroo<D> {
         self.hset.mean_valid_fraction(&self.dev)
     }
 
-    /// Folds zones retired by the set region into the engine's counters.
-    fn sync_retired(&mut self) {
-        self.stats.quarantined_zones += self.hset.take_retired();
-    }
-
     /// Runs independent GC (Case 3.1) until space is healthy.
     fn gc_if_needed(&mut self, now: Nanos) -> Result<(), EngineError> {
         while self.hset.needs_gc(&self.dev) {
@@ -204,42 +198,28 @@ impl<D: ZonedFlash> Kangaroo<D> {
             let mut victim_unreadable = false;
             for set in self.hset.sets_in_zone(&self.dev, victim) {
                 let addr = self.hset.location(set).expect("valid set");
-                let dev = &mut self.dev;
-                let retries = &mut self.stats.device_retries;
-                if retry_transient(retries, |attempt| {
-                    dev.read_pages_into(addr, 1, &mut bytes, backoff(now, attempt))
-                })
-                .is_err()
-                {
+                if device::read(&mut self.dev, &mut self.stats, addr, &mut bytes, now).is_err() {
                     // The victim zone cannot be read back: its valid sets
                     // are lost, retire it instead of relocating.
                     victim_unreadable = true;
                     break;
                 }
-                self.stats.flash_bytes_read += bytes.len() as u64;
-                let appended = self.hset.append_set(
-                    &mut self.dev,
-                    set,
-                    &bytes,
-                    now,
-                    &mut self.stats.device_retries,
-                );
-                self.sync_retired();
+                let appended =
+                    self.hset
+                        .append_set(&mut self.dev, &mut self.stats, set, &bytes, now);
                 if let Err(e) = appended {
                     self.read_buf = bytes;
                     return Err(EngineError::device("relocating a set during GC", e));
                 }
-                self.stats.flash_bytes_written += bytes.len() as u64;
                 self.pub_relocations += 1;
             }
             self.read_buf = bytes;
             if victim_unreadable {
-                self.hset.retire_zone(&self.dev, victim);
+                self.hset.retire_zone(&self.dev, &mut self.stats, victim);
             } else {
                 self.hset
-                    .release_zone(&mut self.dev, victim, now, &mut self.stats.device_retries);
+                    .release_zone(&mut self.dev, &mut self.stats, victim, now);
             }
-            self.sync_retired();
         }
         Ok(())
     }
@@ -256,21 +236,13 @@ impl<D: ZonedFlash> Kangaroo<D> {
         let page_size = self.dev.geometry().page_size() as usize;
         let mut entries: Vec<(u64, u32)> = match self.hset.location(set) {
             Some(addr) => {
-                let dev = &mut self.dev;
-                let retries = &mut self.stats.device_retries;
                 let buf = &mut self.read_buf;
-                if retry_transient(retries, |attempt| {
-                    dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-                })
-                .is_ok()
-                {
-                    self.stats.flash_bytes_read += self.read_buf.len() as u64;
+                if device::read(&mut self.dev, &mut self.stats, addr, buf, now).is_ok() {
                     codec::parse_entries(&self.read_buf).collect()
                 } else {
                     // Old copy unreadable: retire its zone and rebuild the
                     // set from the incoming objects alone.
-                    self.hset.retire_zone(&self.dev, addr.zone);
-                    self.sync_retired();
+                    self.hset.retire_zone(&self.dev, &mut self.stats, addr.zone);
                     Vec::new()
                 }
             }
@@ -294,16 +266,9 @@ impl<D: ZonedFlash> Kangaroo<D> {
             debug_assert!(pushed);
         }
         let bytes = page.finish();
-        let appended = self.hset.append_set(
-            &mut self.dev,
-            set,
-            &bytes,
-            now,
-            &mut self.stats.device_retries,
-        );
-        self.sync_retired();
-        appended.map_err(|e| EngineError::device("rewriting a set", e))?;
-        self.stats.flash_bytes_written += bytes.len() as u64;
+        self.hset
+            .append_set(&mut self.dev, &mut self.stats, set, &bytes, now)
+            .map_err(|e| EngineError::device("rewriting a set", e))?;
         self.objects_in_sets = self.objects_in_sets + entries.len() as u64 - old_count;
         self.rmw_count += 1;
         self.migration_cdf.record(objs.len() as u64);
@@ -335,7 +300,7 @@ impl<D: ZonedFlash> Kangaroo<D> {
             self.rmw_set(set, &objs, SetWriteKind::Passive, now)?;
         }
         self.log
-            .release_zone(&mut self.dev, victim, now, &mut self.stats.device_retries)
+            .release_zone(&mut self.dev, &mut self.stats, victim, now)
             .map_err(|e| EngineError::device("resetting a log zone", e))?;
         Ok(())
     }
@@ -357,17 +322,13 @@ impl<D: ZonedFlash + Send> CacheEngine for Kangaroo<D> {
                     Ok(GetOutcome::memory_hit(now))
                 }
                 Some(addr) => {
-                    let dev = &mut self.dev;
-                    let retries = &mut self.stats.device_retries;
                     let buf = &mut self.read_buf;
-                    let Ok(done) = retry_transient(retries, |attempt| {
-                        dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-                    }) else {
+                    let Ok(done) = device::read(&mut self.dev, &mut self.stats, addr, buf, now)
+                    else {
                         self.stats.fault_induced_misses += 1;
                         return Ok(GetOutcome::memory_miss(now));
                     };
                     self.stats.hits += 1;
-                    self.stats.flash_bytes_read += self.read_buf.len() as u64;
                     self.stats.candidate_reads += 1;
                     Ok(GetOutcome {
                         hit: true,
@@ -385,25 +346,19 @@ impl<D: ZonedFlash + Send> CacheEngine for Kangaroo<D> {
         let Some(addr) = self.hset.location(set) else {
             return Ok(GetOutcome::memory_miss(now));
         };
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
         let buf = &mut self.read_buf;
-        let done = match retry_transient(retries, |attempt| {
-            dev.read_pages_into(addr, 1, buf, backoff(now, attempt))
-        }) {
+        let done = match device::read(&mut self.dev, &mut self.stats, addr, buf, now) {
             Ok(done) => done,
             Err(e) => {
                 // Degrade to a miss; only a permanently unreadable set
                 // zone is retired (a transient burst keeps the capacity).
                 if !e.is_transient() {
-                    self.hset.retire_zone(&self.dev, addr.zone);
-                    self.sync_retired();
+                    self.hset.retire_zone(&self.dev, &mut self.stats, addr.zone);
                 }
                 self.stats.fault_induced_misses += 1;
                 return Ok(GetOutcome::memory_miss(now));
             }
         };
-        self.stats.flash_bytes_read += self.read_buf.len() as u64;
         self.stats.candidate_reads += 1;
         if codec::find_payload(&self.read_buf, key).is_some() {
             self.stats.hits += 1;
@@ -433,16 +388,8 @@ impl<D: ZonedFlash + Send> CacheEngine for Kangaroo<D> {
         }
         let ins = self
             .log
-            .insert(
-                &mut self.dev,
-                set,
-                key,
-                size,
-                now,
-                &mut self.stats.device_retries,
-            )
+            .insert(&mut self.dev, &mut self.stats, set, key, size, now)
             .map_err(|e| EngineError::device("appending to the hierarchical log", e))?;
-        self.stats.flash_bytes_written += ins.flushed_bytes;
         Ok(ins.done_at)
     }
 
@@ -467,12 +414,8 @@ impl<D: ZonedFlash + Send> CacheEngine for Kangaroo<D> {
     }
 
     fn drain(&mut self, now: Nanos) {
-        match self
-            .log
-            .flush(&mut self.dev, now, &mut self.stats.device_retries)
-        {
-            Ok(ins) => self.stats.flash_bytes_written += ins.flushed_bytes,
-            Err(e) => panic!("engine failed fatally on drain: {e}"),
+        if let Err(e) = self.log.flush(&mut self.dev, &mut self.stats, now) {
+            panic!("engine failed fatally on drain: {e}");
         }
     }
 }

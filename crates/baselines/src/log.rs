@@ -1,8 +1,7 @@
 //! The log-structured baseline ("Log" in Fig. 12a).
 
 use nemo_engine::codec::{PageBuf, MIN_OBJECT_SIZE};
-use nemo_engine::retry::{backoff, retry_transient};
-use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
+use nemo_engine::{device, CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{
     FlashError, Geometry, LatencyModel, Nanos, PageAddr, SimFlash, ZoneId, ZonedFlash,
 };
@@ -150,15 +149,9 @@ impl<D: ZonedFlash> LogCache<D> {
                 };
                 self.open_zone = next;
             }
-            let dev = &mut self.dev;
-            let retries = &mut self.stats.device_retries;
             let zone = self.open_zone;
-            match retry_transient(retries, |attempt| {
-                dev.append(ZoneId(zone), &bytes, backoff(now, attempt))
-            }) {
+            match device::append(&mut self.dev, &mut self.stats, ZoneId(zone), &bytes, now) {
                 Ok((addr, done)) => {
-                    self.stats.flash_bytes_written += bytes.len() as u64;
-                    self.stats.nand_bytes_written += bytes.len() as u64;
                     for &(key, size) in &self.pending {
                         self.index.insert(key, IndexEntry { addr, size });
                         self.zone_keys[addr.zone as usize].push(key);
@@ -209,11 +202,7 @@ impl<D: ZonedFlash> LogCache<D> {
                 }
             }
         }
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        match retry_transient(retries, |attempt| {
-            dev.reset_zone(ZoneId(zone), backoff(now, attempt))
-        }) {
+        match device::reset(&mut self.dev, &mut self.stats, ZoneId(zone), now) {
             Ok(_) => true,
             Err(_) => {
                 self.quarantine(zone);
@@ -261,12 +250,8 @@ impl<D: ZonedFlash + Send> CacheEngine for LogCache<D> {
         let Some(&entry) = self.index.get(&key) else {
             return Ok(GetOutcome::memory_miss(now));
         };
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
         let buf = &mut self.read_buf;
-        let done = match retry_transient(retries, |attempt| {
-            dev.read_pages_into(entry.addr, 1, buf, backoff(now, attempt))
-        }) {
+        let done = match device::read(&mut self.dev, &mut self.stats, entry.addr, buf, now) {
             Ok(done) => done,
             Err(e) => {
                 // Degrade the lookup to a miss. Only a permanent failure
@@ -279,7 +264,6 @@ impl<D: ZonedFlash + Send> CacheEngine for LogCache<D> {
                 return Ok(GetOutcome::memory_miss(now));
             }
         };
-        self.stats.flash_bytes_read += self.read_buf.len() as u64;
         self.stats.candidate_reads += 1;
         debug_assert!(
             nemo_engine::codec::find_payload(&self.read_buf, key).is_some(),
@@ -312,6 +296,7 @@ impl<D: ZonedFlash + Send> CacheEngine for LogCache<D> {
 
     fn stats(&self) -> EngineStats {
         let mut s = self.stats;
+        s.nand_bytes_written = s.flash_bytes_written; // zoned: DLWA = 1
         s.objects_on_flash = self.index.len() as u64;
         s.device = self.dev.stats();
         s

@@ -6,8 +6,7 @@
 use crate::SET_SALT;
 use nemo_bloom::BloomFilter;
 use nemo_engine::codec::{self, PageBuf, MIN_OBJECT_SIZE};
-use nemo_engine::retry::{backoff, retry_transient};
-use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
+use nemo_engine::{device, CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{ConventionalSsd, Geometry, LatencyModel, Nanos, SimFlash, ZonedFlash};
 use nemo_util::hash_u64;
 
@@ -158,12 +157,8 @@ impl<D: ZonedFlash + Send> CacheEngine for SetCache<D> {
         if !self.filters[set as usize].contains(key) {
             return Ok(GetOutcome::memory_miss(now));
         }
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        let buf = &mut self.page_buf;
-        let done = match retry_transient(retries, |attempt| {
-            dev.read_page_into(set, buf, backoff(now, attempt))
-        }) {
+        let (dev, buf) = (&mut self.dev, &mut self.page_buf);
+        let done = match device::retry(&mut self.stats, now, |t| dev.read_page_into(set, buf, t)) {
             Ok(done) => done,
             Err(e) => {
                 if !e.is_transient() {
@@ -208,19 +203,13 @@ impl<D: ZonedFlash + Send> CacheEngine for SetCache<D> {
 
         // Read-modify-write: read the set, drop the old version of this
         // key, FIFO-evict until the new object fits, rewrite.
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        let buf = &mut self.page_buf;
-        if retry_transient(retries, |attempt| {
-            dev.read_page_into(set, buf, backoff(now, attempt))
-        })
-        .is_err()
-        {
+        let (dev, buf) = (&mut self.dev, &mut self.page_buf);
+        match device::retry(&mut self.stats, now, |t| dev.read_page_into(set, buf, t)) {
+            Ok(_) => self.stats.flash_bytes_read += self.page_buf.len() as u64,
             // The old contents are gone; rebuild the set from scratch with
             // just the new object (the rewrite relocates it physically).
-            self.page_buf.fill(0);
+            Err(_) => self.page_buf.fill(0),
         }
-        self.stats.flash_bytes_read += self.page_buf.len() as u64;
         let had_key = codec::parse_entries(&self.page_buf).any(|(k, _)| k == key);
         let mut entries: Vec<(u64, u32)> = codec::parse_entries(&self.page_buf)
             .filter(|&(k, _)| k != key)
@@ -247,11 +236,8 @@ impl<D: ZonedFlash + Send> CacheEngine for SetCache<D> {
         debug_assert!(pushed, "new object must fit after eviction");
         let bytes = page.finish();
         let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        let done = retry_transient(retries, |attempt| {
-            dev.write_page(set, &bytes, backoff(now, attempt))
-        })
-        .map_err(|e| EngineError::device("rewriting a set", e))?;
+        let done = device::retry(&mut self.stats, now, |t| dev.write_page(set, &bytes, t))
+            .map_err(|e| EngineError::device("rewriting a set", e))?;
         self.stats.flash_bytes_written += bytes.len() as u64;
 
         // Rebuild the set's filter from the surviving entries.
@@ -285,15 +271,20 @@ impl<D: ZonedFlash + Send> CacheEngine for SetCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nemo_flash::{FaultKind, FaultOp, FaultPlan, FaultRule, FaultyFlash};
     use nemo_trace::SyntheticInsertTrace;
 
-    fn engine() -> SetCache {
-        SetCache::new(SetCacheConfig {
+    fn config() -> SetCacheConfig {
+        SetCacheConfig {
             geometry: Geometry::new(4096, 16, 16, 4),
             latency: LatencyModel::zero(),
             op_ratio: 0.5,
             bloom_bits_per_object: 4.0,
-        })
+        }
+    }
+
+    fn engine() -> SetCache {
+        SetCache::new(config())
     }
 
     #[test]
@@ -303,6 +294,26 @@ mod tests {
         let out = c.get(1, Nanos::ZERO);
         assert!(out.hit);
         assert_eq!(out.flash_reads, 1);
+    }
+
+    #[test]
+    fn a_read_that_failed_charges_no_bytes() {
+        let cfg = config();
+        let plan =
+            FaultPlan::new(1).rule(FaultRule::every(FaultOp::Read, FaultKind::TransientError));
+        let dev = FaultyFlash::new(SimFlash::with_latency(cfg.geometry, cfg.latency), plan);
+        let mut c = SetCache::with_device(cfg, dev);
+        // The first put finds its set unmapped: the FTL answers with a
+        // zero page and the device is not read.
+        c.put(42, 100, Nanos::ZERO);
+        let charged = c.stats().flash_bytes_read;
+        // The second put's read-modify-write read fails on every attempt
+        // and the set is rebuilt from scratch; nothing was read.
+        c.put(42, 100, Nanos::ZERO);
+        let s = c.stats();
+        assert_eq!(s.device.read_errors, 4, "one attempt and three retries");
+        assert_eq!(s.device.bytes_read, 0);
+        assert_eq!(s.flash_bytes_read, charged);
     }
 
     #[test]

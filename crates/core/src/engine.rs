@@ -3,10 +3,10 @@
 use crate::checkpoint;
 use crate::config::NemoConfig;
 use crate::hotness::HotnessTracker;
-use crate::index::{backoff, retry_transient, PbfgIndex, SgCandidate};
+use crate::index::{PbfgIndex, SgCandidate};
 use crate::memsg::MemSg;
 use nemo_engine::codec::{self, MIN_OBJECT_SIZE};
-use nemo_engine::{CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
+use nemo_engine::{device, CacheEngine, EngineError, EngineStats, GetOutcome, MemoryBreakdown};
 use nemo_flash::{
     FlashError, Nanos, PageAddr, ReadBatch, ReadCompletion, SimFlash, ZoneId, ZoneState, ZonedFlash,
 };
@@ -390,11 +390,7 @@ impl<D: ZonedFlash> Nemo<D> {
             for (set, page) in (0..sets).zip(bytes.chunks_exact_mut(psz)) {
                 codec::encode_page(page, front.set(set).entries());
             }
-            let dev = &mut self.dev;
-            let retries = &mut self.stats.device_retries;
-            match retry_transient(retries, |attempt| {
-                dev.append(ZoneId(zone), bytes, backoff(now, attempt))
-            }) {
+            match device::append(&mut self.dev, &mut self.stats, ZoneId(zone), bytes, now) {
                 Ok(_) => break (zone, bytes.len() as u64),
                 Err(_) => {
                     // Permanent append failure: this zone is bad. Take it
@@ -403,7 +399,6 @@ impl<D: ZonedFlash> Nemo<D> {
                 }
             }
         };
-        self.stats.flash_bytes_written += flushed_bytes;
         self.bytes_since_cooling += flushed_bytes;
 
         let seq = self.next_seq;
@@ -437,7 +432,6 @@ impl<D: ZonedFlash> Nemo<D> {
             // cannot corrupt the engine further.
             EngineError::device("appending to the PBFG index pool", e)
         })?;
-        self.stats.flash_bytes_written += idx_bytes;
         self.bytes_since_cooling += idx_bytes;
 
         // Resize the PBFG cache to the configured fraction of live pages.
@@ -484,9 +478,8 @@ impl<D: ZonedFlash> Nemo<D> {
             let page = image.get(set * psz..(set + 1) * psz).unwrap_or(&[]);
             codec::parse_entries(page).map(|(key, _size)| key)
         };
-        let added = self.index.add_sg(&mut self.dev, seq, zone, keys, now);
-        self.stats.device_retries += self.index.take_device_retries();
-        added
+        self.index
+            .add_sg(&mut self.dev, &mut self.stats, seq, zone, keys, now)
     }
 
     /// Starts an eviction scan of the oldest on-flash SG when the device
@@ -559,11 +552,7 @@ impl<D: ZonedFlash> Nemo<D> {
     /// zone whose reset fails permanently is quarantined instead (taken
     /// out of rotation, shrinking the pool).
     fn reclaim_or_quarantine(&mut self, zone: u32, now: Nanos) {
-        let dev = &mut self.dev;
-        let retries = &mut self.stats.device_retries;
-        match retry_transient(retries, |attempt| {
-            dev.reset_zone(ZoneId(zone), backoff(now, attempt))
-        }) {
+        match device::reset(&mut self.dev, &mut self.stats, ZoneId(zone), now) {
             Ok(_) => self.free_zones.push_back(zone),
             Err(_) => self.stats.quarantined_zones += 1,
         }
@@ -614,27 +603,23 @@ impl<D: ZonedFlash> Nemo<D> {
         let batch = &mut self.io_batch;
         let completions = &mut self.io_completions;
         let dev = &mut self.dev;
-        let submitted = retry_transient(&mut self.stats.device_retries, |attempt| {
-            let issue = backoff(now, attempt);
+        let submitted = device::retry(&mut self.stats, now, |issue| {
             dev.submit_read_batch(batch, addrs, &mut buf, issue, addrs.len())?;
             completions.clear();
             while !dev.poll_completions(batch, completions)? {}
             Ok(completions.iter().fold(issue, |acc, c| acc.max(c.done)))
         });
         let mut done = *submitted.as_ref().unwrap_or(&now);
+        if submitted.is_ok() {
+            self.stats.flash_bytes_read += buf.len() as u64;
+        }
         for (i, (&addr, chunk)) in addrs.iter().zip(buf.chunks_exact_mut(psz)).enumerate() {
             let read = if submitted.is_ok() {
                 Ok(())
             } else {
-                let dev = &mut self.dev;
-                retry_transient(&mut self.stats.device_retries, |attempt| {
-                    dev.read_pages_into(addr, 1, chunk, backoff(done, attempt))
-                })
-                .map(|t| done = done.max(t))
+                device::read(&mut self.dev, &mut self.stats, addr, chunk, done)
+                    .map(|t| done = done.max(t))
             };
-            if read.is_ok() {
-                self.stats.flash_bytes_read += psz as u64;
-            }
             page(self, i, read.map(|()| &*chunk));
         }
         self.page_buf = buf;
@@ -1109,12 +1094,8 @@ impl<D: ZonedFlash> Nemo<D> {
         let mut report = RecoveryReport::new(RecoveryMode::Cold, checkpoint_error);
         for z in 0..engine.cfg.index_zones() {
             if engine.dev.zone_state(ZoneId(z)) != ZoneState::Empty {
-                let dev = &mut engine.dev;
-                let retries = &mut engine.stats.device_retries;
-                retry_transient(retries, |attempt| {
-                    dev.reset_zone(ZoneId(z), backoff(Nanos::ZERO, attempt))
-                })
-                .expect("stale index zone reset: the index pool must be writable to recover");
+                device::reset(&mut engine.dev, &mut engine.stats, ZoneId(z), Nanos::ZERO)
+                    .expect("stale index zone reset: the index pool must be writable to recover");
             }
         }
         for z in engine.cfg.index_zones()..engine.cfg.geometry.zone_count() {
@@ -1137,30 +1118,26 @@ impl<D: ZonedFlash> Nemo<D> {
     /// list; a zone that cannot be read even after retries is
     /// quarantined — recovery proceeds without it. Recovery I/O is
     /// reported, not charged to [`EngineStats`] — it is restart cost,
-    /// not workload cost.
+    /// not workload cost — so only its retries and quarantines stay
+    /// charged.
     fn scan_zone_into_pool(&mut self, zone: u32, report: &mut RecoveryReport) {
+        let charged = (self.stats.flash_bytes_read, self.stats.flash_bytes_written);
+        self.index_zone(zone, report);
+        (self.stats.flash_bytes_read, self.stats.flash_bytes_written) = charged;
+    }
+
+    /// The body of [`Self::scan_zone_into_pool`], with its I/O charged.
+    fn index_zone(&mut self, zone: u32, report: &mut RecoveryReport) {
         let wp = self.dev.write_pointer(ZoneId(zone));
         debug_assert!(wp > 0, "only non-empty zones are scanned");
         let psz = self.cfg.geometry.page_size() as usize;
         let mut buf = std::mem::take(&mut self.page_buf);
         buf.resize(wp as usize * psz, 0);
-        {
-            let dev = &mut self.dev;
-            let retries = &mut self.stats.device_retries;
-            if retry_transient(retries, |attempt| {
-                dev.read_pages_into(
-                    PageAddr::new(zone, 0),
-                    wp,
-                    &mut buf,
-                    backoff(Nanos::ZERO, attempt),
-                )
-            })
-            .is_err()
-            {
-                self.page_buf = buf;
-                self.stats.quarantined_zones += 1;
-                return;
-            }
+        let addr = PageAddr::new(zone, 0);
+        if device::read(&mut self.dev, &mut self.stats, addr, &mut buf, Nanos::ZERO).is_err() {
+            self.page_buf = buf;
+            self.stats.quarantined_zones += 1;
+            return;
         }
         report.zones_scanned += 1;
         report.pages_read += wp as u64;
@@ -1294,10 +1271,9 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
         let (mut index_reads, mut seen, mut tried, mut reads) = (0u32, 0u32, 0u32, 0u32);
         let (mut hit, mut faulted) = (false, false);
         'walk: loop {
-            let step = self
-                .index
-                .next_group(&mut self.dev, &mut walk, &mut cands, done);
-            self.stats.device_retries += self.index.take_device_retries();
+            let step =
+                self.index
+                    .next_group(&mut self.dev, &mut self.stats, &mut walk, &mut cands, done);
             // A permanent index-pool failure is fatal: the engine cannot
             // locate anything without its index.
             let (fetched, t) =
@@ -1342,7 +1318,6 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
         self.index
             .finish_walk(&walk, !hit && tried == MAX_SET_READS);
         self.cand_buf = cands;
-        self.stats.flash_bytes_read += index_reads as u64 * self.cfg.geometry.page_size() as u64;
         self.report.candidates_per_get.record(seen);
         self.stats.candidate_reads += reads as u64;
         if faulted && !hit {
@@ -2084,9 +2059,14 @@ mod tests {
         let mut walk = n.index.walk(n.set_index_of(key), key);
         let (mut zones, mut group) = (Vec::new(), Vec::new());
         loop {
-            let dev = &mut n.dev;
             n.index
-                .next_group(dev, &mut walk, &mut group, Nanos::ZERO)
+                .next_group(
+                    &mut n.dev,
+                    &mut EngineStats::default(),
+                    &mut walk,
+                    &mut group,
+                    Nanos::ZERO,
+                )
                 .unwrap();
             if group.is_empty() {
                 zones.sort_unstable();

@@ -32,10 +32,9 @@
 //! live one: the groups behind it are neither probed nor fetched.
 
 use nemo_bloom::{ProbeTable, SlicedLayout};
+use nemo_engine::{device, EngineStats};
 use nemo_flash::{FlashError, Nanos, PageAddr, ZoneId, ZoneState, ZonedFlash};
 use std::collections::{HashMap, VecDeque};
-
-pub(crate) use nemo_engine::retry::{backoff, retry_transient};
 
 /// A candidate location returned by a PBFG query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,9 +143,6 @@ pub struct PbfgIndex {
     /// zone -> group ids with pages there (for ring recycling).
     zone_groups: HashMap<u32, Vec<u64>>,
     retired: HashMap<u64, bool>,
-    /// Transient-retry count since the engine last drained it (not
-    /// checkpointed here; the engine folds it into [`EngineStats`]).
-    device_retries: u64,
     stats: IndexStats,
 }
 
@@ -193,7 +189,6 @@ impl PbfgIndex {
             pool_open: 0,
             zone_groups: HashMap::new(),
             retired: HashMap::new(),
-            device_retries: 0,
             stats: IndexStats::default(),
         }
     }
@@ -213,12 +208,6 @@ impl PbfgIndex {
     /// Position in `groups` of the live group `id`.
     fn group_index(&self, id: u64) -> Option<usize> {
         self.groups.binary_search_by_key(&id, |g| g.id).ok()
-    }
-
-    /// Drains the transient-retry count accumulated by index-pool I/O
-    /// since the last call (the engine folds it into its own stats).
-    pub fn take_device_retries(&mut self) -> u64 {
-        std::mem::take(&mut self.device_retries)
     }
 
     /// Index counters.
@@ -283,9 +272,9 @@ impl PbfgIndex {
 
     /// Adds a flushed SG by its keys: the filter of set `s` holds
     /// `keys(s)`, hashed straight into the SG's slot of the set's region.
-    /// Seals and persists the group when it reaches `sgs_per_group`.
-    /// Returns flash bytes written (0 until a group seals) and the
-    /// completion time.
+    /// Seals and persists the group when it reaches `sgs_per_group`,
+    /// charging the pool I/O to `stats`. Returns flash bytes written (0
+    /// until a group seals) and the completion time.
     ///
     /// # Errors
     ///
@@ -298,6 +287,7 @@ impl PbfgIndex {
     pub fn add_sg<D: ZonedFlash, I: IntoIterator<Item = u64>>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         seq: u64,
         zone: u32,
         mut keys: impl FnMut(usize) -> I,
@@ -305,7 +295,7 @@ impl PbfgIndex {
     ) -> Result<(u64, Nanos), FlashError> {
         let (mut wrote, mut done) = (0, now);
         if self.building.len() as u32 >= self.sgs_per_group {
-            (wrote, done) = self.persist_building(dev, now)?;
+            (wrote, done) = self.persist_building(dev, stats, now)?;
         }
         let slot = self.building.len();
         let (layout, hashes) = (self.layout, self.hashes);
@@ -318,7 +308,7 @@ impl PbfgIndex {
         self.building.push(Some(SgCandidate { seq, zone }));
         self.building_live += 1;
         if self.building.len() as u32 >= self.sgs_per_group {
-            let (bytes, t) = self.persist_building(dev, now)?;
+            let (bytes, t) = self.persist_building(dev, stats, now)?;
             wrote += bytes;
             done = t;
         }
@@ -332,6 +322,7 @@ impl PbfgIndex {
     fn persist_building<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         now: Nanos,
     ) -> Result<(u64, Nanos), FlashError> {
         let psz = self.page_size as usize;
@@ -343,10 +334,8 @@ impl PbfgIndex {
         {
             page[..row].copy_from_slice(pbfg);
         }
-        let zone = self.pool_zone_with_room(dev, now)?;
-        let (base, done) = retry_transient(&mut self.device_retries, |attempt| {
-            dev.append(ZoneId(zone), &bytes, backoff(now, attempt))
-        })?;
+        let zone = self.pool_zone_with_room(dev, stats, now)?;
+        let (base, done) = device::append(dev, stats, ZoneId(zone), &bytes, now)?;
         let id = self.next_group_id;
         self.next_group_id += 1;
         let slots = std::mem::take(&mut self.building);
@@ -372,6 +361,7 @@ impl PbfgIndex {
     fn pool_zone_with_room<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         now: Nanos,
     ) -> Result<u32, FlashError> {
         let ppz = dev.geometry().pages_per_zone();
@@ -396,9 +386,7 @@ impl PbfgIndex {
                 for g in groups {
                     self.retired.remove(&g);
                 }
-                retry_transient(&mut self.device_retries, |attempt| {
-                    dev.reset_zone(ZoneId(next), backoff(now, attempt))
-                })?;
+                device::reset(dev, stats, ZoneId(next), now)?;
             }
         }
         unreachable!("index pool ring exhausted");
@@ -456,8 +444,9 @@ impl PbfgIndex {
     /// and leaves that group's candidates in `out`, newest first: the
     /// building group, then the persisted groups in reverse flush order.
     /// `out` comes back empty once every live group has been visited.
-    /// Returns the PBFG pages fetched from the index pool and the
-    /// completion time of the last fetch (`now` if there was none).
+    /// Returns the PBFG pages fetched from the index pool, whose I/O is
+    /// charged to `stats`, and the completion time of the last fetch
+    /// (`now` if there was none).
     ///
     /// An uncached PBFG page is fetched from the index pool at `now` —
     /// the completion time of whatever the caller did last — and each
@@ -473,6 +462,7 @@ impl PbfgIndex {
     pub fn next_group<D: ZonedFlash>(
         &mut self,
         dev: &mut D,
+        stats: &mut EngineStats,
         walk: &mut GroupWalk,
         out: &mut Vec<SgCandidate>,
         now: Nanos,
@@ -503,10 +493,7 @@ impl PbfgIndex {
             if fetch {
                 self.stats.cache_misses += 1;
                 let addr = PageAddr::new(g.base.zone, g.base.page + set);
-                let page = &mut self.page_buf;
-                done = retry_transient(&mut self.device_retries, |attempt| {
-                    dev.read_pages_into(addr, 1, page, backoff(done, attempt))
-                })?;
+                done = device::read(dev, stats, addr, &mut self.page_buf, done)?;
                 fetched += 1;
             } else {
                 self.stats.cache_hits += 1;
@@ -810,6 +797,27 @@ mod tests {
         out
     }
 
+    /// [`PbfgIndex::add_sg`] at time zero, its I/O charged nowhere.
+    fn add<D: ZonedFlash, I: IntoIterator<Item = u64>>(
+        idx: &mut PbfgIndex,
+        d: &mut D,
+        seq: u64,
+        zone: u32,
+        keys: impl FnMut(usize) -> I,
+    ) -> Result<(u64, Nanos), FlashError> {
+        idx.add_sg(d, &mut EngineStats::default(), seq, zone, keys, Nanos::ZERO)
+    }
+
+    /// [`PbfgIndex::next_group`] at time zero, its I/O charged nowhere.
+    fn next<D: ZonedFlash>(
+        idx: &mut PbfgIndex,
+        d: &mut D,
+        walk: &mut GroupWalk,
+        out: &mut Vec<SgCandidate>,
+    ) -> Result<(u32, Nanos), FlashError> {
+        idx.next_group(d, &mut EngineStats::default(), walk, out, Nanos::ZERO)
+    }
+
     /// Walks to exhaustion: every candidate, newest first, and the pool
     /// pages fetched on the way.
     fn drain<D: ZonedFlash>(
@@ -821,7 +829,7 @@ mod tests {
         let mut walk = idx.walk(set, key);
         let (mut all, mut group, mut fetched) = (Vec::new(), Vec::new(), 0);
         loop {
-            let step = idx.next_group(d, &mut walk, &mut group, Nanos::ZERO);
+            let step = next(idx, d, &mut walk, &mut group);
             fetched += step.unwrap().0;
             if group.is_empty() {
                 return (all, fetched);
@@ -834,7 +842,7 @@ mod tests {
     /// fetches.
     fn step(idx: &mut PbfgIndex, d: &mut SimFlash, walk: &mut GroupWalk) -> (Vec<u64>, u32) {
         let mut group = Vec::new();
-        let (fetched, _) = idx.next_group(d, walk, &mut group, Nanos::ZERO).unwrap();
+        let (fetched, _) = next(idx, d, walk, &mut group).unwrap();
         (group.iter().map(|c| c.seq).collect(), fetched)
     }
 
@@ -842,8 +850,7 @@ mod tests {
     fn building_group_answers_from_memory() {
         let mut d = dev();
         let mut idx = index();
-        idx.add_sg(&mut d, 1, 10, of_set(&[8, 16]), Nanos::ZERO)
-            .unwrap();
+        add(&mut idx, &mut d, 1, 10, of_set(&[8, 16])).unwrap();
         let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
         assert_eq!(found, vec![SgCandidate { seq: 1, zone: 10 }]);
         assert_eq!(fetched, 0);
@@ -859,8 +866,7 @@ mod tests {
         // Seals a group of three and starts the next.
         for seq in 0..4u64 {
             let keys: Vec<u64> = (0..20).map(|i| seq * 1000 + i).collect();
-            idx.add_sg(&mut d, seq, 10, of_set(&keys), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, 10, of_set(&keys)).unwrap();
             filters.push(filters_with_keys(&keys));
         }
         let want = |sgs: &[Vec<BloomFilter>], stride| {
@@ -882,9 +888,7 @@ mod tests {
         let mut wrote = 0;
         for seq in 0..3u64 {
             let keys = [seq * SETS as u64];
-            let (b, _) = idx
-                .add_sg(&mut d, seq, 10 + seq as u32, of_set(&keys), Nanos::ZERO)
-                .unwrap();
+            let (b, _) = add(&mut idx, &mut d, seq, 10 + seq as u32, of_set(&keys)).unwrap();
             wrote += b;
         }
         assert_eq!(wrote, SETS as u64 * 512, "one page per set offset");
@@ -900,8 +904,7 @@ mod tests {
         for seq in 0..3u64 {
             // keys 8,9,10 -> sets 0,1,2
             let keys = [seq + 8];
-            idx.add_sg(&mut d, seq, 10 + seq as u32, of_set(&keys), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, 10 + seq as u32, of_set(&keys)).unwrap();
         }
         let (found, fetched) = drain(&mut idx, &mut d, 0, 8);
         assert!(found.contains(&SgCandidate { seq: 0, zone: 10 }));
@@ -917,8 +920,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(0);
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10, of_set(&[1]), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, 10, of_set(&[1])).unwrap();
         }
         assert_eq!(drain(&mut idx, &mut d, 1, 1).1, 1);
         assert_eq!(drain(&mut idx, &mut d, 1, 1).1, 1, "nothing can be cached");
@@ -931,8 +933,7 @@ mod tests {
         let mut idx = index();
         idx.set_cache_capacity(64);
         for seq in 0..3u64 {
-            idx.add_sg(&mut d, seq, 10 + seq as u32, of_set(&[8]), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, 10 + seq as u32, of_set(&[8])).unwrap();
         }
         for seq in 0..3u64 {
             idx.on_evict(seq);
@@ -947,8 +948,7 @@ mod tests {
         let mut idx = index();
         // Key 8 in every SG of the building group.
         for seq in [4u64, 9, 7] {
-            idx.add_sg(&mut d, seq, seq as u32, of_set(&[8]), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, seq as u32, of_set(&[8])).unwrap();
         }
         let mut walk = idx.walk(0, 8);
         assert_eq!(step(&mut idx, &mut d, &mut walk).0, vec![9, 7, 4]);
@@ -964,8 +964,7 @@ mod tests {
         let mut seq = 0u64;
         for _ in 0..8 {
             for _ in 0..3 {
-                idx.add_sg(&mut d, seq, 10, of_set(&[1]), Nanos::ZERO)
-                    .unwrap();
+                add(&mut idx, &mut d, seq, 10, of_set(&[1])).unwrap();
                 seq += 1;
             }
             // Retire everything except the newest group.
@@ -981,8 +980,7 @@ mod tests {
     fn three_generations(d: &mut SimFlash, keys: impl Fn(u64) -> Vec<u64>) -> PbfgIndex {
         let mut idx = index();
         for seq in 0..7u64 {
-            idx.add_sg(d, seq, 10, of_set(&keys(seq)), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, d, seq, 10, of_set(&keys(seq))).unwrap();
         }
         assert_eq!(idx.group_count(), 2);
         idx
@@ -1032,9 +1030,7 @@ mod tests {
         let mut d = SimFlash::with_latency(geometry, LatencyModel::default());
         let mut idx = three_generations(&mut d, only_oldest);
         let mut walk = idx.walk(0, 8);
-        let (_, done) = idx
-            .next_group(&mut d, &mut walk, &mut Vec::new(), Nanos::ZERO)
-            .unwrap();
+        let (_, done) = next(&mut idx, &mut d, &mut walk, &mut Vec::new()).unwrap();
         let idle = Nanos(done.0 * 10);
         let one = d
             .read_pages_into(PageAddr::new(0, 0), 1, &mut [0u8; 512], idle)
@@ -1094,13 +1090,11 @@ mod tests {
         let mut d = dev();
         let mut idx = index();
         idx.set_cache_capacity(64);
-        idx.add_sg(&mut d, 0, 10, of_set(&[8]), Nanos::ZERO)
-            .unwrap();
+        add(&mut idx, &mut d, 0, 10, of_set(&[8])).unwrap();
         // Building: always "recently active".
         assert!(idx.is_recently_active(0, 0));
         for seq in 1..3u64 {
-            idx.add_sg(&mut d, seq, 10, of_set(&[8]), Nanos::ZERO)
-                .unwrap();
+            add(&mut idx, &mut d, seq, 10, of_set(&[8])).unwrap();
         }
         // Persisted but not yet cached.
         assert!(!idx.is_recently_active(0, 0));
@@ -1117,15 +1111,15 @@ mod tests {
         let mut d = FaultyFlash::new(dev(), plan);
         let mut idx = index();
         idx.set_cache_capacity(64);
-        let add = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
-            idx.add_sg(d, seq, 10, of_set(&[seq + 8]), Nanos::ZERO)
+        let add_one = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
+            add(idx, d, seq, 10, of_set(&[seq + 8]))
         };
         let finds = |idx: &mut PbfgIndex, d: &mut FaultyFlash<SimFlash>, seq: u64| {
             drain(idx, d, seq as u32 % SETS, seq + 8).0 == vec![SgCandidate { seq, zone: 10 }]
         };
-        add(&mut idx, &mut d, 0).unwrap();
-        add(&mut idx, &mut d, 1).unwrap();
-        assert!(add(&mut idx, &mut d, 2).is_err(), "the seal fails");
+        add_one(&mut idx, &mut d, 0).unwrap();
+        add_one(&mut idx, &mut d, 1).unwrap();
+        assert!(add_one(&mut idx, &mut d, 2).is_err(), "the seal fails");
         assert_eq!(idx.group_count(), 0);
         assert_eq!(idx.buffer_bytes(), 3 * SETS as u64 * 64);
         for seq in 0..3 {
@@ -1133,10 +1127,13 @@ mod tests {
             assert!(idx.is_recently_active(seq, 0));
         }
         // Still full: the next SG cannot enter before the seal lands.
-        assert!(add(&mut idx, &mut d, 3).is_err(), "the retried seal fails");
+        assert!(
+            add_one(&mut idx, &mut d, 3).is_err(),
+            "the retried seal fails"
+        );
         assert!(!idx.live_seqs().contains(&3));
         assert!((0..3).all(|seq| finds(&mut idx, &mut d, seq)));
-        let (wrote, _) = add(&mut idx, &mut d, 4).unwrap();
+        let (wrote, _) = add_one(&mut idx, &mut d, 4).unwrap();
         assert_eq!(wrote, SETS as u64 * 512, "the retried seal lands");
         assert_eq!(idx.group_count(), 1);
         assert_eq!(idx.buffer_bytes(), SETS as u64 * 64);
@@ -1149,7 +1146,7 @@ mod tests {
         let mut d = FaultyFlash::new(dev(), plan);
         let mut idx = index();
         for seq in 0..3 {
-            assert_eq!(add(&mut idx, &mut d, seq).is_err(), seq == 2);
+            assert_eq!(add_one(&mut idx, &mut d, seq).is_err(), seq == 2);
         }
         assert!((0..3).all(|seq| finds(&mut idx, &mut d, seq)));
         idx.on_evict(1);
@@ -1163,7 +1160,7 @@ mod tests {
     /// names.
     mod differential {
         use super::super::*;
-        use super::sliced_regions;
+        use super::{add, next, sliced_regions};
         use crate::checkpoint::{Reader, Writer};
         use nemo_bloom::BloomFilter;
         use nemo_flash::{Geometry, LatencyModel, SimFlash};
@@ -1388,9 +1385,7 @@ mod tests {
                         let keys = keys.iter().copied();
                         keys.filter(move |k| k % SETS as u64 == set as u64)
                     };
-                    let (wrote, _) = idx
-                        .add_sg(&mut dev, sg.seq, sg.zone, of_set, Nanos::ZERO)
-                        .unwrap();
+                    let (wrote, _) = add(&mut idx, &mut dev, sg.seq, sg.zone, of_set).unwrap();
                     let sealed = reference.add_sg(sg, filters);
                     assert_eq!(wrote, sealed.as_ref().map_or(0, |pages| pages.len() as u64));
                     if let Some(want) = sealed {
@@ -1429,7 +1424,7 @@ mod tests {
                     let mut walk = idx.walk(set, key);
                     let (mut got, mut group, mut got_fetched) = (Vec::new(), Vec::new(), 0);
                     for _ in 0..stop_after {
-                        let step = idx.next_group(&mut dev, &mut walk, &mut group, Nanos::ZERO);
+                        let step = next(&mut idx, &mut dev, &mut walk, &mut group);
                         got_fetched += step.unwrap().0;
                         if group.is_empty() {
                             break;

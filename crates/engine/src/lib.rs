@@ -13,7 +13,10 @@
 //!   bits/object exactly like the paper's Table 6,
 //! * [`codec`] — the on-flash object entry format and page builder shared
 //!   by all engines (count-prefixed pages of `[key][size][payload]`
-//!   entries).
+//!   entries),
+//! * [`device`] — every engine's device access: the one transient-error
+//!   retry loop with virtual-time backoff, and the byte charges it makes
+//!   against [`EngineStats`].
 //!
 //! # Examples
 //!
@@ -28,7 +31,7 @@
 //! ```
 
 pub mod codec;
-pub mod retry;
+pub mod device;
 mod stats;
 mod traits;
 

@@ -9,6 +9,8 @@ use nemo_flash::DeviceStats;
 ///   including objects sacrificed by Nemo's probabilistic flushing;
 ///   re-copied bytes (write-back, migration, GC) are *not* logical.
 /// * `flash_bytes_written` — application-level bytes sent to the device.
+///   It and `flash_bytes_read` count only device calls that succeeded
+///   (see [`device`](crate::device)).
 /// * `nand_bytes_written` — bytes programmed on NAND. Equal to
 ///   `flash_bytes_written` on zoned devices (DLWA = 1); larger on the
 ///   conventional device behind the set-associative baseline.
