@@ -209,8 +209,8 @@ pub struct Nemo<D: ZonedFlash = SimFlash> {
     report: NemoReport,
     bytes_since_cooling: u64,
     cooling_threshold: u64,
-    /// Reused page buffer for [`Self::read_set_pages`] (candidate reads
-    /// and eviction scans) and recovery's whole-zone reads.
+    /// Reused page buffer for [`Self::read_set_pages`] (eviction scans)
+    /// and recovery's whole-zone reads.
     page_buf: Vec<u8>,
     /// Reused buffer a flush encodes its SG into.
     flush_buf: Vec<u8>,
@@ -578,24 +578,24 @@ impl<D: ZonedFlash> Nemo<D> {
         self.stats.quarantined_zones += 1;
     }
 
-    /// The engine's one data-page read: reads the set pages at `addrs`
-    /// and hands each to `page` in submission order — `Ok(bytes)` for a
-    /// page that was read, `Err` for one that could not be. The pages
-    /// go to the device as one batch at depth = batch length (the device
-    /// clamps that to what it can overlap); transient errors retry the
-    /// batch with virtual-time backoff. A batch that still fails does
+    /// The eviction scan's data-page read (a get reads its candidates one
+    /// page at a time with [`device::read_page`]): reads the set pages at
+    /// `addrs` and hands each to `page` in submission order —
+    /// `Ok(bytes)` for a page that was read, `Err` for one that could not
+    /// be. The pages go to the device as one batch at depth = batch
+    /// length (the device clamps that to what it can overlap); transient
+    /// errors retry the batch with virtual-time backoff. A batch that still fails does
     /// not say *which* zone is bad, so its pages are then re-read one at
     /// a time — chained, each with its own retries — to isolate the
     /// failing zone(s) while the surviving pages are still delivered.
-    /// Returns the completion time and whether the batch failed.
     fn read_set_pages(
         &mut self,
         addrs: &[PageAddr],
         now: Nanos,
         mut page: impl FnMut(&mut Self, usize, Result<&[u8], FlashError>),
-    ) -> (Nanos, bool) {
+    ) {
         if addrs.is_empty() {
-            return (now, false);
+            return;
         }
         let psz = self.cfg.geometry.page_size() as usize;
         let mut buf = std::mem::take(&mut self.page_buf);
@@ -623,7 +623,6 @@ impl<D: ZonedFlash> Nemo<D> {
             page(self, i, read.map(|()| &*chunk));
         }
         self.page_buf = buf;
-        (done, submitted.is_err())
     }
 
     /// Re-admits the staged write-back candidates of completed scans into
@@ -1285,18 +1284,29 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
             }
             seen += cands.len() as u32;
             for &cand in &cands {
-                let addr = PageAddr::new(cand.zone, set);
-                let (t, failed) = self.read_set_pages(&[addr], done, |this, _, page| match page {
-                    Ok(page) => {
+                // The page is read where the device holds it. The closure
+                // cannot reach the engine while its device is lent out,
+                // so it only answers whether the page holds the key.
+                let mut found = false;
+                let read = device::read_page(
+                    &mut self.dev,
+                    &mut self.stats,
+                    PageAddr::new(cand.zone, set),
+                    done,
+                    |page| found = codec::find_payload(page, key).is_some(),
+                );
+                match read {
+                    Ok(t) => {
+                        done = t;
                         reads += 1;
-                        if codec::find_payload(page, key).is_some() {
+                        if found {
                             hit = true;
-                            this.stats.hits += 1;
-                            this.tracker.mark(cand.seq, set, key);
+                            self.stats.hits += 1;
+                            self.tracker.mark(cand.seq, set, key);
                         } else {
                             // The candidate's filter matched but the page
                             // does not hold the key: a PBFG false positive.
-                            this.report.bloom_fp_reads += 1;
+                            self.report.bloom_fp_reads += 1;
                         }
                     }
                     // Only a permanent failure condemns the zone; an
@@ -1304,11 +1314,13 @@ impl<D: ZonedFlash + Send> CacheEngine for Nemo<D> {
                     // candidate but keeps the capacity. The walk's cursor
                     // is a group id, so a group this retires is neither
                     // skipped nor met again.
-                    Err(e) if !e.is_transient() => this.quarantine_zone(cand.zone),
-                    Err(_) => {}
-                });
-                done = t;
-                faulted |= failed;
+                    Err(e) => {
+                        faulted = true;
+                        if !e.is_transient() {
+                            self.quarantine_zone(cand.zone);
+                        }
+                    }
+                }
                 tried += 1;
                 if hit || tried == MAX_SET_READS {
                     break 'walk;
@@ -1449,10 +1461,12 @@ mod tests {
     }
 
     #[test]
-    fn every_data_page_read_goes_through_submit_poll() {
-        // The device counts submitted pages on its own; the engine
-        // counts candidate reads and read bytes. They must reconcile
-        // with PBFG fetches as the only blocking page reads.
+    fn every_data_page_read_is_a_scan_page_a_candidate_or_a_pbfg_fetch() {
+        // The device counts the pages it reads and those submitted to it;
+        // the engine counts candidate reads and read bytes, the index its
+        // fetches. A get reads its candidates and PBFG pages one lent
+        // page at a time, so eviction scans are the only submitters, and
+        // the three reconcile with the device.
         // Unsliced, flushes finish every scan in one batch; paced, the
         // scans read one page per slice.
         for slices_per_op in [0, 2] {
@@ -1461,13 +1475,16 @@ mod tests {
             let mut n = Nemo::new(cfg);
             churn_with_slices(&mut n, 150_000, 0.0004, slices_per_op);
             let (s, index) = (n.stats(), n.report().index);
-            let scan_reads = s.flash_bytes_read / psz - index.cache_misses - s.candidate_reads;
-            assert!(scan_reads > 0, "eviction scans must have read pages");
-            assert_eq!(s.device.async_reads, s.candidate_reads + scan_reads);
+            assert!(
+                s.device.async_reads > 0,
+                "eviction scans must have read pages"
+            );
+            assert!(s.candidate_reads > 0 && index.cache_misses > 0);
             assert_eq!(
                 s.device.pages_read,
-                s.device.async_reads + index.cache_misses
+                s.device.async_reads + s.candidate_reads + index.cache_misses
             );
+            assert_eq!(s.flash_bytes_read, s.device.pages_read * psz);
         }
     }
 
@@ -1827,9 +1844,9 @@ mod tests {
         assert_eq!(s.fault_induced_misses, 1);
         assert_eq!(r.index.capped_queries, 1, "the read budget ended the walk");
         assert_eq!(r.candidates_per_get.max(), 7);
-        // The batch and the page-at-a-time fallback, four attempts each,
-        // for four candidates and not one more.
-        assert_eq!(s.device.read_errors, MAX_SET_READS as u64 * 8);
+        // One read with its retry budget, four attempts, for four
+        // candidates and not one more.
+        assert_eq!(s.device.read_errors, MAX_SET_READS as u64 * 4);
     }
 
     #[test]

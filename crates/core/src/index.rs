@@ -136,7 +136,8 @@ pub struct PbfgIndex {
     cache_fifo: VecDeque<(u64, u32)>,
     /// The buffer the last cache eviction freed, for the next fetch.
     cache_spare: Option<Box<[u8]>>,
-    /// One page, for index-pool fetches.
+    /// The filter region of the last index-pool fetch: a fetch copies
+    /// the PBFG out of the page the device lends, not the page.
     page_buf: Vec<u8>,
     pool_zones: Vec<u32>,
     pool_open: usize,
@@ -184,7 +185,7 @@ impl PbfgIndex {
             cache_capacity: 0,
             cache_fifo: VecDeque::new(),
             cache_spare: None,
-            page_buf: vec![0; page_size as usize],
+            page_buf: vec![0; layout.region_bytes()],
             pool_zones,
             pool_open: 0,
             zone_groups: HashMap::new(),
@@ -238,20 +239,18 @@ impl PbfgIndex {
         }
     }
 
-    /// Makes the page just fetched into `page_buf` (set offset `set` of
+    /// Makes the PBFG just fetched into `page_buf` (set offset `set` of
     /// group `gi`) resident, evicting in FIFO order.
     fn cache_fetched(&mut self, gi: usize, set: u32) {
         if self.cache_capacity == 0 {
             return;
         }
-        // Keep only the filter region in memory; the page tail is
-        // padding when groups are smaller than the packing limit.
         let row = self.row_bytes();
         let mut page = self
             .cache_spare
             .take()
             .unwrap_or_else(|| vec![0; row].into_boxed_slice());
-        page.copy_from_slice(&self.page_buf[..row]);
+        page.copy_from_slice(&self.page_buf);
         let g = &mut self.groups[gi];
         g.cached[set as usize] = Some(page);
         self.cache_fifo.push_back((g.id, set));
@@ -493,15 +492,18 @@ impl PbfgIndex {
             if fetch {
                 self.stats.cache_misses += 1;
                 let addr = PageAddr::new(g.base.zone, g.base.page + set);
-                done = device::read(dev, stats, addr, &mut self.page_buf, done)?;
+                // Only the filter region: the page tail is padding when
+                // groups are smaller than the packing limit.
+                let buf = &mut self.page_buf;
+                done = device::read_page(dev, stats, addr, done, |page| {
+                    buf.copy_from_slice(&page[..row]);
+                })?;
                 fetched += 1;
             } else {
                 self.stats.cache_hits += 1;
             }
             walk.visited_from = g.id;
-            let pbfg: &[u8] = g.cached[set as usize]
-                .as_deref()
-                .unwrap_or(&self.page_buf[..row]);
+            let pbfg: &[u8] = g.cached[set as usize].as_deref().unwrap_or(&self.page_buf);
             // The page still carries the bits of evicted SGs; the slot
             // directory masks them.
             walk.probes

@@ -241,12 +241,6 @@ impl MemSg {
         self.sets.iter().map(|s| s.fill_rate()).collect()
     }
 
-    /// Whether any set is completely unable to take a 1-byte object —
-    /// proxy for "some set is full".
-    pub fn any_set_full(&self, typical_size: u32) -> bool {
-        self.sets.iter().any(|s| !s.has_room(typical_size))
-    }
-
     /// Serializes the SG (its shape, then the entry lists in insertion
     /// order) for a warm-restart checkpoint.
     pub(crate) fn checkpoint_encode(&self, w: &mut crate::checkpoint::Writer) {

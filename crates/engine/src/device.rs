@@ -2,12 +2,13 @@
 //! device errors, backs the retries off in virtual time, and charges
 //! device I/O to an [`EngineStats`].
 //!
-//! [`read`], [`append`] and [`reset`] are the three [`ZonedFlash`] calls
-//! engines make. Each charges `device_retries` for every retry and
-//! `flash_bytes_read` / `flash_bytes_written` only when the call returns
-//! `Ok`, so every engine's byte counters mean the same thing. [`retry`]
-//! is the bare loop, for device work that is not one of those calls (a
-//! submit/poll batch, a conventional SSD); its caller charges the bytes.
+//! [`read`], [`read_page`], [`append`] and [`reset`] are the four
+//! [`ZonedFlash`] calls engines make. Each charges `device_retries` for
+//! every retry and `flash_bytes_read` / `flash_bytes_written` only when
+//! the call returns `Ok`, so every engine's byte counters mean the same
+//! thing. [`retry`] is the bare loop, for device work that is not one of
+//! those calls (a submit/poll batch, a conventional SSD); its caller
+//! charges the bytes.
 //! What to do once a call has failed for good (quarantine the zone,
 //! degrade the lookup, fail the engine) stays with the caller.
 
@@ -73,6 +74,28 @@ pub fn read<D: ZonedFlash + ?Sized>(
         dev.read_pages_into(addr, pages, out, issue)
     })?;
     stats.flash_bytes_read += out.len() as u64;
+    Ok(done)
+}
+
+/// Reads the page at `addr` and lends it to `page`
+/// ([`ZonedFlash::read_page_with`]), retried, and charges one page to
+/// `stats.flash_bytes_read` once it succeeds. `page` runs once, on the
+/// attempt that succeeds.
+///
+/// # Errors
+///
+/// The device error that survived the retries.
+pub fn read_page<D: ZonedFlash + ?Sized>(
+    dev: &mut D,
+    stats: &mut EngineStats,
+    addr: PageAddr,
+    now: Nanos,
+    mut page: impl FnMut(&[u8]),
+) -> Result<Nanos, FlashError> {
+    let done = retry(stats, now, |issue| {
+        dev.read_page_with(addr, issue, &mut page)
+    })?;
+    stats.flash_bytes_read += u64::from(dev.geometry().page_size());
     Ok(done)
 }
 

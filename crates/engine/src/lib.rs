@@ -11,9 +11,9 @@
 //!   needs,
 //! * [`MemoryBreakdown`] — per-component metadata memory, reported in
 //!   bits/object exactly like the paper's Table 6,
-//! * [`codec`] — the on-flash object entry format and page builder shared
-//!   by all engines (count-prefixed pages of `[key][size][payload]`
-//!   entries),
+//! * [`codec`] — the on-flash page format and page builder shared by all
+//!   engines (directory-first pages: an entry count, a `(key, size)`
+//!   directory, and the payloads packed from the page end),
 //! * [`device`] — every engine's device access: the one transient-error
 //!   retry loop with virtual-time backoff, and the byte charges it makes
 //!   against [`EngineStats`].

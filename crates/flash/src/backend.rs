@@ -99,6 +99,15 @@ impl ZonedFlash for AnyFlash {
         delegate!(self, dev => dev.read_pages_into(addr, pages, out, now))
     }
 
+    fn read_page_with(
+        &mut self,
+        addr: PageAddr,
+        now: Nanos,
+        page: &mut dyn FnMut(&[u8]),
+    ) -> Result<Nanos, FlashError> {
+        delegate!(self, dev => dev.read_page_with(addr, now, page))
+    }
+
     fn submit_read_batch(
         &mut self,
         batch: &mut ReadBatch,

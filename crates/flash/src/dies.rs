@@ -76,19 +76,9 @@ impl DieTimeline {
         done
     }
 
-    /// Earliest time the given die is free.
-    pub fn free_at(&self, die: u32) -> Nanos {
-        self.busy_until[die as usize]
-    }
-
     /// Total busy time accumulated across all dies.
     pub fn total_busy(&self) -> Nanos {
         self.total_busy
-    }
-
-    /// Number of dies.
-    pub fn die_count(&self) -> u32 {
-        self.busy_until.len() as u32
     }
 }
 

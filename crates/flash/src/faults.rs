@@ -290,6 +290,24 @@ impl<D: ZonedFlash> FaultyFlash<D> {
         Some(kind)
     }
 
+    /// Decides one blocking read's fate: the injected error, or the
+    /// latency to add to a read that goes through. A torn record does
+    /// not perturb reads.
+    fn read_fate(&mut self, zone: ZoneId) -> Result<Nanos, FlashError> {
+        match self.decide(FaultOp::Read, zone) {
+            Some(FaultKind::TransientError) => {
+                self.injected_read_errors += 1;
+                Err(Self::transient_err("read"))
+            }
+            Some(FaultKind::KillZone) => {
+                self.injected_read_errors += 1;
+                Err(Self::dead_zone_err(zone))
+            }
+            Some(FaultKind::LatencySpike(extra)) => Ok(extra),
+            Some(FaultKind::TornRecord) | None => Ok(Nanos::ZERO),
+        }
+    }
+
     fn dead_zone_err(zone: ZoneId) -> FlashError {
         FlashError::io_permanent(format!("injected fault: zone {} failed", zone.0))
     }
@@ -365,21 +383,20 @@ impl<D: ZonedFlash> ZonedFlash for FaultyFlash<D> {
         out: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, FlashError> {
-        match self.decide(FaultOp::Read, ZoneId(addr.zone)) {
-            Some(FaultKind::TransientError) => {
-                self.injected_read_errors += 1;
-                Err(Self::transient_err("read"))
-            }
-            Some(FaultKind::KillZone) => {
-                self.injected_read_errors += 1;
-                Err(Self::dead_zone_err(ZoneId(addr.zone)))
-            }
-            Some(FaultKind::LatencySpike(extra)) => {
-                Ok(self.inner.read_pages_into(addr, pages, out, now)? + extra)
-            }
-            // A torn record does not perturb reads.
-            Some(FaultKind::TornRecord) | None => self.inner.read_pages_into(addr, pages, out, now),
-        }
+        let extra = self.read_fate(ZoneId(addr.zone))?;
+        Ok(self.inner.read_pages_into(addr, pages, out, now)? + extra)
+    }
+
+    /// One [`FaultOp::Read`] fate, decided as for a one-page
+    /// [`Self::read_pages_into`].
+    fn read_page_with(
+        &mut self,
+        addr: PageAddr,
+        now: Nanos,
+        page: &mut dyn FnMut(&[u8]),
+    ) -> Result<Nanos, FlashError> {
+        let extra = self.read_fate(ZoneId(addr.zone))?;
+        Ok(self.inner.read_page_with(addr, now, page)? + extra)
     }
 
     fn submit_read_batch(

@@ -33,13 +33,15 @@
 //!   over-provisioning. Used by the set-associative baseline, which the
 //!   paper runs with 50 % OP, and for DLWA studies.
 //!
-//! Reads go through exactly two entry points of [`ZonedFlash`]:
-//! [`ZonedFlash::read_pages_into`], the blocking read of a contiguous
-//! page extent, and [`ZonedFlash::submit_read_batch`] /
-//! [`ZonedFlash::poll_completions`], the scattered single-page batch
-//! whose queue depth decides how much of it overlaps. A submitted batch
-//! reads the bytes, errors and op counts of a per-page
-//! `read_pages_into` loop on every device; only time differs.
+//! Reads go through exactly three entry points of [`ZonedFlash`]:
+//! [`ZonedFlash::read_pages_into`], the blocking copy of a contiguous
+//! page extent; [`ZonedFlash::read_page_with`], which lends one page to
+//! a closure where the device holds it, for a get's lookups; and
+//! [`ZonedFlash::submit_read_batch`] / [`ZonedFlash::poll_completions`],
+//! the scattered single-page batch whose queue depth decides how much of
+//! it overlaps. A lent page and a submitted batch read the bytes, errors
+//! and op counts of per-page `read_pages_into` calls on every device;
+//! only the copy and the time differ.
 //!
 //! [`AnyFlash`] wraps the zoned devices in one concrete type for
 //! runtime backend selection (engines themselves are generic over

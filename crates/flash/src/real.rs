@@ -564,6 +564,34 @@ impl<C: Clock> ZonedFlash for RealFlash<C> {
         Ok(now + elapsed)
     }
 
+    /// Lends the staging buffer, read and timed as
+    /// [`Self::read_pages_into`] reads and times one page.
+    fn read_page_with(
+        &mut self,
+        addr: PageAddr,
+        now: Nanos,
+        page: &mut dyn FnMut(&[u8]),
+    ) -> Result<Nanos, FlashError> {
+        let wp = self
+            .zones
+            .get(addr.zone as usize)
+            .map_or(0, |z| z.write_ptr);
+        let psz = self.geom.page_size() as usize;
+        validate_read(&self.geom, addr, 1, wp, psz)?;
+        let off = self.byte_offset(addr);
+        let t0 = self.clock.monotonic();
+        let window = self.staging.window(psz);
+        self.data.read_exact_at(window, off)?;
+        emulate_nand_read(self.opts.emulated_read_latency);
+        let elapsed = self.clock.monotonic().saturating_sub(t0);
+        self.stats.pages_read += 1;
+        self.stats.bytes_read += psz as u64;
+        self.stats.read_ops += 1;
+        self.stats.busy_time += elapsed;
+        page(window);
+        Ok(now + elapsed)
+    }
+
     /// Genuinely overlapped: the batch is cut into
     /// `min(queue_depth, len, 16)` contiguous chunks, one serviced
     /// inline by the caller (so a one-chunk batch is a plain `pread`

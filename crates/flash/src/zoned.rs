@@ -211,6 +211,24 @@ pub trait ZonedFlash {
         out: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, FlashError>;
+    /// Reads the one page at `addr` and lends its bytes to `page`, which
+    /// is called exactly once, before an `Ok` return, and never on an
+    /// error: the get path's read, which looks a key up where the page
+    /// lies instead of copying it out. Outcomes, completion time and
+    /// [`DeviceStats`] are those of a one-page [`Self::read_pages_into`];
+    /// only the copy is gone. Every device lends memory it already holds
+    /// (zone memory, a reused buffer), so a read allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `addr` leaves the device or is at or past its zone's
+    /// write pointer.
+    fn read_page_with(
+        &mut self,
+        addr: PageAddr,
+        now: Nanos,
+        page: &mut dyn FnMut(&[u8]),
+    ) -> Result<Nanos, FlashError>;
     /// [`Self::read_pages_into`] into a fresh buffer — an allocating
     /// convenience for tests and cold paths; no device overrides it.
     ///
@@ -229,10 +247,9 @@ pub trait ZonedFlash {
         Ok((out, done))
     }
     /// Submits a scattered single-page read batch for completion-based
-    /// harvesting — the one scattered read, behind Nemo's candidate
-    /// waves and eviction scans. Page `i` of `addrs` lands at
-    /// `out[i * page_size..]`; `out` must be exactly
-    /// `addrs.len() * page_size` bytes. At most `queue_depth` pages are
+    /// harvesting — the one scattered read, behind Nemo's eviction
+    /// scans. Page `i` of `addrs` lands at `out[i * page_size..]`; `out`
+    /// must be exactly `addrs.len() * page_size` bytes. At most `queue_depth` pages are
     /// in flight at once (`0` is treated as `1`): the default
     /// implementation models an open submission queue over the die
     /// timeline — each page issues at `now` while the queue has room,
@@ -477,6 +494,9 @@ pub struct SimFlash {
     /// Zones whose superblock record was torn at reopen; see
     /// [`ZonedFlash::suspect_zones`].
     suspect: Vec<ZoneId>,
+    /// The page [`ZonedFlash::read_page_with`] lends on the file backend
+    /// (and, all zeros, for a zone never written in memory).
+    page_buf: Box<[u8]>,
 }
 
 impl SimFlash {
@@ -498,6 +518,7 @@ impl SimFlash {
             stats: DeviceStats::default(),
             generation: 0,
             suspect: Vec::new(),
+            page_buf: vec![0; geom.page_size() as usize].into_boxed_slice(),
         }
     }
 
@@ -536,6 +557,7 @@ impl SimFlash {
             stats: DeviceStats::default(),
             generation: 0,
             suspect: Vec::new(),
+            page_buf: vec![0; geom.page_size() as usize].into_boxed_slice(),
         })
     }
 
@@ -578,12 +600,8 @@ impl SimFlash {
             stats: DeviceStats::default(),
             generation: sb.generation,
             suspect: sb.suspect_zones.iter().copied().map(ZoneId).collect(),
+            page_buf: vec![0; sb.geom.page_size() as usize].into_boxed_slice(),
         })
-    }
-
-    /// The latency model in effect.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.lat
     }
 
     fn check_zone(&self, zone: ZoneId) -> Result<(), FlashError> {
@@ -745,6 +763,41 @@ impl ZonedFlash for SimFlash {
         self.stats.bytes_read += out.len() as u64;
         self.stats.read_ops += 1;
         self.stats.busy_time = self.dies.total_busy();
+        Ok(done)
+    }
+
+    fn read_page_with(
+        &mut self,
+        addr: PageAddr,
+        now: Nanos,
+        page: &mut dyn FnMut(&[u8]),
+    ) -> Result<Nanos, FlashError> {
+        let wp = self
+            .zones
+            .get(addr.zone as usize)
+            .map_or(0, |z| z.write_ptr);
+        let psz = self.geom.page_size() as usize;
+        validate_read(&self.geom, addr, 1, wp, psz)?;
+        let bytes: &[u8] = match &self.backend {
+            Backend::Mem { zones } => match &zones[addr.zone as usize] {
+                Some(buf) => &buf[addr.page as usize * psz..][..psz],
+                None => &self.page_buf,
+            },
+            Backend::File { file, data_offset } => {
+                use std::os::unix::fs::FileExt;
+                let off = *data_offset + self.geom.flat_index(addr) * psz as u64;
+                file.read_exact_at(&mut self.page_buf, off)?;
+                &self.page_buf
+            }
+        };
+        let done = self
+            .dies
+            .service(self.geom.die_of(addr), now, self.lat.page_read);
+        self.stats.pages_read += 1;
+        self.stats.bytes_read += psz as u64;
+        self.stats.read_ops += 1;
+        self.stats.busy_time = self.dies.total_busy();
+        page(bytes);
         Ok(done)
     }
 

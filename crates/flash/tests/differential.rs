@@ -7,8 +7,9 @@
 //! it (pinned to a `TickClock` here so the run is reproducible).
 
 use nemo_flash::{
-    FlashError, Geometry, LatencyModel, Nanos, PageAddr, RealFlash, RealFlashOptions, SimFlash,
-    TickClock, ZoneId, ZonedFlash,
+    AnyFlash, FaultKind, FaultOp, FaultPlan, FaultRule, FaultyFlash, FlashError, Geometry,
+    LatencyModel, Nanos, PageAddr, RealFlash, RealFlashOptions, SimFlash, TickClock, ZoneId,
+    ZonedFlash,
 };
 use proptest::prelude::*;
 
@@ -301,6 +302,107 @@ proptest! {
         prop_assert_eq!(&signatures[0], &signatures[2], "mem vs real diverged");
 
         drop(devices);
+        for path in images {
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+/// A read's fate, comparable across the two read calls: completion time
+/// and bytes, or the error's kind and whether it is transient.
+type ReadFate = Result<(Nanos, Vec<u8>), (&'static str, bool)>;
+
+fn fate_of(e: FlashError) -> (&'static str, bool) {
+    (error_kind(&e), e.is_transient())
+}
+
+/// A random mix of read faults: zone deaths, transient errors and
+/// latency spikes, decided per device op by the plan's seed. Every rule
+/// flips the op's one coin, so the probabilities are cumulative: 2 %,
+/// 23 % and 25 % of reads.
+fn read_fault_plan(seed: u64) -> FaultPlan {
+    let rule = |kind, probability| FaultRule {
+        probability,
+        ..FaultRule::every(FaultOp::Read, kind)
+    };
+    FaultPlan::new(seed)
+        .rule(rule(FaultKind::KillZone, 0.02))
+        .rule(rule(FaultKind::TransientError, 0.25))
+        .rule(rule(FaultKind::LatencySpike(Nanos::from_micros(300)), 0.5))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The lent-read contract: on every backend, `read_page_with` lends
+    /// exactly the bytes a one-page `read_pages_into` copies out, calls
+    /// its closure once on success and never on failure, and completes
+    /// at the same time with the same `DeviceStats`. Under one fault
+    /// plan, `FaultyFlash` deals both calls the same fate, op for op.
+    #[test]
+    fn lent_reads_match_one_page_copies(
+        appends in prop::collection::vec((0u32..ZONES, 0u8..=255, 1u32..4), 4..16),
+        reads in prop::collection::vec((0u32..ZONES + 1, 0u32..PAGES_PER_ZONE + 1, 0u64..400), 1..40),
+        seed in 0u64..u64::MAX
+    ) {
+        let geom = Geometry::new(PAGE as u32, PAGES_PER_ZONE, ZONES, 2);
+        let images: Vec<std::path::PathBuf> = (0..6)
+            .map(|i| tmp(format!("lent-{i}-{seed}.img")))
+            .collect();
+        let sim = || SimFlash::with_latency(geom, LatencyModel::default());
+        let file = |i: usize| {
+            SimFlash::file_backed(geom, LatencyModel::default(), &images[i])
+                .expect("file-backed device")
+        };
+        let real = |i: usize| {
+            let clock = TickClock::new(Nanos::from_micros(1));
+            RealFlash::create_with_clock(geom, &images[i], RealFlashOptions::default(), clock)
+                .expect("real device")
+        };
+        let faulty = || FaultyFlash::new(sim(), read_fault_plan(seed));
+        let any_faulty = || {
+            let inner = AnyFlash::from(sim());
+            AnyFlash::from(FaultyFlash::new(inner, read_fault_plan(seed)))
+        };
+        // Per backend: the copying device, then its lending twin.
+        let mut pairs: Vec<(&str, [Box<dyn ZonedFlash>; 2])> = vec![
+            ("mem-sim", [Box::new(sim()), Box::new(sim())]),
+            ("file-sim", [Box::new(file(0)), Box::new(file(1))]),
+            ("real", [Box::new(real(2)), Box::new(real(3))]),
+            ("any-sim", [Box::new(AnyFlash::from(sim())), Box::new(AnyFlash::from(sim()))]),
+            ("any-file", [Box::new(AnyFlash::from(file(4))), Box::new(AnyFlash::from(file(5)))]),
+            ("faulty-sim", [Box::new(faulty()), Box::new(faulty())]),
+            ("any-faulty", [Box::new(any_faulty()), Box::new(any_faulty())]),
+        ];
+        for (name, [copying, lending]) in &mut pairs {
+            for &(zone, fill, pages) in &appends {
+                let data = vec![fill; pages as usize * PAGE];
+                let a = copying.append(ZoneId(zone), &data, Nanos::ZERO).map_err(fate_of);
+                let b = lending.append(ZoneId(zone), &data, Nanos::ZERO).map_err(fate_of);
+                prop_assert_eq!(a, b, "{}: twin appends must agree", name);
+            }
+            for (i, &(zone, page, at_us)) in reads.iter().enumerate() {
+                let (addr, now) = (PageAddr::new(zone, page), Nanos::from_micros(at_us));
+                let mut out = vec![0xAA; PAGE];
+                let copied: ReadFate = copying
+                    .read_pages_into(addr, 1, &mut out, now)
+                    .map(|t| (t, out))
+                    .map_err(fate_of);
+                let (mut lent, mut calls) = (Vec::new(), 0);
+                let lent: ReadFate = lending
+                    .read_page_with(addr, now, &mut |bytes| {
+                        calls += 1;
+                        lent = bytes.to_vec();
+                    })
+                    .map(|t| (t, lent))
+                    .map_err(fate_of);
+                prop_assert_eq!(calls, usize::from(lent.is_ok()), "{}: read {} lent {} times", name, i, calls);
+                prop_assert_eq!(&copied, &lent, "{}: read {} of {} diverged", name, i, addr);
+            }
+            prop_assert_eq!(copying.stats(), lending.stats(), "{}: device stats diverged", name);
+        }
+
+        drop(pairs);
         for path in images {
             std::fs::remove_file(&path).ok();
         }
